@@ -10,18 +10,21 @@ Modules:
 * series   -- principal-series parameters, labels, Iwasawa factorization
 * action   -- the five-term Lie-algebra action, operators U/P/W, matrices
 * structure-- invariant-subspace certificates and composition reports
+* errors   -- VerificationError, a failed check of the engine's results
 * oracle   -- independent quadrature / finite-difference verification
 * cli      -- command-line front end
 """
 
 from .clebsch import q
+from .errors import VerificationError
 from .scalars import LambdaForm, RadicalScalar
 from .series import BasisLabel, SeriesParams, basis, multiplicity
 from .wigner import EulerAngles, WignerIndex, little_d, wigner_D
 
 __all__ = [
     "BasisLabel", "EulerAngles", "LambdaForm", "RadicalScalar",
-    "SeriesParams", "WignerIndex", "basis", "little_d", "multiplicity", "q",
+    "SeriesParams", "VerificationError", "WignerIndex", "basis", "little_d",
+    "multiplicity", "q",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -6,7 +6,21 @@ Everything here is driven by the five-term expansion
                           Lam^(k)_j(lam,l,m1) D^{l+j}_{m1+k,m2+n}
 
 with c_{-2} = c_2 = 1, c_0 = sqrt(2/3), together with the classical so(3)
-ladder action.  Three coefficient modes are supported:
+ladder action.  Its whole (n, m2)-dependence is the coupling factor
+q(n,j,l,m2), so it is evaluated in the factorized form
+
+    pi(Z_n) D^l_{m1,m2} = sum_j q(n,j,l,m2) U_j D^l_{m1,m2},
+
+whose U_j amplitudes c_k q(k,j,l,m1) Lam^(k)_j(lam,l,m1) depend on
+(j, l, m1, lam) only.  Two bounded LRU caches of immutable tuples hold
+them: the U_j amplitudes of D^l_{m1,.}, and their fold into the
+symmetrized basis (the +-m1 components summed with their fold signs and
+re-folded to m1' >= 0), which is checked once per entry.  act_Z, act_U
+and act_Z_on_basis read every Lambda factor from these caches.  Both are
+keyed on the coefficient mode as well as on lam, because 11, Fraction(11)
+and 11+0j hash and compare alike but give exact and complex coefficients.
+
+Three coefficient modes are supported:
 
 * symbolic: LambdaForm coefficients (degree <= 1 in the spectral
   parameter), authoritative for exact zero tests;
@@ -29,7 +43,8 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .clebsch import q
-from .ktvector import KTypeVector
+from .errors import VerificationError
+from .ktvector import KTypeVector, coeff_is_zero
 from .scalars import ONE, ZERO, LambdaForm, RadicalScalar
 from .series import BasisLabel, SeriesParams, basis, label_sign, label_valid
 from .wigner import WignerIndex, ladder_coeff_sq
@@ -320,6 +335,10 @@ def lambda_factor(k: int, j: int, l: int, m1: int) -> LambdaForm:
 
 LamArg = Union[None, Sequence]
 
+# Callers walk the labels K-type by K-type, so the working set of either
+# amplitude cache is a few (l, m1) rows; eviction only costs a recomputation.
+_AMPLITUDE_CACHE_SIZE = 1 << 14
+
 
 def _lam_mode(lam: LamArg) -> str:
     if lam is None:
@@ -327,6 +346,15 @@ def _lam_mode(lam: LamArg) -> str:
     if all(isinstance(x, (int, Fraction)) for x in lam):
         return "exact"
     return "numeric"
+
+
+def _lam_key(lam: LamArg) -> tuple[str, tuple | None]:
+    """The mode and the components of a spectral parameter, as a cache key.
+
+    The mode is part of the key because 11, Fraction(11) and 11+0j hash and
+    compare alike, yet give RadicalScalar and complex coefficients.
+    """
+    return _lam_mode(lam), None if lam is None else tuple(lam)
 
 
 def _coeff(form: LambdaForm, scalar: RadicalScalar, lam: LamArg, mode: str):
@@ -337,33 +365,51 @@ def _coeff(form: LambdaForm, scalar: RadicalScalar, lam: LamArg, mode: str):
     return form.eval(lam) * float(scalar)
 
 
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _u_amplitudes(j: int, l: int, m1: int, mode: str, lam) -> tuple:
+    """U_j D^l_{m1,.} as ((k, c_k q(k,j,l,m1) Lam^(k)_j(lam,l,m1)), ...).
+
+    Each amplitude goes to D^{l+j}_{m1+k,.}; zero amplitudes are left out.
+    """
+    out = []
+    for k in (-2, 0, 2):
+        qk = q(k, j, l, m1)
+        if qk.is_zero():
+            continue
+        c = _coeff(lambda_factor(k, j, l, m1), C_FACTORS[k] * qk, lam, mode)
+        if not coeff_is_zero(c):
+            out.append((k, c))
+    return tuple(out)
+
+
+def _couplings(n: int, l: int, m2: int, mode: str) -> list:
+    """The nonzero q(n, j, l, m2) as (j, q) pairs, float in numeric mode."""
+    if n not in (-2, -1, 0, 1, 2):
+        raise ValueError("n must be in -2..2")
+    out = []
+    for j in range(-2, 3):
+        qn = q(n, j, l, m2)
+        if not qn.is_zero():
+            out.append((j, float(qn) if mode == "numeric" else qn))
+    return out
+
+
 def act_Z(n: int, idx: WignerIndex, lam: LamArg = None) -> KTypeVector:
-    """pi(Z_n) on a Wigner function.
+    """pi(Z_n) on a Wigner function, as sum_j q(n,j,l,m2) U_j D^l_{m1,m2}.
 
     lam = None gives symbolic LambdaForm coefficients; a rational triple
     gives exact RadicalScalar coefficients; a complex triple gives floats.
+    The U_j amplitudes come from a bounded cache keyed on (j, l, m1), the
+    mode and lam, so only the coupling factor is computed per call.
     """
-    if n not in (-2, -1, 0, 1, 2):
-        raise ValueError("n must be in -2..2")
     l, m1, m2 = WignerIndex(*idx).validate()
-    mode = _lam_mode(lam)
+    mode, key = _lam_key(lam)
     out = KTypeVector()
-    for j in range(-2, 3):
-        lt = l + j
-        if lt < 0 or abs(m2 + n) > lt:
-            continue
-        qn = q(n, j, l, m2)
-        if qn.is_zero():
-            continue
-        for k in (-2, 0, 2):
-            if abs(m1 + k) > lt:
-                continue
-            qk = q(k, j, l, m1)
-            if qk.is_zero():
-                continue
-            scalar = C_FACTORS[k] * qk * qn
-            c = _coeff(lambda_factor(k, j, l, m1), scalar, lam, mode)
-            out.add_term(WignerIndex(lt, m1 + k, m2 + n), c)
+    # each (j, k) has its own target and a product of nonzero factors is
+    # nonzero, so the terms need neither summing nor pruning
+    for j, qn in _couplings(n, l, m2, mode):
+        for k, amp in _u_amplitudes(j, l, m1, mode, key):
+            out.terms[WignerIndex(l + j, m1 + k, m2 + n)] = amp * qn
     return out
 
 
@@ -372,19 +418,11 @@ def act_U(j: int, idx: WignerIndex, lam: LamArg = None) -> KTypeVector:
     if abs(j) > 2:
         raise ValueError("j must be in -2..2")
     l, m1, m2 = WignerIndex(*idx).validate()
-    mode = _lam_mode(lam)
+    mode, key = _lam_key(lam)
     out = KTypeVector()
-    lt = l + j
-    if lt < 0 or abs(m2) > lt:
-        return out
-    for k in (-2, 0, 2):
-        if abs(m1 + k) > lt:
-            continue
-        qk = q(k, j, l, m1)
-        if qk.is_zero():
-            continue
-        c = _coeff(lambda_factor(k, j, l, m1), C_FACTORS[k] * qk, lam, mode)
-        out.add_term(WignerIndex(lt, m1 + k, m2), c)
+    if l + j >= 0 and abs(m2) <= l + j:
+        out.terms = {WignerIndex(l + j, m1 + k, m2): amp
+                     for k, amp in _u_amplitudes(j, l, m1, mode, key)}
     return out
 
 
@@ -392,64 +430,87 @@ def act_U(j: int, idx: WignerIndex, lam: LamArg = None) -> KTypeVector:
 # Action on the symmetrized principal-series basis
 
 
+def label_components(delta, l: int, m1: int) -> tuple:
+    """(m1 of each Wigner component, weight) of v_{l,m1,.}."""
+    if m1 == 0:
+        return ((0, 2),)
+    return ((m1, 1), (-m1, label_sign(delta, l)))
+
+
 def _expand_label(delta, label: BasisLabel) -> list[tuple[WignerIndex, int]]:
     l, m1, m2 = label
-    if m1 == 0:
-        return [(WignerIndex(l, 0, m2), 2)]
-    s = label_sign(delta, l)
-    return [(WignerIndex(l, m1, m2), 1), (WignerIndex(l, -m1, m2), s)]
+    return [(WignerIndex(l, src, m2), w)
+            for src, w in label_components(delta, l, m1)]
+
+
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _folded_amplitudes(delta, j: int, l: int, m1: int, mode: str, lam) -> tuple:
+    """U_j v_{l,m1,.} re-folded into the labels v_{l+j,m1',.}, m1' >= 0.
+
+    Returns ((m1', amplitude), ...) in the order the targets first appear
+    among the Wigner components, which fixes the order of reported
+    leakage.  Raises VerificationError if the
+    D_{-m1'} part does not match the fold sign of V_{l+j}, or if a target
+    is not a valid label; neither happens for a correct expansion.
+    """
+    raw = KTypeVector()
+    order = []
+    for src, w in label_components(delta, l, m1):
+        for k, amp in _u_amplitudes(j, l, src, mode, lam):
+            raw.add_term(src + k, amp if w == 1 else amp * w)
+            if abs(src + k) not in order:
+                order.append(abs(src + k))
+    lt = l + j
+    sign = label_sign(delta, lt)
+    out = []
+    for t in order:
+        c_pos = raw.get(t)
+        if t and not _coeffs_match(raw.get(-t), c_pos, sign):
+            raise VerificationError(
+                f"fold inconsistency at D^{lt}_{-t} acting with U_{j} "
+                f"on v_({l},{m1},.)")
+        if c_pos is None:
+            continue
+        if not label_valid(delta, BasisLabel(lt, t, 0)):
+            raise VerificationError(
+                f"U_{j} on v_({l},{m1},.) reaches the invalid label "
+                f"v_({lt},{t},.) for parity {delta}")
+        if t == 0:
+            c_pos = c_pos * 0.5 if mode == "numeric" else c_pos * _HALF
+        out.append((t, c_pos))
+    return tuple(out)
+
+
+def _coeffs_match(c_neg, c_pos, sign: int) -> bool:
+    """c_neg == sign * c_pos, where None stands for a zero coefficient."""
+    if c_pos is None or c_neg is None:
+        return c_pos is c_neg
+    if isinstance(c_pos, complex):
+        return abs(c_neg - sign * c_pos) <= 1e-9 * max(1.0, abs(c_pos))
+    return (c_neg - c_pos * sign).is_zero()
 
 
 def act_Z_on_basis(n: int, label: BasisLabel, params: SeriesParams,
                    lam: LamArg = "from-params") -> KTypeVector:
     """pi(Z_n) on v_{l,m1,m2}, re-folded into the m1 >= 0 label basis.
 
-    Expands the label into Wigner functions, applies the main expansion,
-    and folds D_{-m1} terms back using the sign conventions of the basis.
-    Raises if the two D-expansions fold inconsistently (they never should).
+    Computed as sum_j q(n,j,l,m2) (U_j v_{l,m1,.}) with the folded U_j
+    amplitudes read from a bounded cache keyed on (delta, j, l, m1), the
+    mode and lam.  The fold is checked once per cache entry, which checks
+    every call: q(n,j,l,m2) is a common nonzero factor of each j.
     """
     if not label_valid(params.delta, label):
         raise ValueError(f"label {label} invalid for parity {params.delta}")
     if lam == "from-params":
         lam = params.lam
-    delta = params.delta
-    raw = KTypeVector()
-    for idx, weight in _expand_label(delta, label):
-        part = act_Z(n, idx, lam)
-        if weight != 1:
-            part = part.scaled(weight)
-        raw = raw + part
+    l, m1, m2 = label
+    delta = tuple(params.delta)
+    mode, key = _lam_key(lam)
     out = KTypeVector()
-    seen = set()
-    for idx in list(raw):
-        l, m1, m2 = idx
-        if (l, abs(m1), m2) in seen:
-            continue
-        seen.add((l, abs(m1), m2))
-        s = label_sign(delta, l)
-        c_pos = raw.get(WignerIndex(l, abs(m1), m2))
-        c_neg = raw.get(WignerIndex(l, -abs(m1), m2))
-        if m1 == 0 or abs(m1) == 0:
-            half = c_pos * Fraction(1, 2) if not isinstance(c_pos, complex) \
-                else c_pos * 0.5
-            out.add_term(BasisLabel(l, 0, m2), half)
-            continue
-        zero_pos = c_pos is None
-        zero_neg = c_neg is None
-        if zero_pos and zero_neg:
-            continue
-        if zero_pos != zero_neg or not _coeffs_match(c_neg, c_pos, s):
-            raise AssertionError(
-                f"fold inconsistency at {idx} acting with Z_{n} on {label}")
-        out.add_term(BasisLabel(l, abs(m1), m2), c_pos)
+    for j, qn in _couplings(n, l, m2, mode):
+        for t, amp in _folded_amplitudes(delta, j, l, m1, mode, key):
+            out.terms[BasisLabel(l + j, t, m2 + n)] = amp * qn
     return out
-
-
-def _coeffs_match(c_neg, c_pos, sign: int) -> bool:
-    if isinstance(c_pos, complex) or isinstance(c_neg, complex):
-        return abs(c_neg - sign * c_pos) <= 1e-9 * max(1.0, abs(c_pos))
-    diff = c_neg - (c_pos * sign if sign != 1 else c_pos)
-    return diff.is_zero() if hasattr(diff, "is_zero") else diff == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import VerificationError
+
 
 def _parse_scalar(text: str):
     """A rational ('1/4', '0.25') or complex ('0.3+0.1i') literal."""
@@ -363,6 +365,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .action import C_FACTORS, act_U, act_Z_on_basis, lambda_factor
+from .action import (C_FACTORS, act_U, act_Z_on_basis, label_components,
+                     lambda_factor)
 from .clebsch import q
+from .errors import VerificationError
 from .scalars import RadicalScalar, ZERO
-from .series import BasisLabel, SeriesParams, basis, label_sign, label_valid, multiplicity
+from .series import BasisLabel, SeriesParams, basis, label_valid, multiplicity
 from .wigner import WignerIndex
 
 
@@ -50,17 +52,6 @@ class InvarianceResult:
     checked_labels: int = 0
 
 
-def _fold_targets(m1: int, k: int, sign: int):
-    """Folded boundary contributions of the two Wigner components.
-
-    Returns (target_m1, weight) pairs: the +m1 component shifted by k and,
-    for m1 > 0, the sign-weighted -m1 component whose shift by k folds to
-    the same or another nonnegative m1.
-    """
-    comps = [(m1, 1), (-m1, sign)] if m1 > 0 else [(0, 2)]
-    return [(src, w) for src, w in comps]
-
-
 def _boundary_reason(params: SeriesParams, l: int, m1: int, j: int,
                      target_m1: int) -> dict | None:
     """Classify why the folded transition (l, m1) -> (l+j, target_m1) dies.
@@ -74,9 +65,8 @@ def _boundary_reason(params: SeriesParams, l: int, m1: int, j: int,
     target_m1.
     """
     lam = params.lam
-    sign = label_sign(params.delta, l)
     contributions = []
-    for src, w in _fold_targets(m1, 0, sign):
+    for src, w in label_components(params.delta, l, m1):
         for k in (-2, 0, 2):
             # contributions to the D_{+target_m1} component only; the
             # D_{-target_m1} component is pinned to it by the fold sign
@@ -160,7 +150,6 @@ def verify_invariant(spec: SubspaceSpec, lmax: int,
             for target_m1 in {abs(m1 - 2), m1, abs(m1 + 2)}:
                 if target_m1 > lt:
                     continue
-                tl = BasisLabel(lt, target_m1, 0 if abs(0) <= lt else 0)
                 probe = BasisLabel(lt, target_m1, min(lt, max(-lt, lab.m2)))
                 if spec.predicate(probe) or not label_valid(spec.params.delta, probe):
                     continue
@@ -193,7 +182,7 @@ def _numeric_recheck(spec: SubspaceSpec, lmax: int, rounds: int,
                 out = act_Z_on_basis(n, lab, spec.params, lam_num)
                 for target, c in out.items():
                     if not spec.predicate(BasisLabel(*target)) and abs(c) > tol:
-                        raise AssertionError(
+                        raise VerificationError(
                             f"numeric recheck found leakage {lab} -> {target}")
 
 
@@ -207,7 +196,6 @@ def _connected(spec: SubspaceSpec, lmax: int) -> bool:
     for (l, m1) in nodes:
         if l > lmax - 2:
             continue
-        sign = label_sign(spec.params.delta, l)
         for j in range(-2, 3):
             lt = l + j
             for target_m1 in {abs(m1 - 2), m1, abs(m1 + 2)}:
@@ -375,11 +363,11 @@ def degenerate_series_report(s, lmax: int = 12) -> StructureReport:
                 want = expected * r
                 got = coeff if coeff is not None else ZERO
                 if got != want:
-                    raise AssertionError(f"rung mismatch at l={l}, j={j}")
+                    raise VerificationError(f"rung mismatch at l={l}, j={j}")
             else:
                 got = coeff if coeff is not None else 0.0
                 if abs(got - float(expected) * complex(r)) > 1e-9 * (1 + abs(r)):
-                    raise AssertionError(f"rung mismatch at l={l}, j={j}")
+                    raise VerificationError(f"rung mismatch at l={l}, j={j}")
     chain = []
     certificates = []
     if exact:

@@ -114,11 +114,9 @@ def euler_from_matrix(k: np.ndarray, tol: float = 1e-10) -> EulerAngles:
     beta = math.acos(cb)
     if min(1.0 - cb, 1.0 + cb) < 1e-12:
         gamma = 0.0
+        # k = R_z(alpha) R_x(beta) with beta in {0, pi}; either way the
+        # z-rotation is read off the top-left block
         alpha = math.atan2(k[1, 0], k[0, 0])
-        if cb < 0:
-            # k = R_z(alpha - gamma) R_x(pi); atan2 above already reads
-            # the combined z-rotation off the top-left block
-            alpha = math.atan2(k[1, 0], k[0, 0])
     else:
         alpha = math.atan2(k[0, 2], -k[1, 2])
         gamma = math.atan2(k[2, 0], k[2, 1])

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sl3rep.action import (CONVENIENT_BASIS, GENERATOR_MATRICES,
+from sl3rep import VerificationError, action
+from sl3rep.action import (C_FACTORS, CONVENIENT_BASIS, GENERATOR_MATRICES,
                            STANDARD_BASIS, GaussRadical, LambdaPoly, act_U,
                            act_W, act_Z, act_Z_on_basis, assemble_matrix,
                            bracket_check, compose_poly, decompose_matrix,
@@ -17,7 +20,7 @@ from sl3rep.action import (CONVENIENT_BASIS, GENERATOR_MATRICES,
 from sl3rep.clebsch import q
 from sl3rep.ktvector import KTypeVector
 from sl3rep.scalars import RadicalScalar
-from sl3rep.series import BasisLabel, SeriesParams, basis
+from sl3rep.series import BasisLabel, SeriesParams, basis, label_valid
 from sl3rep.wigner import WignerIndex
 
 ALL_TAGS = CONVENIENT_BASIS + STANDARD_BASIS
@@ -77,6 +80,93 @@ def test_standard_coords_known_values():
 # the main expansion
 
 
+def reference_act_Z(n, idx, lam=None):
+    """The unfactorized five-term sum over (j, k), one Lambda per term."""
+    l, m1, m2 = idx
+    out = KTypeVector()
+    for j in range(-2, 3):
+        lt = l + j
+        if lt < 0 or abs(m2 + n) > lt:
+            continue
+        qn = q(n, j, l, m2)
+        if qn.is_zero():
+            continue
+        for k in (-2, 0, 2):
+            if abs(m1 + k) > lt:
+                continue
+            qk = q(k, j, l, m1)
+            if qk.is_zero():
+                continue
+            scalar = C_FACTORS[k] * qk * qn
+            form = lambda_factor(k, j, l, m1)
+            if lam is None:
+                c = form * scalar
+            elif all(isinstance(x, (int, Fraction)) for x in lam):
+                c = form.eval_exact(lam) * scalar
+            else:
+                c = form.eval(lam) * float(scalar)
+            out.add_term(WignerIndex(lt, m1 + k, m2 + n), c)
+    return out
+
+
+def _small_fractions():
+    return st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def spectral_parameters(draw):
+    """None (symbolic), a rational triple (exact) or a complex one (numeric)."""
+    mode = draw(st.sampled_from(("symbolic", "exact", "numeric")))
+    if mode == "symbolic":
+        return None
+    if mode == "exact":
+        a, b = draw(_small_fractions()), draw(_small_fractions())
+        return (a, b, -a - b)
+    part = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+    a = complex(draw(part), draw(part))
+    b = complex(draw(part), draw(part))
+    return (a, b, -a - b)
+
+
+def assert_same_vector(got, want, lam):
+    """Exact equality in the exact modes, 1e-13 relative in numeric mode."""
+    assert set(got.terms) == set(want.terms)
+    for t, c in want.items():
+        if lam is not None and not all(isinstance(x, (int, Fraction))
+                                       for x in lam):
+            assert isinstance(got[t], complex)
+            assert abs(got[t] - c) <= 1e-13 * abs(c), t
+        else:
+            assert type(got[t]) is type(c) and got[t] == c, t
+
+
+@given(st.integers(-2, 2), st.integers(0, 12), st.data(), spectral_parameters())
+@settings(max_examples=150, deadline=None)
+def test_act_z_matches_unfactorized_reference(n, l, data, lam):
+    m1 = data.draw(st.integers(-l, l))
+    m2 = data.draw(st.integers(-l, l))
+    idx = WignerIndex(l, m1, m2)
+    assert_same_vector(act_Z(n, idx, lam), reference_act_Z(n, idx, lam), lam)
+
+
+def test_amplitude_cache_key_includes_mode():
+    # 11, Fraction(11) and 11+0j hash alike; the cached amplitudes of one
+    # mode must never be handed out in the other
+    idx = WignerIndex(23, 23, 0)
+    exact = (11, -11, 0)
+    numeric = (11 + 0j, -11 + 0j, 0j)
+    params = SeriesParams((Fraction(11), Fraction(-11), Fraction(0)), (1, 0, 1))
+    label = BasisLabel(23, 23, 0)
+    for first, second, kind in ((exact, numeric, complex),
+                                (numeric, exact, RadicalScalar)):
+        action._u_amplitudes.cache_clear()
+        action._folded_amplitudes.cache_clear()
+        act_Z(1, idx, first)
+        act_Z_on_basis(1, label, params, first)
+        for vec in (act_Z(1, idx, second), act_Z_on_basis(1, label, params, second)):
+            assert vec and all(isinstance(c, kind) for _, c in vec.items())
+
+
 def test_act_z_modes_agree():
     lam = (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6))
     lamf = tuple(complex(x) for x in lam)
@@ -127,27 +217,53 @@ def test_lambda_factor_values():
 # folded basis action
 
 
-DELTAS = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+# every parity class; the first four keep their test ids
+DELTAS = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+          (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 
 
 @pytest.mark.parametrize("delta", DELTAS)
-def test_fold_consistency_and_unfolding(delta):
-    # act_Z_on_basis must agree with acting on the unfolded Wigner sum
+@given(st.data(), spectral_parameters())
+@settings(max_examples=40, deadline=None)
+def test_fold_consistency_and_unfolding(delta, data, lam):
+    # act_Z_on_basis must give valid labels only, and agree with the
+    # unfactorized expansion acting on the unfolded Wigner sum
     from sl3rep.action import _expand_label
-    lam = (Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2))
-    params = SeriesParams(lam, delta)
-    for l in range(0, 5):
-        for label in basis(params, l)[::3]:
-            for n in (-2, 0, 1):
-                folded = act_Z_on_basis(n, label, params)
-                raw = KTypeVector()
-                for idx, w in _expand_label(delta, label):
-                    raw = raw + act_Z(n, idx, lam).scaled(w)
-                rebuilt = KTypeVector()
-                for lab, c in folded.items():
-                    for idx, w in _expand_label(delta, lab):
-                        rebuilt.add_term(idx, c * w)
-                assert (raw - rebuilt).is_zero()
+    params = SeriesParams(lam or (0, 0, 0), delta)
+    labels = [lab for l in range(9) for lab in basis(params, l)]
+    label = data.draw(st.sampled_from(labels))
+    n = data.draw(st.integers(-2, 2))
+    folded = act_Z_on_basis(n, label, params, lam)
+    assert all(label_valid(delta, lab) for lab in folded)
+    raw = KTypeVector()
+    for idx, w in _expand_label(delta, label):
+        raw = raw + reference_act_Z(n, idx, lam).scaled(w)
+    rebuilt = KTypeVector()
+    for lab, c in folded.items():
+        for idx, w in _expand_label(delta, lab):
+            rebuilt.add_term(idx, c * w)
+    diff = raw - rebuilt
+    if lam is not None and isinstance(lam[0], complex):
+        scale = max((abs(c) for c in raw.terms.values()), default=1.0)
+        assert all(abs(c) <= 1e-12 * scale for c in diff.terms.values())
+    else:
+        assert diff.is_zero()
+
+
+def test_fold_inconsistency_is_a_verification_error(monkeypatch):
+    # a -m1 component carrying the wrong fold sign cannot fold consistently
+    def wrong_sign(delta, l, m1):
+        return ((0, 2),) if m1 == 0 else ((m1, 1), (-m1, -action.label_sign(delta, l)))
+
+    monkeypatch.setattr(action, "label_components", wrong_sign)
+    action._folded_amplitudes.cache_clear()
+    params = SeriesParams((Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2)),
+                          (0, 0, 0))
+    try:
+        with pytest.raises(VerificationError, match="fold inconsistency"):
+            act_Z_on_basis(0, BasisLabel(4, 2, 0), params)
+    finally:
+        action._folded_amplitudes.cache_clear()
 
 
 def test_act_z_on_basis_rejects_invalid_label():

@@ -3,11 +3,15 @@ exit codes."""
 
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sl3rep
+from sl3rep import VerificationError, structure
 from sl3rep.cli import main
 
 
@@ -109,3 +113,29 @@ def test_main_callable_in_process(capsys):
                  "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["float"] == pytest.approx(1.0)
+
+
+def test_verification_error_exits_1(monkeypatch, capsys):
+    def failing_report(lmax):
+        raise VerificationError("rung mismatch at l=2, j=2")
+
+    monkeypatch.setattr(structure, "k3_chain_report", failing_report)
+    assert main(["compose", "--preset", "k3"]) == 1
+    assert "rung mismatch" in capsys.readouterr().err
+
+
+def test_theorem_main_default_step_passes(capsys):
+    # at the former default step 1e-4 the central-difference error alone
+    # was 1.39e-6 here, above the suite's 1e-6 tolerance
+    assert main(["verify", "--suite", "theorem-main",
+                 "--lambda=0.9401+0.7472i,0.1396+0.5839i", "--lmax", "3",
+                 "--samples", "2", "--seed", "29482"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert doc["step"] == 2e-05
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"', text, re.M).group(1)
+    assert sl3rep.__version__ == declared
