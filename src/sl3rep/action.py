@@ -47,7 +47,7 @@ from .errors import VerificationError
 from .ktvector import KTypeVector, coeff_is_zero
 from .scalars import ONE, ZERO, LambdaForm, RadicalScalar
 from .series import BasisLabel, SeriesParams, basis, label_sign, label_valid
-from .wigner import WignerIndex, ladder_coeff_sq
+from .wigner import WignerIndex, ladder_coeff_sq, right_derivative_Y
 
 # ---------------------------------------------------------------------------
 # Exact Gaussian radicals and lambda-polynomials (internal plumbing for the
@@ -901,32 +901,6 @@ class ActionMatrix:
         }
 
 
-def _act_Y_on_label(i: int, label: BasisLabel) -> KTypeVector:
-    """Right so(3) action on a symmetrized label (m1 untouched)."""
-    import math
-
-    l, m1, m2 = label
-    out = KTypeVector()
-    if i == 1:
-        out.add_term(label, 1j * m2)
-        return out
-    up = ladder_coeff_sq(l, m2, +1)
-    dn = ladder_coeff_sq(l, m2, -1)
-    if i == 2:
-        if m2 < l:
-            out.add_term(BasisLabel(l, m1, m2 + 1), 0.5 * math.sqrt(up))
-        if m2 > -l:
-            out.add_term(BasisLabel(l, m1, m2 - 1), -0.5 * math.sqrt(dn))
-    elif i == 3:
-        if m2 < l:
-            out.add_term(BasisLabel(l, m1, m2 + 1), -0.5j * math.sqrt(up))
-        if m2 > -l:
-            out.add_term(BasisLabel(l, m1, m2 - 1), -0.5j * math.sqrt(dn))
-    else:
-        raise ValueError("generator index must be 1, 2, or 3")
-    return out
-
-
 def assemble_matrix(params: SeriesParams, generator: str,
                     lmax: int) -> ActionMatrix:
     """Block-sparse matrix of a generator on the truncated module.
@@ -956,7 +930,7 @@ def assemble_matrix(params: SeriesParams, generator: str,
 
     for lab in labels:
         if generator in Y_TAGS:
-            vec = _act_Y_on_label(Y_TAGS[generator], lab)
+            vec = right_derivative_Y(Y_TAGS[generator], WignerIndex(*lab))
         elif generator in Z_TAGS:
             vec = act_Z_on_basis(Z_TAGS[generator], lab, params, lam)
         else:

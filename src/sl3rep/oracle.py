@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .series import GroupElement, extend_wigner
-from .wigner import EulerAngles, WignerIndex, little_d
+from .wigner import EulerAngles, WignerIndex, little_d_matrix
 
 # ---------------------------------------------------------------------------
 # Quadrature on SO(3)
@@ -65,14 +65,11 @@ def integrate_K(f, rule: QuadratureRule) -> complex:
 def _node_values(indices, rule: QuadratureRule) -> np.ndarray:
     """Matrix of Wigner-function values, one row per index, over all nodes."""
     alphas, gammas = rule.angle_nodes()
-    x = rule.beta_nodes
-    rows = []
-    for l, m1, m2 in indices:
-        d = np.array([little_d(l, m1, m2, float(xq)) for xq in x])
-        ea = np.exp(1j * m1 * alphas)
-        eg = np.exp(1j * m2 * gammas)
-        rows.append(np.einsum("a,b,g->abg", ea, d, eg).ravel())
-    return np.array(rows)
+    betas = np.arccos(rule.beta_nodes)
+    return np.array([np.einsum("a,b,g->abg", np.exp(1j * m1 * alphas),
+                               little_d_matrix(l, betas)[:, m1 + l, m2 + l],
+                               np.exp(1j * m2 * gammas)).ravel()
+                     for l, m1, m2 in indices])
 
 
 def _node_weights(rule: QuadratureRule) -> np.ndarray:
@@ -83,25 +80,46 @@ def _node_weights(rule: QuadratureRule) -> np.ndarray:
     return w3.ravel() / (2 * rule.n_alpha * rule.n_gamma)
 
 
-def orthogonality_report(lmax: int) -> dict:
-    """Pairwise inner products of every Wigner function up to lmax.
+GRAM_BLOCK_MAX_ENTRIES = 1 << 22
 
-    Returns the max deviation from delta / (2l+1) over all pairs.
-    """
+
+def _gram_blocks(lmax: int):
+    """Yield ((l, l'), block) of the quadrature Gram matrix, rows (m1, m2) and
+    columns (m1', m2') as in `_node_values`.  On the product grid an entry is
+    A[m1 - m1'] B G[m2 - m2']: A and G the means of e^{ik alpha}, e^{ik gamma}
+    over their nodes, B half the weighted beta sum of the two d-values."""
     rule = QuadratureRule.for_degree(lmax)
-    indices = [WignerIndex(l, m1, m2)
-               for l in range(lmax + 1)
-               for m1 in range(-l, l + 1)
-               for m2 in range(-l, l + 1)]
-    vals = _node_values(indices, rule)
-    gram = (vals * _node_weights(rule)) @ vals.conj().T
-    expected = np.zeros_like(gram)
-    for i, idx in enumerate(indices):
-        expected[i, i] = 1.0 / (2 * idx.l + 1)
-    dev = np.abs(gram - expected)
-    return {"lmax": lmax, "count": len(indices),
-            "max_deviation": float(dev.max()),
-            "pairs": len(indices) ** 2}
+    shifts = np.arange(-2 * lmax, 2 * lmax + 1)
+    a_mean, g_mean = (np.exp(1j * np.multiply.outer(shifts, t)).mean(axis=1)
+                      for t in rule.angle_nodes())
+    d = [little_d_matrix(l, np.arccos(rule.beta_nodes)) for l in range(lmax + 1)]
+    for l in range(lmax + 1):
+        weighted = 0.5 * rule.beta_weights[:, None, None] * d[l]
+        for lp in range(lmax + 1):
+            diff = np.subtract.outer(np.arange(-l, l + 1),
+                                     np.arange(-lp, lp + 1)) + 2 * lmax
+            block = (a_mean[diff][:, None, :, None]
+                     * np.tensordot(weighted, d[lp], axes=(0, 0))
+                     * g_mean[diff][None, :, None, :])
+            yield (l, lp), block.reshape((2 * l + 1) ** 2, (2 * lp + 1) ** 2)
+
+
+def orthogonality_report(lmax: int) -> dict:
+    """The max deviation of the inner products of every pair of Wigner
+    functions up to lmax from delta / (2l+1).  lmax > 22 raises ValueError:
+    the largest (l, l') block, (2 lmax + 1)^4 complex entries, would exceed
+    GRAM_BLOCK_MAX_ENTRIES = 2^22."""
+    if (2 * lmax + 1) ** 4 > GRAM_BLOCK_MAX_ENTRIES:
+        raise ValueError(f"lmax = {lmax} needs a Gram block of more than "
+                         f"{GRAM_BLOCK_MAX_ENTRIES} entries; lmax <= 22 is accepted")
+    max_dev = 0.0
+    for (l, lp), block in _gram_blocks(lmax):
+        if l == lp:
+            block = block - np.eye(len(block)) / (2 * l + 1)
+        max_dev = max(max_dev, float(np.abs(block).max()))
+    count = sum((2 * l + 1) ** 2 for l in range(lmax + 1))
+    return {"lmax": lmax, "count": count, "max_deviation": max_dev,
+            "pairs": count ** 2}
 
 
 def product_integral(idx2: WignerIndex, idx: WignerIndex,

@@ -108,6 +108,24 @@ def test_usage_errors_exit_2():
     assert run_cli("series", "--delta", "2,0,0", "--lambda", "0,0")[0] == 2
 
 
+def test_unvalidated_numeric_ranges_exit_2():
+    code, _, err = run_cli("wigner", "--l", "81", "--m1", "0", "--m2", "0",
+                           "--alpha", "0", "--beta", "1.0", "--gamma", "0")
+    assert code == 2 and "80" in err
+    code, _, err = run_cli("verify", "--suite", "orthogonality", "--lmax", "23")
+    assert code == 2 and "Gram block" in err
+
+
+def test_imports_stay_clear_of_scipy():
+    # scipy.linalg alone takes longer to import than sl3rep.action; the
+    # modules every exact command loads must not pull it in
+    code = ("import sys, sl3rep.action, sl3rep.structure, sl3rep.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_main_callable_in_process(capsys):
     assert main(["cg", "--k", "2", "--j", "2", "--l", "3", "--m", "3",
                  "--format", "json"]) == 0

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from sl3rep.clebsch import q_float
-from sl3rep.oracle import (QuadratureRule, coordinate_diffops_check,
-                           fd_lie_derivative, integrate_K,
-                           orthogonality_report, product_integral,
+from sl3rep.oracle import (GRAM_BLOCK_MAX_ENTRIES, QuadratureRule,
+                           _gram_blocks, _node_values, _node_weights,
+                           coordinate_diffops_check, fd_lie_derivative,
+                           integrate_K, orthogonality_report, product_integral,
                            sample_group_point, sl2_extend, sl2_fd_derivative,
                            sl2_iwasawa, sl2_ladder_check, sl2_maass_check,
                            verify_theorem_main)
@@ -30,6 +31,41 @@ def test_orthogonality_small():
     rep = orthogonality_report(3)
     assert rep["max_deviation"] < 1e-10
     assert rep["count"] == sum((2 * l + 1) ** 2 for l in range(4))
+
+
+def reference_gram(lmax):
+    """The quadrature Gram matrix from the full node array: one row of
+    Wigner-function values per index over every (alpha, beta, gamma) node."""
+    rule = QuadratureRule.for_degree(lmax)
+    indices = [WignerIndex(l, m1, m2)
+               for l in range(lmax + 1)
+               for m1 in range(-l, l + 1)
+               for m2 in range(-l, l + 1)]
+    vals = _node_values(indices, rule)
+    return (vals * _node_weights(rule)) @ vals.conj().T
+
+
+def test_separable_gram_matches_node_array_gram():
+    lmax = 4
+    want = reference_gram(lmax)
+    start = np.cumsum([0] + [(2 * l + 1) ** 2 for l in range(lmax + 1)])
+    got = np.full_like(want, np.nan)
+    for (l, lp), block in _gram_blocks(lmax):
+        got[start[l]:start[l + 1], start[lp]:start[lp + 1]] = block
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_orthogonality_lmax_10():
+    rep = orthogonality_report(10)
+    assert rep["max_deviation"] < 1e-12
+    assert rep["pairs"] == rep["count"] ** 2 == 1771 ** 2
+
+
+def test_orthogonality_refuses_blocks_too_big_to_hold():
+    lmax = 22
+    assert (2 * lmax + 1) ** 4 <= GRAM_BLOCK_MAX_ENTRIES < (2 * lmax + 3) ** 4
+    with pytest.raises(ValueError, match=str(GRAM_BLOCK_MAX_ENTRIES)):
+        orthogonality_report(lmax + 1)
 
 
 def test_triple_product_matches_coupling():
