@@ -28,9 +28,10 @@ Three coefficient modes are supported:
   parameter, used for invariant-subspace certificates;
 * numeric: complex coefficients for matrix export and oracle comparison.
 
-The bracket verifier additionally composes operators, which raises the
-lambda-degree to 2; the internal LambdaPoly/GaussRadical types handle that
-exactly.
+Composing two operators raises the lambda-degree to 2.  The internal
+LambdaPoly/GaussRadical types compose exactly (compose_poly, the reference
+path); the bracket verifier composes the same U_j amplitudes as integer
+vectors over one tracked denominator instead.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -622,7 +624,7 @@ def pwqu_exceptional(lmax: int) -> set[tuple[int, int]]:
 # Standard-basis generators through the change of basis
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # keyed by a generator tag: finite
 def standard_basis_coords(tag: str) -> tuple:
     """(Y, Z)-coordinates of a standard generator, solved exactly."""
     coords = decompose_matrix(GENERATOR_MATRICES[tag])
@@ -671,10 +673,13 @@ def _apply_poly_cached(tag: str, idx: WignerIndex) -> KTypeVector:
 
 def decompose_standard_basis(tag: str, idx: WignerIndex,
                              lam: LamArg = None) -> KTypeVector:
-    """Action of X_i / H_i (or any tag) via the exact change of basis."""
+    """Action of X_i / H_i (or any tag) via the exact change of basis,
+    evaluated at lam, a triple summing to zero, if one is given."""
     vec = apply_generator_poly(tag, idx)
     if lam is None:
         return vec
+    if len(lam) != 3 or abs(sum(complex(x) for x in lam)) > 1e-12:
+        raise ValueError("spectral parameter must be a triple summing to zero")
     out = KTypeVector()
     for target, p in vec.items():
         out.add_term(target, p.eval((lam[0], lam[1])))
@@ -691,98 +696,131 @@ def compose_poly(tag: str, v: KTypeVector) -> KTypeVector:
     return out
 
 
-# The bracket verifier runs over every index of several K-types, so the
-# nested poly objects are flattened to monomial dicts keyed by
-# (lambda1-exp, lambda2-exp, squarefree radicand, i-power) with Fraction
-# values; one exact Fraction multiply and one gcd per monomial pair.
-
-from math import gcd as _gcd
-
-
-def _flatten_poly(poly: LambdaPoly) -> dict:
-    # key packs (rad, e1, e2, im) as ((rad*64 + e1*8 + e2) * 2 + im); each
-    # exponent stays <= 2 in a degree-2 composition, so the 3-bit fields
-    # add without carrying
-    fracs: dict[int, Fraction] = {}
-    for (e1, e2), c in poly.monos.items():
-        for part, im in ((c.re, 0), (c.im, 1)):
-            for rad, coeff in part.terms.items():
-                fracs[(rad * 64 + e1 * 8 + e2) * 2 + im] = coeff
-    den = 1
-    for coeff in fracs.values():
-        den = den * coeff.denominator // _gcd(den, coeff.denominator)
-    return {k: int(c * den) for k, c in fracs.items()}, den
+# The bracket verifier runs over every index of several K-types, so it works
+# on integers.  A coefficient of degree <= 1 in (lam1, lam2) is a tuple of
+# terms (rad, im, p0, p1, p2, den), each standing for
+# (p0 + p1 lam1 + p2 lam2) / den * sqrt(rad) * i^im with rad squarefree.
+# Square roots of distinct squarefree integers are linearly independent over
+# Q(i)[lam1, lam2], so a sum of such products is zero iff the integer
+# coefficients of each (target, rad, im) and monomial are.
 
 
-def _flat_mul_into(accpair: list, f1: dict, d1: int, f2: dict, d2: int,
-                   sign: int) -> None:
-    """acc += sign * f1 * f2 over integer numerators with tracked denominator."""
-    acc, accden = accpair
-    dc = d1 * d2
-    if accden % dc:
-        g = _gcd(accden, dc)
-        lcm = accden // g * dc
-        scale = lcm // accden
-        if scale != 1:
-            for k in acc:
-                acc[k] *= scale
-        accpair[1] = accden = lcm
-    boost = accden // dc
-    for ka, ca in f1.items():
-        ia = ka & 1
-        ea = (ka >> 1) & 63
-        ra = ka >> 7
-        cab = ca * boost
-        for kb, cb in f2.items():
-            ib = kb & 1
-            rb = kb >> 7
-            c = cab * cb
-            if ia and ib:
-                c = -c
-            if ra == rb:
-                rad = 1
-                c = c * ra
-            else:
-                g = _gcd(ra, rb)
-                rad = (ra // g) * (rb // g)
-                if g != 1:
-                    c = c * g
-            if sign < 0:
-                c = -c
-            key = (rad * 64 + ea + ((kb >> 1) & 63)) * 2 + ((ia + ib) & 1)
-            acc[key] = acc.get(key, 0) + c
+def _int_terms(parts: Iterable) -> tuple:
+    """The terms of sum r * i^im * (1, lam1, lam2)[slot] over the
+    (slot, im, RadicalScalar r) parts."""
+    groups: dict[tuple[int, int], list] = {}
+    for slot, im, r in parts:
+        for rad, c in r.terms.items():
+            groups.setdefault((rad, im), [Fraction(0)] * 3)[slot] += c
+    out = []
+    for (rad, im), p in sorted(groups.items()):
+        den = lcm(*(c.denominator for c in p))
+        out.append((rad, im, *(int(c * den) for c in p), den))
+    return tuple(out)
+
+
+def _constant_terms(c: GaussRadical) -> tuple:
+    return _int_terms(((0, 0, c.re), (0, 1, c.im)))
+
+
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _u_terms(j: int, l: int, m1: int) -> tuple:
+    """The symbolic U_j amplitudes of D^l_{m1,.} as ((k, terms), ...)."""
+    return tuple((k, _int_terms(zip((0, 1, 2), (0, 0, 0), form.canonical())))
+                 for k, form in _u_amplitudes(j, l, m1, "symbolic", None))
+
+
+def _scaled_terms(terms: tuple, r: RadicalScalar) -> tuple:
+    out = []
+    for rad, im, p0, p1, p2, den in terms:
+        for rq, c in r.terms.items():
+            g = gcd(rad, rq)
+            f = c.numerator * g
+            out.append((rad // g * (rq // g), im, p0 * f, p1 * f, p2 * f,
+                        den * c.denominator))
+    return tuple(out)
 
 
 @lru_cache(maxsize=200_000)
 def _apply_flat(tag: str, idx: WignerIndex) -> tuple:
-    return tuple((target, _flatten_poly(p))
-                 for target, p in apply_generator_poly(tag, idx).items())
+    """pi(tag) D_idx for a (Y, Z) tag as ((target, terms), ...): Z_n as
+    sum_j q(n,j,l,m2) U_j, Y_i as read from _apply_poly_cached."""
+    if tag in Z_TAGS:
+        n = Z_TAGS[tag]
+        l, m1, m2 = idx
+        return tuple((WignerIndex(l + j, m1 + k, m2 + n), _scaled_terms(terms, qn))
+                     for j, qn in _couplings(n, l, m2, "symbolic")
+                     for k, terms in _u_terms(j, l, m1))
+    # the Y action has constant coefficients
+    return tuple((target, _constant_terms(p.monos[(0, 0)]))
+                 for target, p in _apply_poly_cached(tag, idx).items())
 
 
-@lru_cache(maxsize=None)
+class _DegreeTwoSum:
+    """An exact sum of products of two degree-<=1 coefficients: `entries`
+    maps (target, rad, im) to the integer coefficients of 1, lam1, lam2,
+    lam1^2, lam1 lam2, lam2^2, all over the one denominator `den`."""
+
+    def __init__(self):
+        self.entries: dict[tuple, list[int]] = {}
+        self.den = 1
+
+    def add(self, target: WignerIndex, a: tuple, b: tuple, sign: int) -> None:
+        """Add sign * a * b at `target`."""
+        entries = self.entries
+        for ra, ia, a0, a1, a2, da in a:
+            for rb, ib, b0, b1, b2, db in b:
+                d = da * db
+                if self.den % d:
+                    scale = d // gcd(self.den, d)
+                    for e in entries.values():
+                        e[:] = [x * scale for x in e]
+                    self.den *= scale
+                g = gcd(ra, rb)
+                f = sign * g * (self.den // d)
+                if ia & ib:  # i * i = -1
+                    f = -f
+                key = (target, ra // g * (rb // g), ia ^ ib)
+                e = entries.setdefault(key, [0] * 6)
+                fa0, fa1, fa2 = f * a0, f * a1, f * a2
+                e[0] += fa0 * b0
+                e[1] += fa0 * b1 + fa1 * b0
+                e[2] += fa0 * b2 + fa2 * b0
+                e[3] += fa1 * b1
+                e[4] += fa1 * b2 + fa2 * b1
+                e[5] += fa2 * b2
+
+    def compose(self, outer: str, inner: tuple, sign: int) -> None:
+        """Add sign * pi(outer) applied to the vector `inner`."""
+        for mid, b in inner:
+            for target, a in _apply_flat(outer, mid):
+                self.add(target, a, b, sign)
+
+
+@lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite
+def _generator_bracket(tag_a: str, tag_b: str) -> Matrix:
+    return matrix_bracket(GENERATOR_MATRICES[tag_a], GENERATOR_MATRICES[tag_b])
+
+
+@lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite
 def _bracket_coords_flat(tag_a: str, tag_b: str) -> tuple:
-    coords = decompose_matrix(
-        matrix_bracket(GENERATOR_MATRICES[tag_a], GENERATOR_MATRICES[tag_b]))
-    return tuple((t, _flatten_poly(LambdaPoly.constant(c)))
+    coords = decompose_matrix(_generator_bracket(tag_a, tag_b))
+    return tuple((t, _constant_terms(c))
                  for t, c in sorted(coords.items()))
 
 
 def _bracket_defect_zero(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     """Direct exact computation of [pi(A), pi(B)] - pi([A, B]) on one index."""
-    acc: dict[WignerIndex, list] = {}
-    for outer, inner, sign in ((tag_a, tag_b, 1), (tag_b, tag_a, -1)):
-        for mid, (coeff, dc) in _apply_flat(inner, idx):
-            for target, (p, dp) in _apply_flat(outer, mid):
-                pair = acc.setdefault(target, [{}, 1])
-                _flat_mul_into(pair, p, dp, coeff, dc, sign)
-    for t, (cflat, dcf) in _bracket_coords_flat(tag_a, tag_b):
-        for target, (p, dp) in _apply_flat(t, idx):
-            pair = acc.setdefault(target, [{}, 1])
-            _flat_mul_into(pair, p, dp, cflat, dcf, -1)
-    return all(not v for flat, _ in acc.values() for v in flat.values())
+    acc = _DegreeTwoSum()
+    acc.compose(tag_a, _apply_flat(tag_b, idx), 1)
+    acc.compose(tag_b, _apply_flat(tag_a, idx), -1)
+    for t, c in _bracket_coords_flat(tag_a, tag_b):
+        for target, p in _apply_flat(t, idx):
+            acc.add(target, p, c, -1)
+    return not any(any(e) for e in acc.entries.values())
 
 
-_pair_defect_zero = lru_cache(maxsize=None)(_bracket_defect_zero)
+_pair_defect_zero = lru_cache(maxsize=200_000)(_bracket_defect_zero)
 
 
 def _coords_of(tag: str) -> tuple:
@@ -791,7 +829,7 @@ def _coords_of(tag: str) -> tuple:
     return standard_basis_coords(tag)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite
 def _bilinear_bracket_verified(tag_a: str, tag_b: str) -> tuple:
     """Verify [A, B] = sum A_c B_d [C_c, C_d] exactly on 3x3 matrices.
 
@@ -812,10 +850,10 @@ def _bilinear_bracket_verified(tag_a: str, tag_b: str) -> tuple:
             if w.is_zero():
                 continue
             pairs.append((c, d))
-            br = matrix_bracket(GENERATOR_MATRICES[c], GENERATOR_MATRICES[d])
+            br = _generator_bracket(c, d)
             total = tuple(tuple(total[i][j] + br[i][j] * w for j in range(3))
                           for i in range(3))
-    want = matrix_bracket(GENERATOR_MATRICES[tag_a], GENERATOR_MATRICES[tag_b])
+    want = _generator_bracket(tag_a, tag_b)
     if any((total[i][j] - want[i][j]) != GR_ZERO
            for i in range(3) for j in range(3)):
         raise AssertionError(f"bilinear bracket mismatch for {tag_a}, {tag_b}")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl3rep import VerificationError, action
@@ -361,8 +361,108 @@ def test_bracket_via_compose_poly():
     assert not (comm - wrong).is_zero()
 
 
+# the slot of each monomial (e1, e2) of lam1^e1 lam2^e2 in an integer
+# accumulator of the bracket verifier
+MONOMIAL_SLOTS = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (2, 0): 3, (1, 1): 4, (0, 2): 5}
+
+
+def rationals_of_poly_vector(vec: KTypeVector) -> dict:
+    """(target, monomial slot, radicand, i-power) -> nonzero rational."""
+    out = {}
+    for target, p in vec.items():
+        for e, c in p.monos.items():
+            for im, part in ((0, c.re), (1, c.im)):
+                for rad, r in part.terms.items():
+                    out[(tuple(target), MONOMIAL_SLOTS[e], rad, im)] = r
+    return out
+
+
+def rationals_of_accumulator(acc) -> dict:
+    return {(tuple(target), slot, rad, im): Fraction(v, acc.den)
+            for (target, rad, im), entry in acc.entries.items()
+            for slot, v in enumerate(entry) if v}
+
+
+@st.composite
+def wigner_indices(draw, lmax):
+    l = draw(st.integers(0, lmax))
+    return WignerIndex(l, draw(st.integers(-l, l)), draw(st.integers(-l, l)))
+
+
+@given(wigner_indices(5), st.sampled_from(CONVENIENT_BASIS),
+       st.sampled_from(CONVENIENT_BASIS))
+@example(WignerIndex(1, 0, 1), "Y3", "Y1")  # i * i
+@settings(max_examples=80, deadline=None)
+def test_integer_composition_matches_compose_poly(idx, a, b):
+    # pi(A) pi(B) D on integer vectors equals the LambdaPoly reference,
+    # monomial by monomial, radicand by radicand and i-power by i-power
+    acc = action._DegreeTwoSum()
+    acc.compose(a, action._apply_flat(b, idx), 1)
+    want = compose_poly(a, compose_poly(b, KTypeVector({idx: LambdaPoly.constant(1)})))
+    assert rationals_of_accumulator(acc) == rationals_of_poly_vector(want)
+
+
+@pytest.fixture
+def fresh_bracket_caches():
+    action._apply_flat.cache_clear()
+    action._pair_defect_zero.cache_clear()
+    yield
+    action._apply_flat.cache_clear()
+    action._pair_defect_zero.cache_clear()
+
+
+@pytest.mark.parametrize("l", range(4))
+def test_bracket_check_detects_one_wrong_amplitude(l, monkeypatch,
+                                                   fresh_bracket_caches):
+    # one integer entry of the U_2 amplitudes of D^l_{0,.} off by 1
+    idx = WignerIndex(l, 0, 0)
+    assert bracket_check("X1", "X-1", idx)
+    exact = action._u_terms
+
+    def skewed(j, l_, m1):
+        amps = exact(j, l_, m1)
+        if (j, l_, m1) != (2, l, 0):
+            return amps
+        (k, ((rad, im, p0, *rest), *terms)), *others = amps
+        return ((k, ((rad, im, p0 + 1, *rest), *terms)), *others)
+
+    monkeypatch.setattr(action, "_u_terms", skewed)
+    action._apply_flat.cache_clear()
+    action._pair_defect_zero.cache_clear()
+    assert not bracket_check("X1", "X-1", idx)
+
+
+@pytest.mark.parametrize("l", range(4))
+def test_bracket_check_detects_negated_bracket(l, monkeypatch,
+                                               fresh_bracket_caches):
+    idx = WignerIndex(l, 0, 0)
+    assert bracket_check("X1", "X-1", idx)
+    exact = action._bracket_coords_flat
+
+    def negated(a, b):
+        return tuple((t, tuple((rad, im, -p0, -p1, -p2, den)
+                               for rad, im, p0, p1, p2, den in c))
+                     for t, c in exact(a, b))
+
+    monkeypatch.setattr(action, "_bracket_coords_flat", negated)
+    action._pair_defect_zero.cache_clear()
+    assert not bracket_check("X1", "X-1", idx)
+
+
+def test_bracket_caches_are_bounded():
+    assert action._pair_defect_zero.cache_info().maxsize == 200_000
+    assert action._apply_flat.cache_info().maxsize == 200_000
+
+
 # ---------------------------------------------------------------------------
 # standard-basis action and matrix assembly
+
+
+@pytest.mark.parametrize("lam", [(0.3, 0.1, 5.0), (0.3,), (0.3, -0.3),
+                                 (0.3, 0.1, -0.4, 0.0)])
+def test_decompose_standard_basis_rejects_bad_lambda(lam):
+    with pytest.raises(ValueError, match="summing to zero"):
+        decompose_standard_basis("X1", WignerIndex(2, 1, 0), lam)
 
 
 def test_decompose_standard_basis_numeric():
