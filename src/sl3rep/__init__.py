@@ -2,7 +2,8 @@
 
 Modules:
 
-* scalars  -- exact radical arithmetic and degree-1 spectral-parameter forms
+* scalars  -- exact radical arithmetic (i = sqrt(-1) included) and
+              degree-1 spectral-parameter forms
 * ktvector -- sparse linear combinations over arbitrary coefficient rings
 * wigner   -- Wigner functions, Euler angles, so(3) derivative formulas
 * clebsch  -- exact coupling coefficients for tensoring with the 5-dim rep

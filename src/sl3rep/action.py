@@ -28,10 +28,12 @@ Three coefficient modes are supported:
   parameter, used for invariant-subspace certificates;
 * numeric: complex coefficients for matrix export and oracle comparison.
 
-Composing two operators raises the lambda-degree to 2.  The internal
-LambdaPoly/GaussRadical types compose exactly (compose_poly, the reference
-path); the bracket verifier composes the same U_j amplitudes as integer
-vectors over one tracked denominator instead.
+The factor i of the complexified generators is the RadicalScalar I, so
+every generator, its 3x3 matrix and its exact action on Wigner functions
+(symbolic LambdaForm coefficients, one Y action built from the m2 ladder)
+live in the one scalar type.  Composing two operators raises the
+lambda-degree to 2; the bracket verifier composes the cached U_j amplitudes
+as integer vectors over one tracked denominator.
 """
 
 from __future__ import annotations
@@ -40,205 +42,30 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .clebsch import q
 from .errors import VerificationError
 from .ktvector import KTypeVector, coeff_is_zero
-from .scalars import ONE, ZERO, LambdaForm, RadicalScalar
+from .scalars import I, ONE, ZERO, LambdaForm, RadicalScalar
 from .series import BasisLabel, SeriesParams, basis, label_sign, label_valid
 from .wigner import WignerIndex, ladder_coeff_sq, right_derivative_Y
-
-# ---------------------------------------------------------------------------
-# Exact Gaussian radicals and lambda-polynomials (internal plumbing for the
-# operator algebra; public results use RadicalScalar / LambdaForm / complex)
-
-
-class GaussRadical:
-    """re + i*im with RadicalScalar real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=ZERO, im=ZERO):
-        self.re = re if isinstance(re, RadicalScalar) else RadicalScalar.from_rational(re)
-        self.im = im if isinstance(im, RadicalScalar) else RadicalScalar.from_rational(im)
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __add__(self, other):
-        other = _as_gauss(other)
-        return GaussRadical(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussRadical(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_as_gauss(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RadicalScalar)):
-            return GaussRadical(self.re * other, self.im * other)
-        other = _as_gauss(other)
-        if self.im.is_zero():
-            return GaussRadical(self.re * other.re, self.re * other.im)
-        if other.im.is_zero():
-            return GaussRadical(self.re * other.re, self.im * other.re)
-        return GaussRadical(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "GaussRadical":
-        return GaussRadical(self.re, -self.im)
-
-    def __eq__(self, other):
-        other = _as_gauss(other)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"({self.re!r}) + i*({self.im!r})"
-
-
-def _as_gauss(x) -> GaussRadical:
-    if isinstance(x, GaussRadical):
-        return x
-    if isinstance(x, (int, Fraction, RadicalScalar)):
-        return GaussRadical(x)
-    raise TypeError(f"cannot interpret {x!r} as a GaussRadical")
-
-
-GR_ZERO = GaussRadical()
-GR_ONE = GaussRadical(1)
-GR_I = GaussRadical(0, 1)
-
-
-class LambdaPoly:
-    """Polynomial in (l1, l2) with GaussRadical coefficients.
-
-    l3 is eliminated through l1 + l2 + l3 = 0 at construction, making
-    equality canonical.  Degree is unbounded; operator composition needs
-    degree 2.
-    """
-
-    __slots__ = ("monos",)
-
-    def __init__(self, monos: dict | None = None):
-        self.monos: dict[tuple[int, int], GaussRadical] = {}
-        if monos:
-            for e, c in monos.items():
-                if not c.is_zero():
-                    self.monos[e] = c
-
-    @classmethod
-    def constant(cls, c) -> "LambdaPoly":
-        return cls({(0, 0): _as_gauss(c)})
-
-    @classmethod
-    def from_form(cls, f: LambdaForm) -> "LambdaPoly":
-        const, a1, a2 = f.canonical()
-        return cls({(0, 0): GaussRadical(const),
-                    (1, 0): GaussRadical(a1),
-                    (0, 1): GaussRadical(a2)})
-
-    def is_zero(self) -> bool:
-        return not self.monos
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __add__(self, other):
-        if not isinstance(other, LambdaPoly):
-            other = LambdaPoly.constant(other)
-        out = dict(self.monos)
-        for e, c in other.monos.items():
-            acc = out.get(e)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = c
-        r = LambdaPoly.__new__(LambdaPoly)
-        r.monos = out
-        return r
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = LambdaPoly.__new__(LambdaPoly)
-        r.monos = {e: -c for e, c in self.monos.items()}
-        return r
-
-    def __sub__(self, other):
-        if not isinstance(other, LambdaPoly):
-            other = LambdaPoly.constant(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RadicalScalar, GaussRadical)):
-            other = LambdaPoly.constant(other)
-        elif isinstance(other, LambdaForm):
-            other = LambdaPoly.from_form(other)
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        out: dict[tuple[int, int], GaussRadical] = {}
-        for (a1, a2), ca in self.monos.items():
-            for (b1, b2), cb in other.monos.items():
-                e = (a1 + b1, a2 + b2)
-                c = ca * cb
-                acc = out.get(e)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = c
-        r = LambdaPoly.__new__(LambdaPoly)
-        r.monos = out
-        return r
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        return self.monos == other.monos
-
-    def eval(self, lam: Sequence[complex]) -> complex:
-        l1, l2 = complex(lam[0]), complex(lam[1])
-        return sum(c.to_complex() * l1 ** e1 * l2 ** e2
-                   for (e1, e2), c in self.monos.items())
-
-    def __repr__(self):
-        return f"LambdaPoly({self.monos!r})"
-
 
 # ---------------------------------------------------------------------------
 # Generators as exact 3x3 matrices
 
 _SQ23 = RadicalScalar.sqrt_rational(Fraction(2, 3))
 
-Matrix = tuple  # 3x3 nested tuple of GaussRadical
+Matrix = tuple  # 3x3 nested tuple of RadicalScalar
 
 
 def _m(rows) -> Matrix:
-    return tuple(tuple(_as_gauss(x) for x in row) for row in rows)
+    return tuple(tuple(x if isinstance(x, RadicalScalar)
+                       else RadicalScalar.from_rational(x) for x in row)
+                 for row in rows)
 
-
-_I = GaussRadical(0, 1)
-_NI = GaussRadical(0, -1)
 
 GENERATOR_MATRICES: dict[str, Matrix] = {
     "X1": _m([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
@@ -252,11 +79,11 @@ GENERATOR_MATRICES: dict[str, Matrix] = {
     "Y1": _m([[0, -1, 0], [1, 0, 0], [0, 0, 0]]),
     "Y2": _m([[0, 0, 0], [0, 0, -1], [0, 1, 0]]),
     "Y3": _m([[0, 0, -1], [0, 0, 0], [1, 0, 0]]),
-    "Z-2": _m([[1, _I, 0], [_I, -1, 0], [0, 0, 0]]),
-    "Z-1": _m([[0, 0, _I], [0, 0, -1], [_I, -1, 0]]),
+    "Z-2": _m([[1, I, 0], [I, -1, 0], [0, 0, 0]]),
+    "Z-1": _m([[0, 0, I], [0, 0, -1], [I, -1, 0]]),
     "Z0": _m([[_SQ23, 0, 0], [0, _SQ23, 0], [0, 0, -2 * _SQ23]]),
-    "Z1": _m([[0, 0, _I], [0, 0, 1], [_I, 1, 0]]),
-    "Z2": _m([[1, _NI, 0], [_NI, -1, 0], [0, 0, 0]]),
+    "Z1": _m([[0, 0, I], [0, 0, 1], [I, 1, 0]]),
+    "Z2": _m([[1, -I, 0], [-I, -1, 0], [0, 0, 0]]),
 }
 
 CONVENIENT_BASIS = ("Y1", "Y2", "Y3", "Z-2", "Z-1", "Z0", "Z1", "Z2")
@@ -267,12 +94,12 @@ Y_TAGS = {"Y1": 1, "Y2": 2, "Y3": 3}
 
 
 def generator_matrix_numeric(tag: str) -> np.ndarray:
-    return np.array([[c.to_complex() for c in row]
+    return np.array([[complex(c) for c in row]
                      for row in GENERATOR_MATRICES[tag]])
 
 
 def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(3)), GR_ZERO)
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(3)), ZERO)
                        for j in range(3)) for i in range(3))
 
 
@@ -288,7 +115,7 @@ _HALF = Fraction(1, 2)
 _SQ6_OVER_4 = RadicalScalar.sqrt_rational(6) * Fraction(1, 4)
 
 
-def decompose_matrix(m: Matrix) -> dict[str, GaussRadical]:
+def decompose_matrix(m: Matrix) -> dict[str, RadicalScalar]:
     """Exact coordinates of a traceless matrix in the (Y, Z) basis."""
     trace = m[0][0] + m[1][1] + m[2][2]
     if not trace.is_zero():
@@ -299,15 +126,15 @@ def decompose_matrix(m: Matrix) -> dict[str, GaussRadical]:
         "Y2": (m[2][1] - m[1][2]) * _HALF,
         "Y3": (m[2][0] - m[0][2]) * _HALF,
         "Z0": -(sym[2][2] * _SQ6_OVER_4),
-        "Z-1": (_NI * sym[0][2] - sym[1][2]) * _HALF,
-        "Z1": (_NI * sym[0][2] + sym[1][2]) * _HALF,
-        "Z-2": (sym[0][0] + sym[2][2] * _HALF - _I * sym[0][1]) * _HALF,
-        "Z2": (sym[0][0] + sym[2][2] * _HALF + _I * sym[0][1]) * _HALF,
+        "Z-1": (-I * sym[0][2] - sym[1][2]) * _HALF,
+        "Z1": (-I * sym[0][2] + sym[1][2]) * _HALF,
+        "Z-2": (sym[0][0] + sym[2][2] * _HALF - I * sym[0][1]) * _HALF,
+        "Z2": (sym[0][0] + sym[2][2] * _HALF + I * sym[0][1]) * _HALF,
     }
     return {t: c for t, c in out.items() if not c.is_zero()}
 
 
-def reassemble(coords: dict[str, GaussRadical]) -> Matrix:
+def reassemble(coords: dict[str, RadicalScalar]) -> Matrix:
     total = _m([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     for t, c in coords.items():
         g = GENERATOR_MATRICES[t]
@@ -556,7 +383,7 @@ def project_P_poly(l: int, j: int, v: KTypeVector) -> KTypeVector:
 
 
 def _ladder_m2(v: KTypeVector, step: int) -> KTypeVector:
-    """Raw pi(-+Y2 + iY3) step: shifts every m2 by `step` with the exact
+    """Raw pi(+-Y2 + iY3) step: shifts every m2 by `step` with the exact
     sqrt(l(l+1) - m2(m2+step)) coefficient."""
     out = KTypeVector()
     for idx, c in v.items():
@@ -634,40 +461,31 @@ def standard_basis_coords(tag: str) -> tuple:
 
 
 def apply_generator_poly(tag: str, idx: WignerIndex) -> KTypeVector:
-    """Action of any generator with exact LambdaPoly coefficients."""
+    """Action of any generator with exact LambdaForm coefficients."""
     return _apply_poly_cached(tag, WignerIndex(*idx))
 
 
 @lru_cache(maxsize=200_000)
 def _apply_poly_cached(tag: str, idx: WignerIndex) -> KTypeVector:
-    l, m1, m2 = idx
-    out = KTypeVector()
+    if tag in Z_TAGS:
+        return act_Z(Z_TAGS[tag], idx)
     if tag in Y_TAGS:
         i = Y_TAGS[tag]
         if i == 1:
-            out.add_term(idx, LambdaPoly.constant(GaussRadical(0, m2)))
-            return out
-        up = ladder_coeff_sq(l, m2, +1)
-        dn = ladder_coeff_sq(l, m2, -1)
-        if m2 < l and up > 0:
-            r = RadicalScalar.sqrt_rational(up) * _HALF
-            c = GaussRadical(r) if i == 2 else GaussRadical(ZERO, -r)
-            out.add_term(WignerIndex(l, m1, m2 + 1), LambdaPoly.constant(c))
-        if m2 > -l and dn > 0:
-            r = RadicalScalar.sqrt_rational(dn) * _HALF
-            c = GaussRadical(-r) if i == 2 else GaussRadical(ZERO, -r)
-            out.add_term(WignerIndex(l, m1, m2 - 1), LambdaPoly.constant(c))
-        return out
-    if tag in Z_TAGS:
-        sym = act_Z(Z_TAGS[tag], idx)
-        for target, form in sym.items():
-            out.add_term(target, LambdaPoly.from_form(form))
-        return out
+            return KTypeVector({idx: LambdaForm.constant(I * idx.m2)})
+        v = KTypeVector({idx: ONE})
+        # A = pi(Y2 + iY3) raises m2 and B = pi(-Y2 + iY3) lowers it
+        up, down = _ladder_m2(v, +1), _ladder_m2(v, -1)
+        if i == 2:
+            y = (up - down).scaled(_HALF)
+        else:
+            y = (up + down).scaled(-I * _HALF)
+        return y.map_coeff(LambdaForm.constant)
     # standard generator: exact linear combination of the above
+    out = KTypeVector()
     for t, c in standard_basis_coords(tag):
-        part = apply_generator_poly(t, idx)
-        for target, p in part.items():
-            out.add_term(target, p * c)
+        for target, form in apply_generator_poly(t, idx).items():
+            out.add_term(target, form * c)
     return out
 
 
@@ -678,21 +496,22 @@ def decompose_standard_basis(tag: str, idx: WignerIndex,
     vec = apply_generator_poly(tag, idx)
     if lam is None:
         return vec
-    if len(lam) != 3 or abs(sum(complex(x) for x in lam)) > 1e-12:
+    if len(lam) != 3 or not abs(sum(complex(x) for x in lam)) <= 1e-12:
         raise ValueError("spectral parameter must be a triple summing to zero")
     out = KTypeVector()
-    for target, p in vec.items():
-        out.add_term(target, p.eval((lam[0], lam[1])))
+    for target, form in vec.items():
+        out.add_term(target, form.eval(lam))
     return out
 
 
 def compose_poly(tag: str, v: KTypeVector) -> KTypeVector:
-    """Apply a generator (LambdaPoly mode) to a LambdaPoly-coefficient vector."""
+    """Apply a generator, with its exact LambdaForm coefficients, to a vector
+    whose coefficients multiply a LambdaForm (scalars, or polynomials of
+    higher degree)."""
     out = KTypeVector()
     for idx, c in v.items():
-        part = apply_generator_poly(tag, idx)
-        for target, p in part.items():
-            out.add_term(target, p * c)
+        for target, form in apply_generator_poly(tag, idx).items():
+            out.add_term(target, c * form)
     return out
 
 
@@ -705,13 +524,13 @@ def compose_poly(tag: str, v: KTypeVector) -> KTypeVector:
 # coefficients of each (target, rad, im) and monomial are.
 
 
-def _int_terms(parts: Iterable) -> tuple:
-    """The terms of sum r * i^im * (1, lam1, lam2)[slot] over the
-    (slot, im, RadicalScalar r) parts."""
+def _int_terms(form: LambdaForm) -> tuple:
+    """The integer terms of a LambdaForm, lam3 eliminated."""
     groups: dict[tuple[int, int], list] = {}
-    for slot, im, r in parts:
+    for slot, r in enumerate(form.canonical()):
         for rad, c in r.terms.items():
-            groups.setdefault((rad, im), [Fraction(0)] * 3)[slot] += c
+            key = (-rad, 1) if rad < 0 else (rad, 0)
+            groups.setdefault(key, [Fraction(0)] * 3)[slot] += c
     out = []
     for (rad, im), p in sorted(groups.items()):
         den = lcm(*(c.denominator for c in p))
@@ -719,14 +538,10 @@ def _int_terms(parts: Iterable) -> tuple:
     return tuple(out)
 
 
-def _constant_terms(c: GaussRadical) -> tuple:
-    return _int_terms(((0, 0, c.re), (0, 1, c.im)))
-
-
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _u_terms(j: int, l: int, m1: int) -> tuple:
     """The symbolic U_j amplitudes of D^l_{m1,.} as ((k, terms), ...)."""
-    return tuple((k, _int_terms(zip((0, 1, 2), (0, 0, 0), form.canonical())))
+    return tuple((k, _int_terms(form))
                  for k, form in _u_amplitudes(j, l, m1, "symbolic", None))
 
 
@@ -751,9 +566,8 @@ def _apply_flat(tag: str, idx: WignerIndex) -> tuple:
         return tuple((WignerIndex(l + j, m1 + k, m2 + n), _scaled_terms(terms, qn))
                      for j, qn in _couplings(n, l, m2, "symbolic")
                      for k, terms in _u_terms(j, l, m1))
-    # the Y action has constant coefficients
-    return tuple((target, _constant_terms(p.monos[(0, 0)]))
-                 for target, p in _apply_poly_cached(tag, idx).items())
+    return tuple((target, _int_terms(form))
+                 for target, form in _apply_poly_cached(tag, idx).items())
 
 
 class _DegreeTwoSum:
@@ -805,7 +619,7 @@ def _generator_bracket(tag_a: str, tag_b: str) -> Matrix:
 @lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite
 def _bracket_coords_flat(tag_a: str, tag_b: str) -> tuple:
     coords = decompose_matrix(_generator_bracket(tag_a, tag_b))
-    return tuple((t, _constant_terms(c))
+    return tuple((t, _int_terms(LambdaForm.constant(c)))
                  for t, c in sorted(coords.items()))
 
 
@@ -825,7 +639,7 @@ _pair_defect_zero = lru_cache(maxsize=200_000)(_bracket_defect_zero)
 
 def _coords_of(tag: str) -> tuple:
     if tag in Z_TAGS or tag in Y_TAGS:
-        return ((tag, GR_ONE),)
+        return ((tag, ONE),)
     return standard_basis_coords(tag)
 
 
@@ -840,7 +654,7 @@ def _bilinear_bracket_verified(tag_a: str, tag_b: str) -> tuple:
     defined as exactly that linear combination.
     """
     ca, cb = _coords_of(tag_a), _coords_of(tag_b)
-    total = tuple(tuple(GR_ZERO for _ in range(3)) for _ in range(3))
+    total = tuple(tuple(ZERO for _ in range(3)) for _ in range(3))
     pairs = []
     for c, wa in ca:
         for d, wb in cb:
@@ -854,8 +668,7 @@ def _bilinear_bracket_verified(tag_a: str, tag_b: str) -> tuple:
             total = tuple(tuple(total[i][j] + br[i][j] * w for j in range(3))
                           for i in range(3))
     want = _generator_bracket(tag_a, tag_b)
-    if any((total[i][j] - want[i][j]) != GR_ZERO
-           for i in range(3) for j in range(3)):
+    if any(total[i][j] != want[i][j] for i in range(3) for j in range(3)):
         raise AssertionError(f"bilinear bracket mismatch for {tag_a}, {tag_b}")
     return tuple(sorted({tuple(sorted(p)) for p in pairs}))
 

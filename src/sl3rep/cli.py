@@ -8,6 +8,7 @@ deterministic given identical flags and seed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -19,15 +20,18 @@ from .errors import VerificationError
 
 
 def _parse_scalar(text: str):
-    """A rational ('1/4', '0.25') or complex ('0.3+0.1i') literal."""
+    """A rational ('1/4', '0.25') or finite complex ('0.3+0.1i') literal."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return complex(text.replace("i", "j"))
+        z = complex(text.replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}")
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"number {text!r} is not finite")
+    return z
 
 
 def _parse_lambda(text: str):
@@ -171,14 +175,17 @@ def _cmd_action(args) -> int:
 def _cmd_compose(args) -> int:
     from . import structure
 
+    lmax = args.lmax
+    if lmax is None:
+        lmax = 31 if args.preset == "k23" else 12
     if args.preset == "even-k":
-        report = structure.even_k_report(args.k, args.lmax or 12)
+        report = structure.even_k_report(args.k, lmax)
     elif args.preset == "degenerate":
-        report = structure.degenerate_series_report(args.s, args.lmax or 12)
+        report = structure.degenerate_series_report(args.s, lmax)
     elif args.preset == "k3":
-        report = structure.k3_chain_report(args.lmax or 12)
+        report = structure.k3_chain_report(lmax)
     elif args.preset == "k23":
-        report = structure.k23_subspace_report(args.lmax or 31)
+        report = structure.k23_subspace_report(lmax)
     else:
         raise argparse.ArgumentTypeError(f"unknown preset {args.preset}")
     if args.format == "json":
@@ -368,7 +375,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, AssertionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

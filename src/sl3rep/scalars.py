@@ -1,15 +1,18 @@
 """Exact arithmetic over Q extended by square roots of squarefree integers.
 
-Values are finite sums sum_n q_n * sqrt(n) with rational q_n and squarefree
-n >= 1.  This is exactly the coefficient field produced by the coupling
-coefficients and ladder normalizations used elsewhere in the package, so
-zero tests (the basis of invariant-subspace detection) are exact.
+Values are finite sums sum_n q_n * sqrt(n) with rational q_n and signed
+squarefree n != 0, where sqrt(n) = i * sqrt(-n) for n < 0; so I = sqrt(-1)
+is an ordinary value.  This is exactly the coefficient field produced by
+the coupling coefficients, ladder normalizations and the factor i of the
+complexified generators, so zero tests (the basis of invariant-subspace
+detection) are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, sqrt
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -40,8 +43,9 @@ def _square_extract(n: int) -> tuple[int, int]:
 class RadicalScalar:
     """Canonical sum of rational multiples of square roots of squarefree ints.
 
-    Instances are immutable; ``terms`` maps squarefree n >= 1 to a nonzero
-    Fraction.  The rational part is stored under key 1.
+    Instances are immutable; ``terms`` maps signed squarefree n to a nonzero
+    Fraction.  The rational part is stored under key 1, and the terms with
+    n < 0 are the imaginary part.
     """
 
     __slots__ = ("terms", "_hash")
@@ -52,7 +56,9 @@ class RadicalScalar:
             for n, c in terms.items():
                 c = Fraction(c)
                 if c:
-                    s, f = _square_extract(n)
+                    s, f = _square_extract(abs(n))
+                    if n < 0:
+                        f = -f
                     c *= s
                     acc = clean.get(f)
                     c = c if acc is None else acc + c
@@ -156,16 +162,13 @@ class RadicalScalar:
         if not self.terms or not other.terms:
             return _ZERO
         merged: dict[int, Fraction] = {}
-        from math import gcd
-
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
-                if a == b:
-                    n, c = 1, ca * cb * a
-                else:
-                    g = gcd(a, b)
-                    n = (a // g) * (b // g)  # squarefree since a, b are
-                    c = ca * cb * g
+                g = gcd(a, b)
+                n = (a // g) * (b // g)  # squarefree since a, b are
+                c = ca * cb * g
+                if a < 0 and b < 0:  # i * i = -1
+                    c = -c
                 acc = merged.get(n)
                 c = c if acc is None else acc + c
                 if c:
@@ -209,9 +212,14 @@ class RadicalScalar:
     # -- conversions -------------------------------------------------------
 
     def __float__(self) -> float:
-        from math import sqrt
-
+        if any(n < 0 for n in self.terms):
+            raise ValueError(f"{self!r} is not real")
         return sum((float(c) * sqrt(n) for n, c in self.terms.items()), 0.0)
+
+    def __complex__(self) -> complex:
+        terms = self.terms.items()
+        return complex(sum((float(c) * sqrt(n) for n, c in terms if n > 0), 0.0),
+                       sum((float(c) * sqrt(-n) for n, c in terms if n < 0), 0.0))
 
     def to_json(self) -> dict:
         return {"terms": [[n, f"{c.numerator}/{c.denominator}"]
@@ -246,10 +254,12 @@ def _coerce(x) -> "RadicalScalar":
 _ZERO = RadicalScalar()
 ZERO = _ZERO
 ONE = RadicalScalar.from_rational(1)
+I = RadicalScalar({-1: 1})
 
 
 class LambdaForm:
-    """Degree-<=1 polynomial a*l1 + b*l2 + c*l3 + d with RadicalScalar coefficients.
+    """Degree-<=1 polynomial a*l1 + b*l2 + c*l3 + d with RadicalScalar
+    coefficients, which may be complex.
 
     Evaluation is only defined on triples summing to zero, so equality is
     decided on the canonical two-parameter form obtained by substituting
@@ -313,10 +323,10 @@ class LambdaForm:
     def eval(self, lam: Iterable[complex]) -> complex:
         """Numeric evaluation at a complex triple with l1+l2+l3 = 0."""
         l1, l2, l3 = (complex(x) for x in lam)
-        if abs(l1 + l2 + l3) > 1e-12:
+        if not abs(l1 + l2 + l3) <= 1e-12:
             raise ValueError("spectral parameter must sum to zero")
-        return (float(self.const) + float(self.c1) * l1
-                + float(self.c2) * l2 + float(self.c3) * l3)
+        return (complex(self.const) + complex(self.c1) * l1
+                + complex(self.c2) * l2 + complex(self.c3) * l3)
 
     def eval_exact(self, lam: Iterable[RationalLike]) -> RadicalScalar:
         """Exact evaluation at a rational triple with l1+l2+l3 = 0."""

@@ -25,7 +25,7 @@ Delta = tuple[int, int, int]
 
 def _check_lambda(lam: Sequence[complex]) -> tuple[complex, complex, complex]:
     l1, l2, l3 = (complex(x) for x in lam)
-    if abs(l1 + l2 + l3) > 1e-12:
+    if not abs(l1 + l2 + l3) <= 1e-12:
         raise ValueError("spectral parameter must sum to zero")
     return l1, l2, l3
 

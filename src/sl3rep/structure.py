@@ -137,11 +137,14 @@ def verify_invariant(spec: SubspaceSpec, lmax: int,
                 result.leakage.append({
                     "label": list(lab), "generator": f"Z{n}",
                     "target": list(target), "coefficient": repr(c)})
-    # certificates for the blocked transitions on the (l, m1) skeleton
+    # certificates for the blocked transitions on the (l, m1) skeleton, from
+    # the minimal m2 of each row: the first one met, as interior is sorted
+    # by (l, m1, m2)
+    seen_rows: set[tuple[int, int]] = set()
     for lab in interior:
-        if lab.m2 != min((x.m2 for x in interior if x[:2] == lab[:2]),
-                         default=lab.m2):
+        if lab[:2] in seen_rows:
             continue
+        seen_rows.add(lab[:2])
         l, m1 = lab.l, lab.m1
         for j in range(-2, 3):
             lt = l + j

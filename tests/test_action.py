@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from sl3rep import VerificationError, action
 from sl3rep.action import (C_FACTORS, CONVENIENT_BASIS, GENERATOR_MATRICES,
-                           STANDARD_BASIS, GaussRadical, LambdaPoly, act_U,
-                           act_W, act_Z, act_Z_on_basis, assemble_matrix,
+                           STANDARD_BASIS, Y_TAGS, Z_TAGS, act_U, act_W,
+                           act_Z, act_Z_on_basis, assemble_matrix,
                            bracket_check, compose_poly, decompose_matrix,
                            decompose_standard_basis, generator_matrix_numeric,
                            lambda_factor, matrix_bracket, project_P,
@@ -19,9 +19,9 @@ from sl3rep.action import (C_FACTORS, CONVENIENT_BASIS, GENERATOR_MATRICES,
                            standard_basis_coords)
 from sl3rep.clebsch import q
 from sl3rep.ktvector import KTypeVector
-from sl3rep.scalars import RadicalScalar
+from sl3rep.scalars import ZERO, LambdaForm, RadicalScalar
 from sl3rep.series import BasisLabel, SeriesParams, basis, label_valid
-from sl3rep.wigner import WignerIndex
+from sl3rep.wigner import WignerIndex, right_derivative_Y
 
 ALL_TAGS = CONVENIENT_BASIS + STANDARD_BASIS
 
@@ -61,19 +61,19 @@ def test_decompose_bracket_closure():
 
 
 def test_decompose_rejects_trace():
-    bad = tuple(tuple(GaussRadical(1 if i == j else 0) for j in range(3))
-                for i in range(3))
+    bad = tuple(tuple(RadicalScalar.from_rational(1 if i == j else 0)
+                      for j in range(3)) for i in range(3))
     with pytest.raises(ValueError):
         decompose_matrix(bad)
 
 
 def test_standard_coords_known_values():
     h1 = dict(standard_basis_coords("H1"))
-    assert h1["Z-2"] == GaussRadical(Fraction(1, 2))
-    assert h1["Z2"] == GaussRadical(Fraction(1, 2))
+    assert h1["Z-2"] == RadicalScalar.from_rational(Fraction(1, 2))
+    assert h1["Z2"] == RadicalScalar.from_rational(Fraction(1, 2))
     assert set(h1) == {"Z-2", "Z2"}
     h2 = dict(standard_basis_coords("H2"))
-    assert h2["Z0"] == GaussRadical(RadicalScalar.sqrt_rational(6) * Fraction(1, 4))
+    assert h2["Z0"] == RadicalScalar.sqrt_rational(6) * Fraction(1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +341,59 @@ def test_bracket_check_samples():
         assert bracket_check(a, b, idx)
 
 
+class LambdaPoly:
+    """Polynomial in (l1, l2) with RadicalScalar coefficients, l3 eliminated
+    through l1 + l2 + l3 = 0: the degree-2 reference that the integer
+    bracket verifier is checked against."""
+
+    def __init__(self, monos: dict | None = None):
+        self.monos = {e: c for e, c in (monos or {}).items() if not c.is_zero()}
+
+    @classmethod
+    def constant(cls, c) -> "LambdaPoly":
+        if not isinstance(c, RadicalScalar):
+            c = RadicalScalar.from_rational(c)
+        return cls({(0, 0): c})
+
+    @classmethod
+    def from_form(cls, f: LambdaForm) -> "LambdaPoly":
+        const, a1, a2 = f.canonical()
+        return cls({(0, 0): const, (1, 0): a1, (0, 1): a2})
+
+    def is_zero(self) -> bool:
+        return not self.monos
+
+    def __add__(self, other):
+        if not isinstance(other, LambdaPoly):
+            other = LambdaPoly.constant(other)
+        out = dict(self.monos)
+        for e, c in other.monos.items():
+            out[e] = out.get(e, ZERO) + c
+        return LambdaPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LambdaPoly({e: -c for e, c in self.monos.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, LambdaForm):
+            other = LambdaPoly.from_form(other)
+        elif not isinstance(other, LambdaPoly):
+            other = LambdaPoly.constant(other)
+        out: dict = {}
+        for (a1, a2), ca in self.monos.items():
+            for (b1, b2), cb in other.monos.items():
+                e = (a1 + b1, a2 + b2)
+                out[e] = out.get(e, ZERO) + ca * cb
+        return LambdaPoly(out)
+
+    __rmul__ = __mul__
+
+
 def test_bracket_via_compose_poly():
     # same identity through the unflattened LambdaPoly path, plus a
     # negative control with the wrong bracket sign
@@ -371,9 +424,9 @@ def rationals_of_poly_vector(vec: KTypeVector) -> dict:
     out = {}
     for target, p in vec.items():
         for e, c in p.monos.items():
-            for im, part in ((0, c.re), (1, c.im)):
-                for rad, r in part.terms.items():
-                    out[(tuple(target), MONOMIAL_SLOTS[e], rad, im)] = r
+            for rad, r in c.terms.items():
+                rad, im = (-rad, 1) if rad < 0 else (rad, 0)
+                out[(tuple(target), MONOMIAL_SLOTS[e], rad, im)] = r
     return out
 
 
@@ -459,20 +512,31 @@ def test_bracket_caches_are_bounded():
 
 
 @pytest.mark.parametrize("lam", [(0.3, 0.1, 5.0), (0.3,), (0.3, -0.3),
-                                 (0.3, 0.1, -0.4, 0.0)])
+                                 (0.3, 0.1, -0.4, 0.0), (float("nan"), 0.0, 0.0)])
 def test_decompose_standard_basis_rejects_bad_lambda(lam):
     with pytest.raises(ValueError, match="summing to zero"):
         decompose_standard_basis("X1", WignerIndex(2, 1, 0), lam)
 
 
 def test_decompose_standard_basis_numeric():
+    # against the numeric convenient-basis actions, combined with the
+    # complex coordinates of each standard generator
     lam = (0.3 + 0.1j, -0.2, -0.1 - 0.1j)
-    idx = WignerIndex(2, 1, 0)
-    sym = decompose_standard_basis("X1", idx)
-    num = decompose_standard_basis("X1", idx, lam)
-    for t, p in sym.items():
-        got = num.get(t, 0.0)
-        assert got == pytest.approx(p.eval((lam[0], lam[1])), abs=1e-12)
+    indices = [WignerIndex(0, 0, 0), WignerIndex(1, -1, 1), WignerIndex(2, 1, 0),
+               WignerIndex(3, -2, 3), WignerIndex(5, 4, -2)]
+    for tag in STANDARD_BASIS:
+        for idx in indices:
+            want = KTypeVector()
+            for t, c in standard_basis_coords(tag):
+                part = (right_derivative_Y(Y_TAGS[t], idx) if t in Y_TAGS
+                        else act_Z(Z_TAGS[t], idx, lam))
+                want = want + part.scaled(complex(c))
+            got = decompose_standard_basis(tag, idx, lam)
+            assert got and all(isinstance(c, complex) for _, c in got.items())
+            scale = max(abs(c) for _, c in want.items())
+            for t in set(got.terms) | set(want.terms):
+                assert abs(got.get(t, 0) - want.get(t, 0)) <= 1e-12 * scale, \
+                    (tag, idx, t)
 
 
 def test_assemble_matrix_consistency():

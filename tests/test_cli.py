@@ -4,6 +4,7 @@ exit codes."""
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,30 @@ def test_usage_errors_exit_2():
     assert run_cli("series", "--delta", "2,0,0", "--lambda", "0,0")[0] == 2
 
 
+@pytest.mark.parametrize("preset", ["even-k", "degenerate", "k3", "k23"])
+def test_compose_lmax_zero_exits_2(preset, capsys):
+    # --lmax 0 is a window, not a request for the default one
+    assert main(["compose", "--preset", preset, "--lmax", "0"]) == 2
+    assert "lmax must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "theorem-main", "--lambda", "nan,0", "--lmax", "2",
+     "--samples", "1"],
+    ["verify", "--suite", "diffops", "--lambda", "nan,0", "--lmax", "1",
+     "--samples", "2"],
+    ["action", "--lambda", "nan,0", "--delta", "0,0,0", "--gen", "Z1",
+     "--lmax", "2"],
+    ["verify", "--suite", "theorem-main", "--lambda", "1e5,0", "--lmax", "1"],
+    # finite components whose zero sum overflows to inf - inf = nan
+    ["action", "--lambda", "1e308+0i,1e308", "--delta", "0,0,0", "--gen", "Z1",
+     "--lmax", "2"],
+], ids=["theorem-main-nan", "diffops-nan", "action-nan", "theorem-main-overflow",
+        "action-nan-sum"])
+def test_non_finite_or_overflowing_lambda_exits_2(argv):
+    assert main(argv) == 2
+
+
 def test_unvalidated_numeric_ranges_exit_2():
     code, _, err = run_cli("wigner", "--l", "81", "--m1", "0", "--m2", "0",
                            "--alpha", "0", "--beta", "1.0", "--gamma", "0")
@@ -157,3 +182,18 @@ def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     declared = re.search(r'^version = "([^"]+)"', text, re.M).group(1)
     assert sl3rep.__version__ == declared
+
+
+def readme_command_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("sl3rep ")]
+
+
+def test_readme_command_lines_exit_0(capsys):
+    lines = readme_command_lines()
+    assert len(lines) >= 10
+    failed = [line for line in lines
+              if main(shlex.split(line, comments=True)[1:]) != 0]
+    capsys.readouterr()
+    assert not failed

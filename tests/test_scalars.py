@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3rep.scalars import ONE, ZERO, LambdaForm, RadicalScalar
+from sl3rep.scalars import I, ONE, ZERO, LambdaForm, RadicalScalar
 
 
 def test_square_extraction_canonicalizes():
@@ -105,6 +105,8 @@ def test_lambda_form_eval():
     with pytest.raises(ValueError):
         f.eval((1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
+        f.eval((math.nan, 0.0, 0.0))
+    with pytest.raises(ValueError):
         f.eval_exact((1, 1, 1))
 
 
@@ -113,3 +115,70 @@ def test_lambda_form_scalar_mul():
     s = RadicalScalar.sqrt_rational(2)
     g = f * s
     assert g.eval_exact((1, 0, -1)) == s * 3
+
+
+# ---------------------------------------------------------------------------
+# signed radicands: sqrt(n) = i * sqrt(-n) for n < 0
+
+
+def test_imaginary_unit():
+    assert I * I == -ONE
+    assert I == RadicalScalar.from_json({"terms": [[-1, "1/1"]]})
+    assert RadicalScalar({-4: 1}) == 2 * I  # sqrt(-4) = 2i
+    assert RadicalScalar({-8: 1}) == RadicalScalar({-2: 2})
+    assert RadicalScalar.sqrt_rational(2) * I == RadicalScalar({-2: 1})
+    assert RadicalScalar({-2: 1}) * RadicalScalar({-3: 1}) \
+        == -RadicalScalar.sqrt_rational(6)
+    assert RadicalScalar({-2: 1}) * RadicalScalar({-2: 1}) == -2
+    assert I.inverse() == -I
+    assert complex(I) == 1j
+    assert complex(3 + RadicalScalar({-2: 1})) == pytest.approx(3 + 1j * math.sqrt(2))
+    with pytest.raises(ValueError, match="not real"):
+        float(I)
+    with pytest.raises(ValueError):
+        RadicalScalar({0: 1})
+
+
+signed_radicands = st.integers(min_value=1, max_value=50).flatmap(
+    lambda n: st.sampled_from((n, -n)))
+
+
+@st.composite
+def gaussian_scalars(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    return RadicalScalar({draw(signed_radicands): draw(rationals) for _ in range(n)})
+
+
+def close(z: complex, w: complex) -> bool:
+    return abs(z - w) <= 1e-9 * max(1.0, abs(z), abs(w))
+
+
+@given(gaussian_scalars(), gaussian_scalars(), gaussian_scalars())
+@settings(max_examples=150, deadline=None)
+def test_signed_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * ONE == a and (a - a).is_zero()
+    assert (I * a) * I == -a
+    assert close(complex(a * b), complex(a) * complex(b))
+    assert close(complex(a + b), complex(a) + complex(b))
+
+
+@given(gaussian_scalars())
+@settings(max_examples=80, deadline=None)
+def test_float_only_of_real_values(a):
+    if any(n < 0 for n in a.terms):
+        with pytest.raises(ValueError, match="not real"):
+            float(a)
+    else:
+        assert float(a) == complex(a).real and complex(a).imag == 0
+
+
+def test_lambda_form_with_gaussian_coefficients():
+    f = LambdaForm(const=I, c1=ONE)  # l1 + i
+    assert f.eval((0.5, -0.25, -0.25)) == pytest.approx(0.5 + 1j)
+    assert f.eval_exact((1, 0, -1)) == 1 + I
+    assert (f * I).eval_exact((1, 0, -1)) == I - 1

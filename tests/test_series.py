@@ -24,6 +24,8 @@ def test_params_validation():
         SeriesParams((0.1, 0.2, -0.25), (0, 0, 0))
     with pytest.raises(ValueError):
         SeriesParams((0, 0, 0), (0, 2, 0))
+    with pytest.raises(ValueError):  # a NaN sum passes no zero-sum check
+        SeriesParams((math.nan, 0.0, 0.0), (0, 0, 0))
     assert SeriesParams((1, 2, -3), (0, 0, 0)).exact
     assert not SeriesParams((0.5j, -0.5j, 0), (0, 0, 0)).exact
 
