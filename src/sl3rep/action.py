@@ -15,10 +15,13 @@ whose U_j amplitudes c_k q(k,j,l,m1) Lam^(k)_j(lam,l,m1) depend on
 (j, l, m1, lam) only.  Two bounded LRU caches of immutable tuples hold
 them: the U_j amplitudes of D^l_{m1,.}, and their fold into the
 symmetrized basis (the +-m1 components summed with their fold signs and
-re-folded to m1' >= 0), which is checked once per entry.  act_Z, act_U
-and act_Z_on_basis read every Lambda factor from these caches.  Both are
-keyed on the coefficient mode as well as on lam, because 11, Fraction(11)
-and 11+0j hash and compare alike but give exact and complex coefficients.
+re-folded to m1' >= 0), which is checked once per entry.  act_Z, act_U,
+act_Z_on_basis and assemble_matrix read every Lambda factor from these
+caches; assemble_matrix builds each block (l, l+j) of pi(Z_n) as the
+Kronecker product of the folded amplitudes in m1 and the couplings
+q(n,j,l,m2) in m2.  Both caches are keyed on the coefficient mode as well
+as on lam, because 11, Fraction(11) and 11+0j hash and compare alike but
+give exact and complex coefficients.
 
 Three coefficient modes are supported:
 
@@ -211,16 +214,24 @@ def _u_amplitudes(j: int, l: int, m1: int, mode: str, lam) -> tuple:
     return tuple(out)
 
 
-def _couplings(n: int, l: int, m2: int, mode: str) -> list:
+def _couplings(n: int, l: int, m2: int, mode: str) -> Sequence[tuple]:
     """The nonzero q(n, j, l, m2) as (j, q) pairs, float in numeric mode."""
+    if mode == "numeric":
+        return _float_couplings(n, l, m2)
     if n not in (-2, -1, 0, 1, 2):
         raise ValueError("n must be in -2..2")
     out = []
     for j in range(-2, 3):
         qn = q(n, j, l, m2)
         if not qn.is_zero():
-            out.append((j, float(qn) if mode == "numeric" else qn))
+            out.append((j, qn))
     return out
+
+
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _float_couplings(n: int, l: int, m2: int) -> tuple:
+    """_couplings in floats, each q converted once."""
+    return tuple((j, float(qn)) for j, qn in _couplings(n, l, m2, "exact"))
 
 
 def act_Z(n: int, idx: WignerIndex, lam: LamArg = None) -> KTypeVector:
@@ -700,6 +711,15 @@ def bracket_check(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
 
 @dataclass
 class ActionMatrix:
+    """A generator on the truncated module, as dense blocks (ls, lt).
+
+    The labels of one l are contiguous and ordered m1-major, then m2, as
+    `series.basis` lists them, so the block (ls, lt) maps the ls labels to
+    the lt labels.  `to_json` gives the document as Python objects;
+    `json_text` writes the same document without a Python object per zero
+    entry.
+    """
+
     params: SeriesParams
     generator: str
     lmax: int
@@ -710,33 +730,35 @@ class ActionMatrix:
     def label_index(self) -> dict[BasisLabel, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
+    def _label_spans(self) -> dict[int, slice]:
+        """The slice of `labels` that each l occupies."""
+        spans: dict[int, slice] = {}
+        for i, lab in enumerate(self.labels):
+            first = spans[lab.l].start if lab.l in spans else i
+            spans[lab.l] = slice(first, i + 1)
+        return spans
+
     def dense(self) -> np.ndarray:
         n = len(self.labels)
         out = np.zeros((n, n), dtype=complex)
-        pos = {}
-        by_l: dict[int, list[int]] = {}
-        for i, lab in enumerate(self.labels):
-            by_l.setdefault(lab.l, []).append(i)
-            pos[lab] = i
+        spans = self._label_spans()
         for (ls, lt), block in self.blocks.items():
-            rows = by_l.get(lt, [])
-            cols = by_l.get(ls, [])
-            for bi, i in enumerate(rows):
-                for bj, j in enumerate(cols):
-                    out[i, j] = block[bi, bj]
+            if ls in spans and lt in spans:
+                out[spans[lt], spans[ls]] = block
         return out
 
-    def to_json(self) -> dict:
-        by_l: dict[int, list[BasisLabel]] = {}
-        for lab in self.labels:
-            by_l.setdefault(lab.l, []).append(lab)
+    def _document(self, entries) -> dict:
+        """The JSON document, with `entries(block)` as each block's entries."""
+        spans = self._label_spans()
+        by_l = {l: [list(lab) for lab in self.labels[sl]]
+                for l, sl in spans.items()}
         blocks = []
         for (ls, lt), block in sorted(self.blocks.items()):
             blocks.append({
                 "j": lt - ls,
-                "rows": [list(lab) for lab in by_l.get(lt, [])],
-                "cols": [list(lab) for lab in by_l.get(ls, [])],
-                "entries": [[z.real, z.imag] for z in block.flatten()],
+                "rows": by_l.get(lt, []),
+                "cols": by_l.get(ls, []),
+                "entries": entries(block),
             })
         lam = [[complex(x).real, complex(x).imag] for x in self.params.lam]
         return {
@@ -751,47 +773,117 @@ class ActionMatrix:
             "blocks": blocks,
         }
 
+    def to_json(self) -> dict:
+        return self._document(
+            lambda block: [[z.real, z.imag] for z in block.flatten()])
+
+    def json_text(self) -> str:
+        """Exactly json.dumps(self.to_json(), sort_keys=True).
+
+        Each block's entries array is written apart and spliced into a
+        json.dumps of the rest of the document.  An entry that is +0 in
+        both parts is the shared string "[0.0, 0.0]"; only the others are
+        formatted, with float.__repr__ as json formats a finite float.  A
+        block holding a NaN or an infinity is written by json itself.
+        """
+        import json
+
+        head, *tails = json.dumps(self._document(lambda block: []),
+                                  sort_keys=True).split('"entries": []')
+        texts = [_entries_text(block) for _, block in sorted(self.blocks.items())]
+        return head + "".join(f'"entries": [{text}]{tail}'
+                              for text, tail in zip(texts, tails))
+
+
+def _entries_text(block: np.ndarray) -> str:
+    """The items of json.dumps([[z.real, z.imag] for z in block.flatten()])."""
+    flat = block.ravel()
+    written = np.flatnonzero((flat != 0) | np.signbit(flat.real)
+                             | np.signbit(flat.imag))
+    vals = flat[written]
+    if not np.isfinite(vals).all():
+        import json
+
+        return json.dumps([[z.real, z.imag] for z in flat])[1:-1]
+    items = ["[0.0, 0.0]"] * flat.size
+    for i, re, im in zip(written.tolist(), vals.real.tolist(), vals.imag.tolist()):
+        items[i] = f"[{re!r}, {im!r}]"
+    return ", ".join(items)
+
 
 def assemble_matrix(params: SeriesParams, generator: str,
                     lmax: int) -> ActionMatrix:
     """Block-sparse matrix of a generator on the truncated module.
 
-    Blocks mapping above lmax are recorded as truncated, never silently
-    dropped, so structure analysis can tell zeros from window artifacts.
+    Every block is a Kronecker product over the labels' (m1, m2) order.
+    The block (l, l+j) of Z_n is A (x) Q: A is the mult(l+j) x mult(l)
+    matrix of folded U_j amplitudes A[t, m1] (`_folded_amplitudes`), and
+    Q the (2(l+j)+1) x (2l+1) shift matrix Q[m2+n, m2] = q(n,j,l,m2).  The
+    block (l, l) of Y_i is the identity on the m1 rows (x) the matrix of
+    `right_derivative_Y` on D^l_{.,m2}.  Each entry is the one product
+    amp * q, as act_Z_on_basis computes it; adding +0.0 turns the -0.0 of
+    a negative factor times a zero into +0.0, so the blocks are bitwise
+    those of the per-label sum.  A block exists where some entry is
+    reached; a zero block is never stored.
+
+    Targets above lmax are recorded as truncated, one (source label, l+j)
+    per dropped entry in the order act_Z_on_basis lists them, never
+    silently dropped, so structure analysis can tell zeros from window
+    artifacts.
     """
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
-    lam = tuple(complex(x) for x in params.lam)
-    labels: list[BasisLabel] = []
-    for l in range(lmax + 1):
-        labels.extend(basis(params, l))
-    index_within: dict[int, dict[BasisLabel, int]] = {}
-    for lab in labels:
-        d = index_within.setdefault(lab.l, {})
-        d[lab] = len(d)
+    if generator not in Y_TAGS and generator not in Z_TAGS:
+        raise ValueError(f"unsupported generator tag {generator!r}")
+    by_l = [basis(params, l) for l in range(lmax + 1)]
+    labels = [lab for labs in by_l for lab in labs]
+    m1s = [[lab.m1 for lab in labs[::2 * l + 1]] for l, labs in enumerate(by_l)]
     blocks: dict[tuple[int, int], np.ndarray] = {}
     truncated: list[tuple[BasisLabel, int]] = []
+    if generator in Y_TAGS:
+        for l in range(lmax + 1):
+            y = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
+            for m2 in range(-l, l + 1):
+                vec = right_derivative_Y(Y_TAGS[generator], WignerIndex(l, 0, m2))
+                for target, c in vec.items():
+                    y[target.m2 + l, m2 + l] = c
+            if m1s[l] and y.any():
+                blocks[(l, l)] = np.kron(np.eye(len(m1s[l])), y) + 0.0
+        return ActionMatrix(params, generator, lmax, labels, blocks, truncated)
 
-    def ensure_block(ls: int, lt: int) -> np.ndarray:
-        key = (ls, lt)
-        if key not in blocks:
-            blocks[key] = np.zeros((len(index_within.get(lt, {})),
-                                    len(index_within.get(ls, {}))), dtype=complex)
-        return blocks[key]
-
-    for lab in labels:
-        if generator in Y_TAGS:
-            vec = right_derivative_Y(Y_TAGS[generator], WignerIndex(*lab))
-        elif generator in Z_TAGS:
-            vec = act_Z_on_basis(Z_TAGS[generator], lab, params, lam)
-        else:
-            raise ValueError(f"unsupported generator tag {generator!r}")
-        col = index_within[lab.l][lab]
-        for target, c in vec.items():
-            if target.l > lmax:
-                truncated.append((lab, target.l))
+    n = Z_TAGS[generator]
+    delta = tuple(params.delta)
+    mode, key = _lam_key(tuple(complex(x) for x in params.lam))
+    for l in range(lmax + 1):
+        if not m1s[l]:
+            continue
+        couplings = [_couplings(n, l, m2, mode) for m2 in range(-l, l + 1)]
+        shifts: dict[int, np.ndarray] = {}
+        for m2, pairs in enumerate(couplings, start=-l):
+            for j, qn in pairs:
+                if j not in shifts:
+                    shifts[j] = np.zeros((2 * (l + j) + 1, 2 * l + 1))
+                shifts[j][m2 + n + l + j, m2 + l] = qn
+        js = sorted(shifts)
+        amps = {j: [] for j in js}
+        for m1 in m1s[l]:
+            for j in js:
+                amps[j].append(_folded_amplitudes(delta, j, l, m1, mode, key))
+        for j in js:
+            lt = l + j
+            if lt > lmax or not any(amps[j]):
                 continue
-            block = ensure_block(lab.l, target.l)
-            row = index_within[target.l][BasisLabel(*target)]
-            block[row, col] += complex(c)
+            rows = {t: i for i, t in enumerate(m1s[lt])}
+            a = np.zeros((len(rows), len(m1s[l])), dtype=complex)
+            for col, folded in enumerate(amps[j]):
+                for t, amp in folded:
+                    a[rows[t], col] = amp
+            blocks[(l, lt)] = np.kron(a, shifts[j]) + 0.0
+        if l + 2 > lmax:
+            for col, m1 in enumerate(m1s[l]):
+                for m2, pairs in enumerate(couplings, start=-l):
+                    lab = BasisLabel(l, m1, m2)
+                    for j, _ in pairs:
+                        if l + j > lmax:
+                            truncated += [(lab, l + j)] * len(amps[j][col])
     return ActionMatrix(params, generator, lmax, labels, blocks, truncated)

@@ -168,7 +168,7 @@ def _cmd_action(args) -> int:
                          ",".join(_fmt_complex(z) for z in row))
         _emit("\n".join(lines), args.out)
     else:
-        _emit(json.dumps(mat.to_json(), sort_keys=True), args.out)
+        _emit(mat.json_text(), args.out)
     return 0
 
 

@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Union
 RationalLike = Union[int, Fraction]
 
 
-@lru_cache(maxsize=None)
+# k23_subspace_report(31), the largest in-repo use, fills 5,817 entries
+@lru_cache(maxsize=1 << 16)
 def _square_extract(n: int) -> tuple[int, int]:
     """Write n = s^2 * f with f squarefree; return (s, f).  Requires n >= 1."""
     if n <= 0:

@@ -161,10 +161,21 @@ class GroupElement:
 
 
 def character(lam: Sequence[complex], diag: Sequence[float]) -> complex:
-    """a^(1+l1) b^(l2) c^(-1+l3) for positive a, b, c (principal branch)."""
+    """a^(1+l1) b^(l2) c^(-1+l3) for positive a, b, c (principal branch).
+
+    Raises ValueError, naming lam and the diagonal entry, when a power
+    overflows.
+    """
     l1, l2, l3 = _check_lambda(lam)
-    a, b, c = diag
-    return (complex(a) ** (1 + l1)) * (complex(b) ** l2) * (complex(c) ** (-1 + l3))
+    powers = []
+    for name, x, e in zip("abc", diag, (1 + l1, l2, -1 + l3)):
+        try:
+            powers.append(complex(x) ** e)
+        except OverflowError:
+            raise ValueError(
+                f"the character overflows at lambda = ({l1:g}, {l2:g}, {l3:g}): "
+                f"diagonal entry {name} = {x:.6g} raised to {e:g}") from None
+    return powers[0] * powers[1] * powers[2]
 
 
 def extend_wigner(lam: Sequence[complex], idx: WignerIndex,

@@ -1,6 +1,7 @@
 """Tests for the Lie algebra action: exact coefficients, change of basis,
 bracket fidelity, ladder compositions, and matrix assembly."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -575,3 +576,133 @@ def test_action_matrix_json_schema():
     for block in doc["blocks"]:
         assert len(block["entries"]) == len(block["rows"]) * len(block["cols"])
         assert all(len(e) == 2 for e in block["entries"])
+
+
+# ---------------------------------------------------------------------------
+# factored assembly and the JSON writer against the per-entry references
+
+
+def reference_assemble_matrix(params, generator, lmax):
+    """The per-label assembler: one act_Z_on_basis (or right_derivative_Y)
+    call per source label, each entry added into a zero block."""
+    lam = tuple(complex(x) for x in params.lam)
+    labels = [lab for l in range(lmax + 1) for lab in basis(params, l)]
+    index_within = {}
+    for lab in labels:
+        d = index_within.setdefault(lab.l, {})
+        d[lab] = len(d)
+    blocks, truncated = {}, []
+    for lab in labels:
+        if generator in Y_TAGS:
+            vec = right_derivative_Y(Y_TAGS[generator], WignerIndex(*lab))
+        else:
+            vec = act_Z_on_basis(Z_TAGS[generator], lab, params, lam)
+        col = index_within[lab.l][lab]
+        for target, c in vec.items():
+            if target.l > lmax:
+                truncated.append((lab, target.l))
+                continue
+            key = (lab.l, target.l)
+            if key not in blocks:
+                blocks[key] = np.zeros((len(index_within.get(target.l, {})),
+                                        len(index_within[lab.l])), dtype=complex)
+            row = index_within[target.l][BasisLabel(*target)]
+            blocks[key][row, col] += complex(c)
+    return action.ActionMatrix(params, generator, lmax, labels, blocks, truncated)
+
+
+def reference_dense(mat):
+    """The per-entry placement of every block into the full matrix."""
+    n = len(mat.labels)
+    out = np.zeros((n, n), dtype=complex)
+    by_l = {}
+    for i, lab in enumerate(mat.labels):
+        by_l.setdefault(lab.l, []).append(i)
+    for (ls, lt), block in mat.blocks.items():
+        for bi, i in enumerate(by_l.get(lt, [])):
+            for bj, j in enumerate(by_l.get(ls, [])):
+                out[i, j] = block[bi, bj]
+    return out
+
+
+def assert_same_matrix(got, want):
+    assert got.labels == want.labels and got.truncated == want.truncated
+    assert set(got.blocks) == set(want.blocks)
+    for key, block in want.blocks.items():
+        other = got.blocks[key]
+        assert other.dtype == block.dtype and np.array_equal(other, block), key
+        for part in ("real", "imag"):  # zeros carry the same sign
+            assert np.array_equal(np.signbit(getattr(other, part)),
+                                  np.signbit(getattr(block, part))), key
+
+
+@st.composite
+def assembly_parameters(draw):
+    """A rational, real float or complex spectral parameter summing to zero."""
+    kind = draw(st.sampled_from(("rational", "real", "complex")))
+    if kind == "rational":
+        a, b = draw(_small_fractions()), draw(_small_fractions())
+    else:
+        part = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
+        a, b = draw(part), draw(part)
+        if kind == "complex":
+            a, b = complex(a, draw(part)), complex(b, draw(part))
+    return (a, b, -a - b)
+
+
+@given(st.sampled_from(DELTAS), assembly_parameters(), st.integers(0, 6),
+       st.sampled_from(CONVENIENT_BASIS))
+@settings(max_examples=120, deadline=None)
+@example((1, 0, 1), (Fraction(1, 2), Fraction(-1, 2), 0), 6, "Z1")
+@example((0, 1, 0), (0.0, -0.0, 0.0), 3, "Y1")
+def test_factored_assembly_and_writer_match_references(delta, lam, lmax, gen):
+    params = SeriesParams(lam, delta)
+    mat = assemble_matrix(params, gen, lmax)
+    assert_same_matrix(mat, reference_assemble_matrix(params, gen, lmax))
+    assert mat.json_text() == json.dumps(mat.to_json(), sort_keys=True)
+    assert np.array_equal(mat.dense(), reference_dense(mat))
+
+
+def test_assembly_at_a_large_spectral_parameter():
+    # amplitudes near 1e307: finite, and byte-identical to the references
+    lam = (1e307 + 1e307j, -1e307 - 1e307j, 0j)
+    for delta in ((0, 0, 0), (1, 0, 1)):
+        for gen in ("Z-2", "Z0", "Z1", "Y3"):
+            params = SeriesParams(lam, delta)
+            mat = assemble_matrix(params, gen, 4)
+            assert_same_matrix(mat, reference_assemble_matrix(params, gen, 4))
+            text = mat.json_text()
+            assert text == json.dumps(mat.to_json(), sort_keys=True)
+            assert "e+307" in text and "Infinity" not in text
+
+
+def test_assemble_matrix_makes_no_per_label_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("act_Z_on_basis called by assemble_matrix")
+
+    monkeypatch.setattr(action, "act_Z_on_basis", refuse)
+    params = SeriesParams((0.3 + 0.1j, -0.2, -0.1 - 0.1j), (1, 0, 1))
+    assert assemble_matrix(params, "Z1", 5).blocks
+
+
+def test_assemble_matrix_rejects_unknown_generator():
+    # odd parity has no label at l = 0: the tag is refused even with no block to build
+    with pytest.raises(ValueError, match="unsupported generator"):
+        assemble_matrix(SeriesParams((0, 0, 0), (1, 0, 0)), "X1", 0)
+
+
+def test_json_text_writes_signed_zeros_and_non_finite_entries_as_json_does():
+    params = SeriesParams((0, 0, 0), (0, 0, 0))
+    labels = [BasisLabel(0, 0, 0)] + list(basis(params, 2))
+    rows = len(basis(params, 2))
+    block = np.zeros((rows, 1), dtype=complex)
+    block[0, 0] = complex(-0.0, 0.0)
+    block[1, 0] = complex(0.0, -0.0)
+    block[2, 0] = complex(1e-310, -2.5)
+    mat = action.ActionMatrix(params, "Z2", 2, labels, {(0, 2): block.copy()})
+    assert mat.json_text() == json.dumps(mat.to_json(), sort_keys=True)
+    block[3, 0] = complex(float("nan"), float("inf"))
+    mat.blocks[(0, 2)] = block
+    text = mat.json_text()
+    assert text == json.dumps(mat.to_json(), sort_keys=True)
+    assert "[NaN, Infinity]" in text

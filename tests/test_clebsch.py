@@ -112,3 +112,7 @@ def test_cg_product_pointwise():
 def test_cg_product_rejects_wrong_degree():
     with pytest.raises(ValueError):
         cg_product(WignerIndex(1, 0, 0), WignerIndex(3, 0, 0))
+
+
+def test_coefficient_cache_is_bounded():
+    assert q.cache_info().maxsize == 1 << 16

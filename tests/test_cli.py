@@ -107,6 +107,9 @@ def test_usage_errors_exit_2():
     assert run_cli("cg", "--k", "0")[0] == 2
     assert run_cli("no-such-command")[0] == 2
     assert run_cli("series", "--delta", "2,0,0", "--lambda", "0,0")[0] == 2
+    # an unknown generator, also where the window holds no label
+    assert main(["action", "--lambda", "0,0", "--delta", "1,0,0", "--gen", "X1",
+                 "--lmax", "0"]) == 2
 
 
 @pytest.mark.parametrize("preset", ["even-k", "degenerate", "k3", "k23"])
@@ -131,6 +134,26 @@ def test_compose_lmax_zero_exits_2(preset, capsys):
         "action-nan-sum"])
 def test_non_finite_or_overflowing_lambda_exits_2(argv):
     assert main(argv) == 2
+
+
+def test_theorem_main_overflow_names_lambda(capsys):
+    assert main(["verify", "--suite", "theorem-main", "--lambda", "1e5,0",
+                 "--lmax", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "overflows" in err and "100000" in err and "diagonal entry" in err
+
+
+def test_action_json_at_a_large_lambda_is_json_dumps(capsys):
+    from sl3rep.action import assemble_matrix
+    from sl3rep.series import SeriesParams
+
+    assert main(["action", "--lambda=1e307+1e307i,-1e307-1e307i",
+                 "--delta", "1,0,1", "--gen", "Z-1", "--lmax", "5",
+                 "--format", "json"]) == 0
+    lam = (1e307 + 1e307j, -1e307 - 1e307j, 0j)
+    mat = assemble_matrix(SeriesParams(lam, (1, 0, 1)), "Z-1", 5)
+    want = json.dumps(mat.to_json(), sort_keys=True)
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_unvalidated_numeric_ranges_exit_2():

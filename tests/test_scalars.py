@@ -182,3 +182,9 @@ def test_lambda_form_with_gaussian_coefficients():
     assert f.eval((0.5, -0.25, -0.25)) == pytest.approx(0.5 + 1j)
     assert f.eval_exact((1, 0, -1)) == 1 + I
     assert (f * I).eval_exact((1, 0, -1)) == I - 1
+
+
+def test_square_extraction_cache_is_bounded():
+    from sl3rep.scalars import _square_extract
+
+    assert _square_extract.cache_info().maxsize == 1 << 16
