@@ -57,6 +57,23 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
+def _csv_text(mat) -> str:
+    """The dense matrix as CSV; every entry that is +0 in both parts is the
+    one string _fmt_complex gives it, "0+0i", and only the others are
+    formatted."""
+    dense = mat.dense()
+    zero = ((dense.real == 0) & ~np.signbit(dense.real)
+            & (dense.imag == 0) & ~np.signbit(dense.imag))
+    names = [f"v({lab.l};{lab.m1};{lab.m2})" for lab in mat.labels]
+    lines = ["," + ",".join(names)]
+    for name, row, row_zero in zip(names, dense, zero):
+        cells = ["0+0i"] * len(row)
+        for i in np.flatnonzero(~row_zero):
+            cells[i] = _fmt_complex(row[i])
+        lines.append(name + "," + ",".join(cells))
+    return "\n".join(lines)
+
+
 def _pretty_radical(r) -> str:
     if r.is_zero():
         return "0"
@@ -159,16 +176,7 @@ def _cmd_action(args) -> int:
 
     params = SeriesParams(args.lam, args.delta)
     mat = assemble_matrix(params, args.gen, args.lmax)
-    if args.format == "csv":
-        dense = mat.dense()
-        lines = ["," + ",".join(f"v({lab.l};{lab.m1};{lab.m2})"
-                                for lab in mat.labels)]
-        for lab, row in zip(mat.labels, dense):
-            lines.append(f"v({lab.l};{lab.m1};{lab.m2})," +
-                         ",".join(_fmt_complex(z) for z in row))
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(mat.json_text(), args.out)
+    _emit(_csv_text(mat) if args.format == "csv" else mat.json_text(), args.out)
     return 0
 
 
@@ -184,10 +192,8 @@ def _cmd_compose(args) -> int:
         report = structure.degenerate_series_report(args.s, lmax)
     elif args.preset == "k3":
         report = structure.k3_chain_report(lmax)
-    elif args.preset == "k23":
-        report = structure.k23_subspace_report(lmax)
     else:
-        raise argparse.ArgumentTypeError(f"unknown preset {args.preset}")
+        report = structure.k23_subspace_report(lmax)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), sort_keys=True, default=str),
               args.out)
@@ -258,7 +264,7 @@ def _cmd_verify(args) -> int:
         report = {"suite": "diffops", "lmax": args.lmax, "seed": args.seed,
                   "max_deviation": max_dev}
         tol = 1e-5
-    elif args.suite == "sl2":
+    else:  # sl2
         rng = np.random.default_rng(args.seed)
         ladder_dev = 0.0
         maass_dev = 0.0
@@ -278,8 +284,6 @@ def _cmd_verify(args) -> int:
                   "maass_deviation": float(maass_dev),
                   "max_deviation": max(ladder_dev / 1e-8, maass_dev / 1e-5)}
         tol = 1.0
-    else:
-        raise argparse.ArgumentTypeError(f"unknown suite {args.suite}")
     passed = bool(report["max_deviation"] < tol)
     report["max_deviation"] = float(report["max_deviation"])
     report["tolerance"] = tol
@@ -299,24 +303,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "series of SL(3,R)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("table", "json", "csv"),
-                        default="table")
+    def common(sp, formats=()):
+        if formats:
+            sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=0)
 
     w = sub.add_parser("wigner", help="evaluate a Wigner function")
     for name in ("l", "m1", "m2"):
         w.add_argument(f"--{name}", type=int, required=True)
     for name in ("alpha", "beta", "gamma"):
         w.add_argument(f"--{name}", type=float, required=True)
-    common(w)
+    common(w, ("table", "json"))
     w.set_defaults(func=_cmd_wigner)
 
     c = sub.add_parser("cg", help="exact coupling coefficient")
     for name in ("k", "j", "l", "m"):
         c.add_argument(f"--{name}", type=int, required=True)
-    common(c)
+    common(c, ("table", "json"))
     c.set_defaults(func=_cmd_cg)
 
     s2 = sub.add_parser("sl2", help="SL(2,R) ladder and composition series")
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     s2.add_argument("--nu", type=_parse_scalar, required=True)
     s2.add_argument("--eps", type=int, default=0, choices=(0, 1))
     s2.add_argument("--l", type=int, default=0)
-    common(s2)
+    common(s2, ("table", "json"))
     s2.set_defaults(func=_cmd_sl2)
 
     se = sub.add_parser("series", help="basis labels and multiplicities")
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--delta", type=_parse_delta, required=True)
     a.add_argument("--gen", required=True)
     a.add_argument("--lmax", type=int, default=8)
-    common(a)
+    common(a, ("json", "csv"))
     a.set_defaults(func=_cmd_action)
 
     co = sub.add_parser("compose", help="composition-series reports")
@@ -349,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--k", type=int, default=2)
     co.add_argument("--s", type=_parse_scalar, default=Fraction(1, 4))
     co.add_argument("--lmax", type=int, default=None)
-    common(co)
+    common(co, ("table", "json"))
     co.set_defaults(func=_cmd_compose)
 
     v = sub.add_parser("verify", help="numerical oracle suites")
@@ -359,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--lmax", type=int, default=3)
     v.add_argument("--samples", type=int, default=5)
     v.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
+    v.add_argument("--seed", type=int, default=0)
     common(v)
     v.set_defaults(func=_cmd_verify)
     return p

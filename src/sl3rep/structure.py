@@ -1,12 +1,16 @@
 """Invariant-subspace detection and composition-series reports.
 
 A subspace here is a span of symmetrized basis vectors selected by a
-predicate on labels.  Invariance is decided in exact arithmetic: a span is
-closed under the Lie algebra iff every exact output coefficient of every
-generator that lands outside the span is zero.  Certificates explain each
-blocked boundary transition by the exact factor responsible: a vanishing
-Lambda factor, a vanishing coupling coefficient, or a radical cancellation
-between the two Wigner components of a folded basis vector.
+predicate on labels.  Invariance is decided in exact arithmetic on the
+skeleton: by pi(Z_n) v_{l,m1,m2} = sum_j q(n,j,l,m2) U_j v_{l,m1,.}, the
+coefficient of v_{l+j,t,m2+n} is q(n,j,l,m2) times a folded amplitude
+A(j, l, m1 -> t) free of n and m2, and the skeleton is the directed graph
+on (l, m1) rows with an edge (l, m1) -> (l+j, t) wherever A != 0.  Leakage
+is the edges into labels outside the span, under a nonzero q; connectivity
+is reachability along the edges; and each boundary transition that is no
+edge gets a certificate naming the exact factor that vanishes: a Lambda
+factor, a coupling coefficient, or a radical cancellation between the two
+Wigner components of a folded basis vector.
 
 The reports never claim irreducibility; they state invariance plus
 reachability-connectedness of the label graph up to the window, and take
@@ -17,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
-from .action import (C_FACTORS, act_U, act_Z_on_basis, label_components,
-                     lambda_factor)
+from .action import (_couplings, _folded_amplitudes, act_U, act_Z_on_basis,
+                     label_components, lambda_factor)
 from .clebsch import q
 from .errors import VerificationError
 from .scalars import RadicalScalar, ZERO
@@ -53,49 +57,36 @@ class InvarianceResult:
 
 
 def _boundary_reason(params: SeriesParams, l: int, m1: int, j: int,
-                     target_m1: int) -> dict | None:
-    """Classify why the folded transition (l, m1) -> (l+j, target_m1) dies.
+                     target_m1: int) -> dict:
+    """Name the vanishing factor of a transition (l, m1) -> (l+j, target_m1).
 
-    Returns None when the exact folded amplitude is nonzero (real leakage).
-    The amplitude shared by every (n, m2) is
-
-        sum over components  weight * c_k * q(k, j, l, src) * Lam^(k)(lam, l, src)
-
-    over component sources src in {m1, -m1} and shifts k with |src + k| =
-    target_m1.
+    Called only for transitions that are no skeleton edge: their folded
+    amplitude, the sum over components src in {m1, -m1} and k = target_m1
+    - src of weight * c_k * q(k, j, l, src) * Lam^(k)(lam, l, src), is zero.
+    If a term has both factors nonzero, the terms cancel between the folded
+    components; otherwise a Lambda factor or a q vanishes.
     """
-    lam = params.lam
     contributions = []
-    for src, w in label_components(params.delta, l, m1):
-        for k in (-2, 0, 2):
-            # contributions to the D_{+target_m1} component only; the
-            # D_{-target_m1} component is pinned to it by the fold sign
-            if src + k != target_m1 or target_m1 > l + j:
-                continue
-            qk = q(k, j, l, src)
-            lamval = lambda_factor(k, j, l, src).eval_exact(lam)
-            contributions.append((src, k, w, qk, lamval))
+    for src, _w in label_components(params.delta, l, m1):
+        k = target_m1 - src
+        if k in (-2, 0, 2) and target_m1 <= l + j:
+            contributions.append(
+                (src, k, q(k, j, l, src),
+                 lambda_factor(k, j, l, src).eval_exact(params.lam)))
     if not contributions:
         return {"reason": "out-of-range", "detail": "no coupling path"}
-    nonzero = [(src, k, w, qk, lv) for src, k, w, qk, lv in contributions
+    nonzero = [(src, k) for src, k, qk, lv in contributions
                if not qk.is_zero() and not lv.is_zero()]
-    if not nonzero:
-        src, k, w, qk, lv = contributions[0]
-        for src, k, w, qk, lv in contributions:
-            if lv.is_zero():
-                return {"reason": "lambda-zero",
-                        "detail": f"Lambda^({k})(lam, {l}, {src}) = 0"}
-        return {"reason": "q-zero",
-                "detail": f"q({contributions[0][1]}, {j}, {l}, "
-                          f"{contributions[0][0]}) = 0"}
-    total = ZERO
-    for src, k, w, qk, lv in nonzero:
-        total = total + (C_FACTORS[k] * qk * lv) * w
-    if total.is_zero():
-        paths = ", ".join(f"(src m1 = {src}, shift {k})" for src, k, *_ in nonzero)
+    if nonzero:
+        paths = ", ".join(f"(src m1 = {src}, shift {k})" for src, k in nonzero)
         return {"reason": "folded-cancellation",
                 "detail": f"radical cancellation between {paths}"}
-    return None
+    for src, k, qk, lv in contributions:
+        if lv.is_zero():
+            return {"reason": "lambda-zero",
+                    "detail": f"Lambda^({k})(lam, {l}, {src}) = 0"}
+    src, k = contributions[0][:2]
+    return {"reason": "q-zero", "detail": f"q({k}, {j}, {l}, {src}) = 0"}
 
 
 def verify_invariant(spec: SubspaceSpec, lmax: int,
@@ -103,18 +94,22 @@ def verify_invariant(spec: SubspaceSpec, lmax: int,
     """Exact closure check of a span under all Z and Y generators.
 
     Interior labels (l <= lmax - 2) are checked so no conclusion rests on
-    window truncation.  Every exact output term landing outside the span
-    is leakage; blocked boundary transitions get a vanishing-factor
-    certificate.  Invariant spans are re-evaluated numerically (float
-    coefficient path) as an independent soundness check.
+    window truncation.  One pass over the interior (l, m1) rows reads each
+    row's exact folded U_j amplitudes once per j: its skeleton edges.  An
+    edge into a label outside the span under a nonzero q(n,j,l,m2) is
+    leakage, with coefficient q * amplitude; a boundary transition is
+    certified as "leakage" if it is an edge and by `_boundary_reason`
+    otherwise; connectivity is read from the same edges.  Invariant spans
+    are re-evaluated on the float path as an independent soundness check.
     """
     if lmax < 2:
         raise ValueError("lmax must be at least 2")
-    if not spec.params.exact:
+    params = spec.params
+    if not params.exact:
         raise ValueError("invariance certification needs a rational "
                          "spectral parameter")
     result = InvarianceResult(invariant=True)
-    interior = [lab for lab in spec.labels(lmax - 2)]
+    interior = spec.labels(lmax - 2)
     result.checked_labels = len(interior)
     # The Y generators act within a fixed (l, m1) pair, so any predicate on
     # labels that admits one m2 admits the whole row; still verify that the
@@ -126,58 +121,54 @@ def verify_invariant(spec: SubspaceSpec, lmax: int,
                 result.leakage.append({"label": list(lab), "generator": "Y",
                                        "target": [lab.l, lab.m1, m2],
                                        "coefficient": "ladder"})
-    seen_boundaries: set[tuple] = set()
+    rows: dict[tuple, list[BasisLabel]] = {}
     for lab in interior:
-        for n in range(-2, 3):
-            out = act_Z_on_basis(n, lab, spec.params)
-            for target, c in out.items():
-                if spec.predicate(BasisLabel(*target)):
-                    continue
-                result.invariant = False
-                result.leakage.append({
-                    "label": list(lab), "generator": f"Z{n}",
-                    "target": list(target), "coefficient": repr(c)})
-    # certificates for the blocked transitions on the (l, m1) skeleton, from
-    # the minimal m2 of each row: the first one met, as interior is sorted
-    # by (l, m1, m2)
-    seen_rows: set[tuple[int, int]] = set()
-    for lab in interior:
-        if lab[:2] in seen_rows:
-            continue
-        seen_rows.add(lab[:2])
-        l, m1 = lab.l, lab.m1
-        for j in range(-2, 3):
+        rows.setdefault(lab[:2], []).append(lab)
+    delta, lam = tuple(params.delta), tuple(params.lam)
+    edges: dict[tuple, set[tuple]] = {}
+    for (l, m1), labs in rows.items():
+        folds = {j: dict(_folded_amplitudes(delta, j, l, m1, "exact", lam))
+                 for j in range(-2, 3) if l + j >= 0}
+        edges[(l, m1)] = {(l + j, t) for j, fold in folds.items() for t in fold}
+        for lab in labs:
+            for n in range(-2, 3):
+                for j, qn in _couplings(n, l, lab.m2, "exact"):
+                    for t, amp in folds[j].items():
+                        target = BasisLabel(l + j, t, lab.m2 + n)
+                        if spec.predicate(target):
+                            continue
+                        result.invariant = False
+                        result.leakage.append({
+                            "label": list(lab), "generator": f"Z{n}",
+                            "target": list(target), "coefficient": repr(amp * qn)})
+        # boundary transitions are probed at the row's minimal m2: the first
+        # label of the row, as interior is sorted by (l, m1, m2)
+        m2 = labs[0].m2
+        for j, fold in folds.items():
             lt = l + j
-            if lt < 0:
-                continue
             for target_m1 in {abs(m1 - 2), m1, abs(m1 + 2)}:
                 if target_m1 > lt:
                     continue
-                probe = BasisLabel(lt, target_m1, min(lt, max(-lt, lab.m2)))
-                if spec.predicate(probe) or not label_valid(spec.params.delta, probe):
+                probe = BasisLabel(lt, target_m1, min(lt, max(-lt, m2)))
+                if spec.predicate(probe) or not label_valid(delta, probe):
                     continue
-                key = (l, m1, j, target_m1)
-                if key in seen_boundaries:
-                    continue
-                seen_boundaries.add(key)
-                reason = _boundary_reason(spec.params, l, m1, j, target_m1)
                 entry = {"from": [l, m1], "to": [lt, target_m1], "j": j}
-                if reason is None:
+                if target_m1 in fold:
                     entry.update({"reason": "leakage",
                                   "detail": "nonzero folded amplitude"})
                 else:
-                    entry.update(reason)
+                    entry.update(_boundary_reason(params, l, m1, j, target_m1))
                 result.certificates.append(entry)
-    result.connected = _connected(spec, lmax)
+    result.connected = _connected(spec, lmax, edges)
     if result.invariant and numeric_rechecks:
-        _numeric_recheck(spec, lmax, numeric_rechecks)
+        _numeric_recheck(spec, interior, numeric_rechecks)
     return result
 
 
-def _numeric_recheck(spec: SubspaceSpec, lmax: int, rounds: int,
-                     tol: float = 1e-10) -> None:
+def _numeric_recheck(spec: SubspaceSpec, labels: list[BasisLabel],
+                     rounds: int, tol: float = 1e-10) -> None:
+    """Float re-evaluation of sampled labels, independent of the skeleton."""
     lam_num = tuple(complex(x) for x in spec.params.lam)
-    labels = spec.labels(lmax - 2)
     stride = max(1, len(labels) // (20 * rounds))
     for r in range(rounds):
         for lab in labels[r::stride][:20]:
@@ -189,25 +180,18 @@ def _numeric_recheck(spec: SubspaceSpec, lmax: int, rounds: int,
                             f"numeric recheck found leakage {lab} -> {target}")
 
 
-def _connected(spec: SubspaceSpec, lmax: int) -> bool:
-    """Reachability of the (l, m1) skeleton under nonzero exact transitions."""
+def _connected(spec: SubspaceSpec, lmax: int, edges: dict) -> bool:
+    """Reachability of the span's (l, m1) rows along undirected skeleton edges."""
     nodes = sorted({(lab.l, lab.m1) for lab in spec.labels(lmax)})
     if not nodes:
         return True
     node_set = set(nodes)
     adj: dict[tuple, set] = {v: set() for v in nodes}
-    for (l, m1) in nodes:
-        if l > lmax - 2:
-            continue
-        for j in range(-2, 3):
-            lt = l + j
-            for target_m1 in {abs(m1 - 2), m1, abs(m1 + 2)}:
-                t = (lt, target_m1)
-                if t not in node_set or t == (l, m1):
-                    continue
-                if _boundary_reason(spec.params, l, m1, j, target_m1) is None:
-                    adj[(l, m1)].add(t)
-                    adj[t].add((l, m1))
+    for v, targets in edges.items():
+        for t in targets:
+            if t in node_set and t != v:
+                adj[v].add(t)
+                adj[t].add(v)
     seen = {nodes[0]}
     stack = [nodes[0]]
     while stack:

@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sl3rep
-from sl3rep import VerificationError, structure
-from sl3rep.cli import main
+from sl3rep import VerificationError, action, structure
+from sl3rep.cli import _csv_text, _fmt_complex, main
+from sl3rep.series import BasisLabel, SeriesParams, basis
 
 
 def run_cli(*argv):
@@ -86,6 +88,41 @@ def test_action_csv():
     assert out.splitlines()[0].startswith(",v(0;0;0)")
 
 
+def reference_csv_text(mat) -> str:
+    """The CSV writer entry by entry, zeros included."""
+    lines = ["," + ",".join(f"v({lab.l};{lab.m1};{lab.m2})" for lab in mat.labels)]
+    for lab, row in zip(mat.labels, mat.dense()):
+        lines.append(f"v({lab.l};{lab.m1};{lab.m2})," +
+                     ",".join(_fmt_complex(z) for z in row))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("lam,delta,gen", [
+    ((0.3 + 0.1j, -0.2, -0.1 - 0.1j), (1, 0, 1), "Z1"),
+    ((0.5, -0.5, 0.0), (0, 0, 0), "Z-2"),
+    ((0.0, -0.0, 0.0), (0, 1, 0), "Y1"),
+])
+def test_csv_matches_per_entry_writer(lam, delta, gen):
+    mat = action.assemble_matrix(SeriesParams(lam, delta), gen, 5)
+    assert _csv_text(mat) == reference_csv_text(mat)
+
+
+def test_csv_writes_signed_zeros_and_non_finite_entries_per_entry():
+    params = SeriesParams((0, 0, 0), (0, 0, 0))
+    labels = [BasisLabel(0, 0, 0)] + list(basis(params, 2))
+    block = np.zeros((len(labels) - 1, 1), dtype=complex)
+    block[0, 0] = complex(-0.0, 0.0)
+    block[1, 0] = complex(0.0, -0.0)
+    block[2, 0] = complex(-0.0, -0.0)
+    block[3, 0] = complex(float("nan"), 0.0)
+    block[4, 0] = complex(0.0, float("-inf"))
+    block[5, 0] = complex(1e-310, -2.5)
+    mat = action.ActionMatrix(params, "Z2", 2, labels, {(0, 2): block})
+    text = _csv_text(mat)
+    assert text == reference_csv_text(mat)
+    assert "-0+0i" in text and "0-0i" in text and "nan+0i" in text
+
+
 def test_compose_preset_exit_code():
     code, out, _ = run_cli("compose", "--preset", "degenerate", "--s", "1/4",
                            "--lmax", "6", "--format", "json")
@@ -110,6 +147,36 @@ def test_usage_errors_exit_2():
     # an unknown generator, also where the window holds no label
     assert main(["action", "--lambda", "0,0", "--delta", "1,0,0", "--gen", "X1",
                  "--lmax", "0"]) == 2
+
+
+WIGNER = ["wigner", "--l", "1", "--m1", "0", "--m2", "0", "--alpha", "0",
+          "--beta", "1", "--gamma", "0"]
+CG = ["cg", "--k", "0", "--j", "0", "--l", "1", "--m", "1"]
+SL2 = ["sl2", "compose", "--nu", "1/3"]
+SERIES = ["series", "--delta", "0,0,0", "--lmax", "1"]
+ACTION = ["action", "--lambda", "0,0", "--delta", "0,0,0", "--gen", "Y1",
+          "--lmax", "1"]
+COMPOSE = ["compose", "--preset", "degenerate", "--lmax", "4"]
+VERIFY = ["verify", "--suite", "cg", "--lmax", "1", "--samples", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    *[cmd + ["--seed", "1"] for cmd in (WIGNER, CG, SL2, SERIES, ACTION, COMPOSE)],
+    SERIES + ["--format", "json"], VERIFY + ["--format", "json"],
+    *[cmd + ["--format", "csv"] for cmd in (WIGNER, CG, SL2, COMPOSE)],
+    ACTION + ["--format", "table"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_options_a_command_does_not_read_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_bare_action_prints_json(capsys):
+    assert main(ACTION) == 0
+    bare = capsys.readouterr().out
+    assert main(ACTION + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == bare
+    assert json.loads(bare)["metadata"]["generator"] == "Y1"
 
 
 @pytest.mark.parametrize("preset", ["even-k", "degenerate", "k3", "k23"])

@@ -3,11 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sl3rep.series import BasisLabel, SeriesParams, basis, multiplicity
-from sl3rep.structure import (SubspaceSpec, degenerate_series_report,
-                              even_k_report, k3_chain_report,
-                              k23_subspace_report, verify_invariant)
+from sl3rep import VerificationError, action, structure
+from sl3rep.action import (C_FACTORS, act_Z_on_basis, label_components,
+                           lambda_factor)
+from sl3rep.clebsch import q
+from sl3rep.scalars import ZERO
+from sl3rep.series import (BasisLabel, SeriesParams, basis, label_valid,
+                           multiplicity)
+from sl3rep.structure import (InvarianceResult, SubspaceSpec,
+                              degenerate_series_report, even_k_report,
+                              k3_chain_report, k23_subspace_report,
+                              verify_invariant)
 
 
 def test_whole_module_is_invariant():
@@ -123,3 +132,222 @@ def test_certificates_name_reasons():
     assert reasons <= {"lambda-zero", "q-zero", "folded-cancellation",
                        "out-of-range"}
     assert "lambda-zero" in reasons
+
+
+# ---------------------------------------------------------------------------
+# The per-(label, n) decision, kept as the reference for verify_invariant
+
+
+def reference_boundary_reason(params, l, m1, j, target_m1):
+    """Classify the folded transition (l, m1) -> (l+j, target_m1) from its
+    own sum of c_k q Lam over the Wigner components; None if it is nonzero."""
+    lam = params.lam
+    contributions = []
+    for src, w in label_components(params.delta, l, m1):
+        for k in (-2, 0, 2):
+            if src + k != target_m1 or target_m1 > l + j:
+                continue
+            qk = q(k, j, l, src)
+            lamval = lambda_factor(k, j, l, src).eval_exact(lam)
+            contributions.append((src, k, w, qk, lamval))
+    if not contributions:
+        return {"reason": "out-of-range", "detail": "no coupling path"}
+    nonzero = [(src, k, w, qk, lv) for src, k, w, qk, lv in contributions
+               if not qk.is_zero() and not lv.is_zero()]
+    if not nonzero:
+        for src, k, w, qk, lv in contributions:
+            if lv.is_zero():
+                return {"reason": "lambda-zero",
+                        "detail": f"Lambda^({k})(lam, {l}, {src}) = 0"}
+        return {"reason": "q-zero",
+                "detail": f"q({contributions[0][1]}, {j}, {l}, "
+                          f"{contributions[0][0]}) = 0"}
+    total = ZERO
+    for src, k, w, qk, lv in nonzero:
+        total = total + (C_FACTORS[k] * qk * lv) * w
+    if total.is_zero():
+        paths = ", ".join(f"(src m1 = {src}, shift {k})" for src, k, *_ in nonzero)
+        return {"reason": "folded-cancellation",
+                "detail": f"radical cancellation between {paths}"}
+    return None
+
+
+def reference_connected(spec, lmax):
+    nodes = sorted({(lab.l, lab.m1) for lab in spec.labels(lmax)})
+    if not nodes:
+        return True
+    node_set = set(nodes)
+    adj = {v: set() for v in nodes}
+    for (l, m1) in nodes:
+        if l > lmax - 2:
+            continue
+        for j in range(-2, 3):
+            for target_m1 in {abs(m1 - 2), m1, abs(m1 + 2)}:
+                t = (l + j, target_m1)
+                if t not in node_set or t == (l, m1):
+                    continue
+                if reference_boundary_reason(spec.params, l, m1, j, target_m1) is None:
+                    adj[(l, m1)].add(t)
+                    adj[t].add((l, m1))
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(node_set)
+
+
+def reference_verify_invariant(spec, lmax):
+    """verify_invariant label by label: act_Z_on_basis once per (label, n),
+    certificates and connectivity from reference_boundary_reason.  It does
+    not run the numeric recheck."""
+    result = InvarianceResult(invariant=True)
+    interior = spec.labels(lmax - 2)
+    result.checked_labels = len(interior)
+    for lab in interior:
+        for m2 in (lab.m2 - 1, lab.m2 + 1):
+            if abs(m2) <= lab.l and not spec.predicate(BasisLabel(lab.l, lab.m1, m2)):
+                result.invariant = False
+                result.leakage.append({"label": list(lab), "generator": "Y",
+                                       "target": [lab.l, lab.m1, m2],
+                                       "coefficient": "ladder"})
+    for lab in interior:
+        for n in range(-2, 3):
+            for target, c in act_Z_on_basis(n, lab, spec.params).items():
+                if spec.predicate(BasisLabel(*target)):
+                    continue
+                result.invariant = False
+                result.leakage.append({
+                    "label": list(lab), "generator": f"Z{n}",
+                    "target": list(target), "coefficient": repr(c)})
+    seen_rows = set()
+    for lab in interior:
+        if lab[:2] in seen_rows:
+            continue
+        seen_rows.add(lab[:2])
+        l, m1 = lab.l, lab.m1
+        for j in range(-2, 3):
+            lt = l + j
+            if lt < 0:
+                continue
+            for target_m1 in {abs(m1 - 2), m1, abs(m1 + 2)}:
+                if target_m1 > lt:
+                    continue
+                probe = BasisLabel(lt, target_m1, min(lt, max(-lt, lab.m2)))
+                if spec.predicate(probe) or not label_valid(spec.params.delta, probe):
+                    continue
+                reason = reference_boundary_reason(spec.params, l, m1, j, target_m1)
+                entry = {"from": [l, m1], "to": [lt, target_m1], "j": j}
+                entry.update(reason or {"reason": "leakage",
+                                        "detail": "nonzero folded amplitude"})
+                result.certificates.append(entry)
+    result.connected = reference_connected(spec, lmax)
+    return result
+
+
+DELTAS = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+          (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+
+# predicates on a label and a cut c; the last two are not m2-saturated
+PREDICATES = {
+    "all": lambda lab, c: True,
+    "m1 >= c": lambda lab, c: lab.m1 >= c,
+    "m1 < c": lambda lab, c: lab.m1 < c,
+    "m1 = c": lambda lab, c: lab.m1 == c,
+    "m1 = c, l odd": lambda lab, c: lab.m1 == c and lab.l % 2 == 1,
+    "l <= c": lambda lab, c: lab.l <= c,
+    "m2 >= c - 4": lambda lab, c: lab.m2 >= c - 4,
+    "m1 >= c or m2 = 0": lambda lab, c: lab.m1 >= c or lab.m2 == 0,
+}
+
+
+@st.composite
+def spectral_parameters(draw):
+    """A generic rational lambda, or (h, -h, 0) with h a half-integer, where
+    Lambda^(-2) or Lambda^(2) vanishes on the row m1 = |2h| + 1."""
+    if draw(st.booleans()):
+        h = Fraction(draw(st.integers(-10, 10)), 2)
+        return (h, -h, Fraction(0))
+    part = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    a, b = draw(part), draw(part)
+    return (a, b, -a - b)
+
+
+def assert_same_result(got, want):
+    assert (got.invariant, got.checked_labels, got.connected) == \
+        (want.invariant, want.checked_labels, want.connected)
+    assert got.leakage == want.leakage
+    assert got.certificates == want.certificates
+
+
+@given(st.sampled_from(DELTAS), spectral_parameters(), st.integers(3, 9),
+       st.sampled_from(sorted(PREDICATES)), st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+# the invariant V1_odd of the k = 3 chain, with folded cancellations
+@example((1, 0, 1), (Fraction(-1), Fraction(1), Fraction(0)), 8, "m1 = c, l odd", 1)
+# the invariant V_A of the even-k pair at k = 2, and its leaking complement
+@example((0, 0, 0), (Fraction(1, 2), Fraction(-1, 2), Fraction(0)), 8, "m1 >= c", 2)
+@example((0, 0, 0), (Fraction(1, 2), Fraction(-1, 2), Fraction(0)), 8, "m1 < c", 2)
+# a span that is not m2-saturated
+@example((1, 1, 1), (Fraction(1, 3), Fraction(0), Fraction(-1, 3)), 5, "m2 >= c - 4", 4)
+def test_skeleton_pass_matches_per_label_reference(delta, lam, lmax, kind, cut):
+    pred = PREDICATES[kind]
+    spec = SubspaceSpec(kind, SeriesParams(lam, delta), lambda lab: pred(lab, cut))
+    assert_same_result(verify_invariant(spec, lmax),
+                       reference_verify_invariant(spec, lmax))
+
+
+def test_verify_invariant_reads_only_the_skeleton_at_exact_lambda(monkeypatch):
+    # no act_Z_on_basis call at an exact lambda (the numeric recheck makes
+    # float ones), and _boundary_reason only for transitions with no edge
+    real_act, real_reason = structure.act_Z_on_basis, structure._boundary_reason
+    reasons = []
+
+    def float_only(n, label, params, lam="from-params"):
+        if lam == "from-params" or not isinstance(lam[0], complex):
+            raise AssertionError("act_Z_on_basis called at an exact lambda")
+        return real_act(n, label, params, lam)
+
+    def recording_reason(params, l, m1, j, target_m1):
+        fold = action._folded_amplitudes(tuple(params.delta), j, l, m1, "exact",
+                                         tuple(params.lam))
+        assert target_m1 not in dict(fold)
+        reasons.append((l, m1, j, target_m1))
+        return real_reason(params, l, m1, j, target_m1)
+
+    monkeypatch.setattr(structure, "act_Z_on_basis", float_only)
+    monkeypatch.setattr(action, "act_Z_on_basis", float_only)
+    monkeypatch.setattr(structure, "_boundary_reason", recording_reason)
+    params = SeriesParams((Fraction(-1), Fraction(1), Fraction(0)), (1, 0, 1))
+    spec = SubspaceSpec("V1_odd", params, lambda lab: lab.m1 == 1 and lab.l % 2)
+    res = verify_invariant(spec, 8)
+    assert res.invariant and res.connected
+    assert len(reasons) == len(res.certificates) > 0
+    leaking = SubspaceSpec("m1 >= 23", SeriesParams(
+        (Fraction(9), Fraction(-9), Fraction(0)), (1, 0, 1)), lambda lab: lab.m1 >= 23)
+    reasons.clear()
+    res = verify_invariant(leaking, 25)
+    assert not res.invariant
+    assert len(reasons) == sum(c["reason"] != "leakage" for c in res.certificates)
+    assert any(c["reason"] == "leakage" for c in res.certificates)
+
+
+def test_numeric_recheck_catches_a_skeleton_with_dropped_edges(monkeypatch):
+    # an exact skeleton missing the downward edges of the m1 >= 23 span
+    # reports that leaking span invariant; the float recheck must refuse it
+    real = structure._folded_amplitudes
+
+    def drop_downward(delta, j, l, m1, mode, lam):
+        out = real(delta, j, l, m1, mode, lam)
+        if mode == "exact" and m1 >= 23:
+            out = tuple((t, amp) for t, amp in out if t >= 23)
+        return out
+
+    monkeypatch.setattr(structure, "_folded_amplitudes", drop_downward)
+    params = SeriesParams((Fraction(9), Fraction(-9), Fraction(0)), (1, 0, 1))
+    spec = SubspaceSpec("m1 >= 23", params, lambda lab: lab.m1 >= 23)
+    with pytest.raises(VerificationError,
+                       match=r"l=23, m1=23, m2=-23\) -> BasisLabel\(l=25, m1=21, m2=-25"):
+        verify_invariant(spec, 25)
