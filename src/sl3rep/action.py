@@ -33,10 +33,10 @@ Three coefficient modes are supported:
 
 The factor i of the complexified generators is the RadicalScalar I, so
 every generator, its 3x3 matrix and its exact action on Wigner functions
-(symbolic LambdaForm coefficients, one Y action built from the m2 ladder)
-live in the one scalar type.  Composing two operators raises the
-lambda-degree to 2; the bracket verifier composes the cached U_j amplitudes
-as integer vectors over one tracked denominator.
+(symbolic LambdaForm coefficients, the Y action read from the so(3) step
+table `wigner.y_steps`) live in the one scalar type.  Composing two
+operators raises the lambda-degree to 2; the bracket verifier composes the
+cached U_j amplitudes as integer vectors over one tracked denominator.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 from typing import Sequence, Union
 
 import numpy as np
@@ -54,7 +54,7 @@ from .errors import VerificationError
 from .ktvector import KTypeVector, coeff_is_zero
 from .scalars import I, ONE, ZERO, LambdaForm, RadicalScalar
 from .series import BasisLabel, SeriesParams, basis, label_sign, label_valid
-from .wigner import WignerIndex, ladder_coeff_sq, right_derivative_Y
+from .wigner import WignerIndex, ladder_coeff_sq, y_steps
 
 # ---------------------------------------------------------------------------
 # Generators as exact 3x3 matrices
@@ -369,26 +369,6 @@ def project_P(l: int, j: int, v: KTypeVector) -> KTypeVector:
     return out
 
 
-def project_P_poly(l: int, j: int, v: KTypeVector) -> KTypeVector:
-    """Verification mode: the Casimir-polynomial realization of the projector."""
-    out = KTypeVector()
-    for idx, c in v.items():
-        lp = idx[0]
-        if not l - 2 <= lp <= l + 2:
-            raise ValueError("support must lie within [l-2, l+2]")
-        factor = Fraction(1)
-        for k in range(-2, 3):
-            if k == j or l + k < 0:
-                continue
-            num = lp * (lp + 1) - (l + k) * (l + k + 1)
-            den = (l + j) * (l + j + 1) - (l + k) * (l + k + 1)
-            factor *= Fraction(num, den)
-        if factor:
-            out.add_term(idx, c * float(factor) if isinstance(c, complex)
-                         else c * factor)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The compositions W and the normalized ladder steps
 
@@ -471,31 +451,23 @@ def standard_basis_coords(tag: str) -> tuple:
     return tuple(sorted(coords.items()))
 
 
-def apply_generator_poly(tag: str, idx: WignerIndex) -> KTypeVector:
-    """Action of any generator with exact LambdaForm coefficients."""
-    return _apply_poly_cached(tag, WignerIndex(*idx))
-
-
 @lru_cache(maxsize=200_000)
 def _apply_poly_cached(tag: str, idx: WignerIndex) -> KTypeVector:
+    """Action of any generator with exact LambdaForm coefficients: Y_i from
+    the `y_steps` table, each unit read as the exact value it is."""
     if tag in Z_TAGS:
         return act_Z(Z_TAGS[tag], idx)
     if tag in Y_TAGS:
-        i = Y_TAGS[tag]
-        if i == 1:
-            return KTypeVector({idx: LambdaForm.constant(I * idx.m2)})
-        v = KTypeVector({idx: ONE})
-        # A = pi(Y2 + iY3) raises m2 and B = pi(-Y2 + iY3) lowers it
-        up, down = _ladder_m2(v, +1), _ladder_m2(v, -1)
-        if i == 2:
-            y = (up - down).scaled(_HALF)
-        else:
-            y = (up + down).scaled(-I * _HALF)
-        return y.map_coeff(LambdaForm.constant)
+        l, m1, m2 = WignerIndex(*idx).validate()
+        return KTypeVector({
+            WignerIndex(l, m1, t): LambdaForm.constant(
+                RadicalScalar({1: unit.real, -1: unit.imag})
+                * RadicalScalar.sqrt_rational(square))
+            for t, unit, square in y_steps(Y_TAGS[tag], l, m2)})
     # standard generator: exact linear combination of the above
     out = KTypeVector()
     for t, c in standard_basis_coords(tag):
-        for target, form in apply_generator_poly(t, idx).items():
+        for target, form in _apply_poly_cached(t, idx).items():
             out.add_term(target, form * c)
     return out
 
@@ -504,7 +476,7 @@ def decompose_standard_basis(tag: str, idx: WignerIndex,
                              lam: LamArg = None) -> KTypeVector:
     """Action of X_i / H_i (or any tag) via the exact change of basis,
     evaluated at lam, a triple summing to zero, if one is given."""
-    vec = apply_generator_poly(tag, idx)
+    vec = _apply_poly_cached(tag, WignerIndex(*idx))
     if lam is None:
         return vec
     if len(lam) != 3 or not abs(sum(complex(x) for x in lam)) <= 1e-12:
@@ -521,7 +493,7 @@ def compose_poly(tag: str, v: KTypeVector) -> KTypeVector:
     higher degree)."""
     out = KTypeVector()
     for idx, c in v.items():
-        for target, form in apply_generator_poly(tag, idx).items():
+        for target, form in _apply_poly_cached(tag, idx).items():
             out.add_term(target, c * form)
     return out
 
@@ -820,11 +792,11 @@ def assemble_matrix(params: SeriesParams, generator: str,
     matrix of folded U_j amplitudes A[t, m1] (`_folded_amplitudes`), and
     Q the (2(l+j)+1) x (2l+1) shift matrix Q[m2+n, m2] = q(n,j,l,m2).  The
     block (l, l) of Y_i is the identity on the m1 rows (x) the matrix of
-    `right_derivative_Y` on D^l_{.,m2}.  Each entry is the one product
-    amp * q, as act_Z_on_basis computes it; adding +0.0 turns the -0.0 of
-    a negative factor times a zero into +0.0, so the blocks are bitwise
-    those of the per-label sum.  A block exists where some entry is
-    reached; a zero block is never stored.
+    the `y_steps` rows on D^l_{.,m2}, each entry unit * sqrt(square).  Each
+    entry is the one product amp * q, as act_Z_on_basis computes it; adding
+    +0.0 turns the -0.0 of a negative factor times a zero into +0.0, so the
+    blocks are bitwise those of the per-label sum.  A block exists where
+    some entry is reached; a zero block is never stored.
 
     Targets above lmax are recorded as truncated, one (source label, l+j)
     per dropped entry in the order act_Z_on_basis lists them, never
@@ -844,9 +816,8 @@ def assemble_matrix(params: SeriesParams, generator: str,
         for l in range(lmax + 1):
             y = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
             for m2 in range(-l, l + 1):
-                vec = right_derivative_Y(Y_TAGS[generator], WignerIndex(l, 0, m2))
-                for target, c in vec.items():
-                    y[target.m2 + l, m2 + l] = c
+                for t, unit, square in y_steps(Y_TAGS[generator], l, m2):
+                    y[t + l, m2 + l] = unit * sqrt(square)
             if m1s[l] and y.any():
                 blocks[(l, l)] = np.kron(np.eye(len(m1s[l])), y) + 0.0
         return ActionMatrix(params, generator, lmax, labels, blocks, truncated)

@@ -134,13 +134,9 @@ def _cmd_sl2(args) -> int:
         nu = args.nu
         rows = [("raise", 2 * nu + 1 + args.l, args.l + 2),
                 ("lower", 2 * nu + 1 - args.l, args.l - 2),
-                ("weight", 1j * args.l if not params.exact else None, args.l)]
-        lines = []
-        for name, coeff, target in rows:
-            if name == "weight":
-                coeff = f"{args.l}i"
-            lines.append(f"{name}: v_{args.l} -> ({coeff}) v_{target}")
-        _emit("\n".join(lines), args.out)
+                ("weight", f"{args.l}i", args.l)]
+        _emit("\n".join(f"{name}: v_{args.l} -> ({coeff}) v_{target}"
+                        for name, coeff, target in rows), args.out)
         return 0
     report = sl2_composition_report(params)
     if args.format == "json":
@@ -210,6 +206,13 @@ def _cmd_compose(args) -> int:
 def _cmd_verify(args) -> int:
     from . import oracle
 
+    # a suite that compares no case must not pass
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    least = 1 if args.suite == "cg" else 0
+    if args.lmax < least:
+        raise ValueError(f"--lmax must be at least {least} for the "
+                         f"{args.suite} suite")
     report: dict
     if args.suite == "orthogonality":
         report = oracle.orthogonality_report(args.lmax)
@@ -221,7 +224,8 @@ def _cmd_verify(args) -> int:
         rule = oracle.QuadratureRule.for_degree(args.lmax + 2)
         rng = np.random.default_rng(args.seed)
         max_dev = 0.0
-        for _ in range(args.samples):
+        compared = 0
+        while compared < args.samples:
             l = int(rng.integers(1, args.lmax + 1))
             j = int(rng.integers(-2, 3))
             if l + j < abs(l - 2) or l + j < 0:
@@ -238,6 +242,7 @@ def _cmd_verify(args) -> int:
             want = float(q(a, j, l, m1)) * float(q(b, j, l, m2)) \
                 / (2 * (l + j) + 1)
             max_dev = max(max_dev, abs(got - want))
+            compared += 1
         report = {"suite": "cg", "lmax": args.lmax, "seed": args.seed,
                   "max_deviation": max_dev}
         tol = 1e-9

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .series import GroupElement, extend_wigner
 from .wigner import EulerAngles, WignerIndex, little_d_matrix
@@ -134,11 +133,28 @@ def product_integral(idx2: WignerIndex, idx: WignerIndex,
 # Finite-difference Lie derivatives on SL(3,R)
 
 
-def _fd_elements(g: GroupElement, x: np.ndarray, h: float):
-    """(GroupElement, weight) pairs realizing the central difference along x."""
-    fwd = GroupElement(g.g @ expm(h * x))
-    bwd = GroupElement(g.g @ expm(-h * x))
-    return [(fwd, 1.0 / (2 * h)), (bwd, -1.0 / (2 * h))]
+def expm(x) -> np.ndarray:
+    """exp(x) of a small square matrix: the Taylor series of a = x / 2^s, 2^s
+    the least power bringing the 1-norm to 1/2 or below, summed until a term
+    no longer changes the sum, then squared s times."""
+    x = np.asarray(x)
+    norm = float(np.abs(x).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise ValueError("matrix exponential of a non-finite matrix")
+    s = max(0, math.ceil(math.log2(2 * norm))) if norm else 0
+    a, term = x / 2.0 ** s, np.eye(len(x))
+    out = term
+    for k in range(1, 40):
+        term = term @ a / k
+        if np.array_equal(out + term, out):
+            break
+        out = out + term
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for _ in range(s):
+            out = out @ out
+    if not np.isfinite(out).all():
+        raise ValueError(f"matrix exponential overflows at 1-norm {norm:g}")
+    return out
 
 
 def fd_sample_points(x, h: float):
@@ -162,19 +178,14 @@ def fd_sample_points(x, h: float):
 def fd_lie_derivative(lam, idx: WignerIndex, x, g: GroupElement,
                       h: float = 1e-4) -> complex:
     """Central-difference Lie derivative of the extended Wigner function."""
-    total = 0.0 + 0.0j
-    for xr, unit in fd_sample_points(x, h):
-        for elem, weight in _fd_elements(g, xr, h):
-            total += unit * weight * extend_wigner(lam, idx, elem)
-    return total
+    return fd_lie_derivative_many(lam, [idx], x, g, h)[0]
 
 
 def fd_lie_derivative_many(lam, indices, x, g: GroupElement,
                            h: float = 1e-4) -> list[complex]:
     """Derivatives of many Wigner indices sharing the Iwasawa work."""
-    plan = [(elem, unit * weight)
-            for xr, unit in fd_sample_points(x, h)
-            for elem, weight in _fd_elements(g, xr, h)]
+    plan = [(GroupElement(g.g @ expm(sign * h * xr)), unit * (sign / (2 * h)))
+            for xr, unit in fd_sample_points(x, h) for sign in (1.0, -1.0)]
     return [sum(w * extend_wigner(lam, idx, elem) for elem, w in plan)
             for idx in indices]
 
@@ -332,22 +343,13 @@ def sl2_extend(nu: complex, l: int, g: np.ndarray) -> complex:
     return complex(a_val) ** (1 + 2 * complex(nu)) * np.exp(1j * l * theta)
 
 
-def sl2_fd_derivative(nu, l: int, x, g: np.ndarray, h: float = 1e-4,
-                      richardson: bool = True) -> complex:
+def sl2_fd_derivative(nu, l: int, x, g: np.ndarray, h: float = 1e-4) -> complex:
     """Central difference, refined to O(h^4) by Richardson extrapolation."""
-    x = np.asarray(x, dtype=complex)
-
     def central(step: float) -> complex:
-        total = 0.0 + 0.0j
-        for xr, unit in ([(x.real, 1.0)] if np.abs(x.imag).max() == 0
-                         else [(x.real, 1.0), (x.imag, 1.0j)]):
-            fwd = sl2_extend(nu, l, g @ expm(step * xr))
-            bwd = sl2_extend(nu, l, g @ expm(-step * xr))
-            total += unit * (fwd - bwd) / (2 * step)
-        return total
+        return sum(unit * (sl2_extend(nu, l, g @ expm(step * xr))
+                           - sl2_extend(nu, l, g @ expm(-step * xr))) / (2 * step)
+                   for xr, unit in fd_sample_points(x, step))
 
-    if not richardson:
-        return central(h)
     return (4 * central(h / 2) - central(h)) / 3
 
 

@@ -89,8 +89,7 @@ def _boundary_reason(params: SeriesParams, l: int, m1: int, j: int,
     return {"reason": "q-zero", "detail": f"q({k}, {j}, {l}, {src}) = 0"}
 
 
-def verify_invariant(spec: SubspaceSpec, lmax: int,
-                     numeric_rechecks: int = 3) -> InvarianceResult:
+def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
     """Exact closure check of a span under all Z and Y generators.
 
     Interior labels (l <= lmax - 2) are checked so no conclusion rests on
@@ -99,8 +98,10 @@ def verify_invariant(spec: SubspaceSpec, lmax: int,
     edge into a label outside the span under a nonzero q(n,j,l,m2) is
     leakage, with coefficient q * amplitude; a boundary transition is
     certified as "leakage" if it is an edge and by `_boundary_reason`
-    otherwise; connectivity is read from the same edges.  Invariant spans
-    are re-evaluated on the float path as an independent soundness check.
+    otherwise; connectivity is read from the same edges.  A row none of
+    whose edges leaves the span in any m2 cannot leak, and its labels are
+    not expanded.  Invariant spans are re-evaluated on the float path as an
+    independent soundness check.
     """
     if lmax < 2:
         raise ValueError("lmax must be at least 2")
@@ -130,7 +131,9 @@ def verify_invariant(spec: SubspaceSpec, lmax: int,
         folds = {j: dict(_folded_amplitudes(delta, j, l, m1, "exact", lam))
                  for j in range(-2, 3) if l + j >= 0}
         edges[(l, m1)] = {(l + j, t) for j, fold in folds.items() for t in fold}
-        for lab in labs:
+        closed = all(spec.predicate(BasisLabel(lt, t, m2))
+                     for lt, t in edges[(l, m1)] for m2 in range(-lt, lt + 1))
+        for lab in [] if closed else labs:
             for n in range(-2, 3):
                 for j, qn in _couplings(n, l, lab.m2, "exact"):
                     for t, amp in folds[j].items():
@@ -160,13 +163,13 @@ def verify_invariant(spec: SubspaceSpec, lmax: int,
                     entry.update(_boundary_reason(params, l, m1, j, target_m1))
                 result.certificates.append(entry)
     result.connected = _connected(spec, lmax, edges)
-    if result.invariant and numeric_rechecks:
-        _numeric_recheck(spec, interior, numeric_rechecks)
+    if result.invariant:
+        _numeric_recheck(spec, interior)
     return result
 
 
 def _numeric_recheck(spec: SubspaceSpec, labels: list[BasisLabel],
-                     rounds: int, tol: float = 1e-10) -> None:
+                     rounds: int = 3, tol: float = 1e-10) -> None:
     """Float re-evaluation of sampled labels, independent of the skeleton."""
     lam_num = tuple(complex(x) for x in spec.params.lam)
     stride = max(1, len(labels) // (20 * rounds))

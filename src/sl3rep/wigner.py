@@ -6,6 +6,10 @@ Conventions: k(alpha, beta, gamma) = R_z(alpha) R_x(beta) R_z(gamma) and
 
 Some references flip the signs of m1 and m2; this package fixes the
 convention above throughout and makes no attempt to detect others.
+
+The so(3) action of Y1, Y2, Y3 is written once, as the step table read by
+`y_steps`; the float derivatives here and the exact action and matrix
+assembly of `action` all read it.
 """
 
 from __future__ import annotations
@@ -138,54 +142,38 @@ def ladder_coeff_sq(l: int, m: int, step: int) -> int:
     return l * (l + 1) - m * (m + step)
 
 
+# A = pi(Y2 + iY3) raises m and B = pi(-Y2 + iY3) lowers it, so each m-step
+# of pi(Y2) = (A - B)/2 and pi(Y3) = -i(A + B)/2 carries a unit factor; the
+# units are exact binary floats, so exact callers read them as rationals.
+_Y_STEP_UNITS = {2: {+1: 0.5, -1: -0.5}, 3: {+1: -0.5j, -1: -0.5j}}
+
+
+def y_steps(i: int, l: int, m: int) -> tuple:
+    """pi(Y_i) on D^l_{.,m} as rows (m', unit, square): the coefficient of
+    D^l_{.,m'} is unit * sqrt(square).  Y1 is the one row (m, i m, 1); Y2
+    and Y3 step m by +-1 within |m'| <= l, with square ladder_coeff_sq."""
+    if i == 1:
+        return ((m, 1j * m, 1),)
+    if i not in _Y_STEP_UNITS:
+        raise ValueError("generator index must be 1, 2, or 3")
+    return tuple((m + step, unit, ladder_coeff_sq(l, m, step))
+                 for step, unit in _Y_STEP_UNITS[i].items() if abs(m + step) <= l)
+
+
 def right_derivative_Y(i: int, idx: WignerIndex) -> KTypeVector:
     """pi(Y_i) D^l_{m1,m2} as a complex linear combination (right translation)."""
     l, m1, m2 = WignerIndex(*idx).validate()
-    out = KTypeVector()
-    if i == 1:
-        out.add_term(WignerIndex(l, m1, m2), 1j * m2)
-        return out
-    up = math.sqrt(ladder_coeff_sq(l, m2, +1)) if m2 < l else 0.0
-    dn = math.sqrt(ladder_coeff_sq(l, m2, -1)) if m2 > -l else 0.0
-    # A = pi(Y2 + iY3) raises m2; B = pi(-Y2 + iY3) lowers m2
-    if i == 2:
-        if up:
-            out.add_term(WignerIndex(l, m1, m2 + 1), 0.5 * up)
-        if dn:
-            out.add_term(WignerIndex(l, m1, m2 - 1), -0.5 * dn)
-    elif i == 3:
-        if up:
-            out.add_term(WignerIndex(l, m1, m2 + 1), -0.5j * up)
-        if dn:
-            out.add_term(WignerIndex(l, m1, m2 - 1), -0.5j * dn)
-    else:
-        raise ValueError("generator index must be 1, 2, or 3")
-    return out
+    return KTypeVector({WignerIndex(l, m1, t): unit * math.sqrt(square)
+                        for t, unit, square in y_steps(i, l, m2)})
 
 
 def left_derivative_Y(i: int, idx: WignerIndex) -> KTypeVector:
-    """L(Y_i) D^l_{m1,m2}; shifts m1 instead of m2."""
+    """L(Y_i) D^l_{m1,m2}: the rows of `y_steps` on m1 instead of m2, with
+    the Y2 units negated, as L(-Y2 + iY3) raises m1 and L(Y2 + iY3) lowers it."""
     l, m1, m2 = WignerIndex(*idx).validate()
-    out = KTypeVector()
-    if i == 1:
-        out.add_term(WignerIndex(l, m1, m2), 1j * m1)
-        return out
-    up = math.sqrt(ladder_coeff_sq(l, m1, +1)) if m1 < l else 0.0
-    dn = math.sqrt(ladder_coeff_sq(l, m1, -1)) if m1 > -l else 0.0
-    # L(-Y2 + iY3) raises m1; L(Y2 + iY3) lowers m1
-    if i == 2:
-        if dn:
-            out.add_term(WignerIndex(l, m1 - 1, m2), 0.5 * dn)
-        if up:
-            out.add_term(WignerIndex(l, m1 + 1, m2), -0.5 * up)
-    elif i == 3:
-        if up:
-            out.add_term(WignerIndex(l, m1 + 1, m2), -0.5j * up)
-        if dn:
-            out.add_term(WignerIndex(l, m1 - 1, m2), -0.5j * dn)
-    else:
-        raise ValueError("generator index must be 1, 2, or 3")
-    return out
+    return KTypeVector({WignerIndex(l, t, m2):
+                        (-unit if i == 2 else unit) * math.sqrt(square)
+                        for t, unit, square in y_steps(i, l, m1)})
 
 
 def eval_vector(vec: KTypeVector, angles: EulerAngles) -> complex:

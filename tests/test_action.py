@@ -2,6 +2,7 @@
 bracket fidelity, ladder compositions, and matrix assembly."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,7 @@ from sl3rep.action import (C_FACTORS, CONVENIENT_BASIS, GENERATOR_MATRICES,
                            bracket_check, compose_poly, decompose_matrix,
                            decompose_standard_basis, generator_matrix_numeric,
                            lambda_factor, matrix_bracket, project_P,
-                           project_P_poly, pwqu_exceptional, reassemble,
-                           standard_basis_coords)
+                           pwqu_exceptional, reassemble, standard_basis_coords)
 from sl3rep.clebsch import q
 from sl3rep.ktvector import KTypeVector
 from sl3rep.scalars import ZERO, LambdaForm, RadicalScalar
@@ -275,6 +275,49 @@ def test_act_z_on_basis_rejects_invalid_label():
 
 # ---------------------------------------------------------------------------
 # projections and ladder compositions
+
+
+def project_P_poly(l: int, j: int, v: KTypeVector) -> KTypeVector:
+    """Reference projector: the Casimir-polynomial realization of project_P."""
+    out = KTypeVector()
+    for idx, c in v.items():
+        lp = idx[0]
+        if not l - 2 <= lp <= l + 2:
+            raise ValueError("support must lie within [l-2, l+2]")
+        factor = Fraction(1)
+        for k in range(-2, 3):
+            if k == j or l + k < 0:
+                continue
+            num = lp * (lp + 1) - (l + k) * (l + k + 1)
+            den = (l + j) * (l + j + 1) - (l + k) * (l + k + 1)
+            factor *= Fraction(num, den)
+        if factor:
+            out.add_term(idx, c * float(factor) if isinstance(c, complex)
+                         else c * factor)
+    return out
+
+
+INDICES_L60 = st.integers(0, 60).flatmap(
+    lambda l: st.tuples(st.just(l), st.integers(-l, l), st.integers(-l, l)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), INDICES_L60)
+@example(2, (60, 0, 60))
+@example(3, (60, -60, -60))
+@example(1, (7, 2, -7))
+def test_exact_y_matches_float_y(i, lmm):
+    # the exact Y action and right_derivative_Y read one step table; the
+    # exact value, rounded once, is within 4 ulp of unit * sqrt(square)
+    idx = WignerIndex(*lmm)
+    exact = action._apply_poly_cached(f"Y{i}", idx)
+    floats = right_derivative_Y(i, idx)
+    assert set(exact) == set(floats)
+    for target, form in exact.items():
+        assert form == LambdaForm.constant(form.const)
+        got, want = complex(form.const), floats[target]
+        for a, b in ((got.real, want.real), (got.imag, want.imag)):
+            assert abs(a - b) <= 4 * math.ulp(b), (target, got, want)
 
 
 def test_projection_modes_agree():

@@ -232,13 +232,58 @@ def test_unvalidated_numeric_ranges_exit_2():
 
 
 def test_imports_stay_clear_of_scipy():
-    # scipy.linalg alone takes longer to import than sl3rep.action; the
-    # modules every exact command loads must not pull it in
-    code = ("import sys, sl3rep.action, sl3rep.structure, sl3rep.cli; "
+    # scipy.linalg alone takes longer to import than the whole package, and
+    # no sl3rep module needs it: the oracle's matrix exponential is numpy's
+    code = ("import importlib, pkgutil, sys, sl3rep\n"
+            "names = [m.name for m in pkgutil.iter_modules(sl3rep.__path__)]\n"
+            "for name in names: importlib.import_module('sl3rep.' + name)\n"
+            "print(sorted(names))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    names, loaded = proc.stdout.splitlines()
+    assert "'oracle'" in names and "'cli'" in names
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("suite", ["orthogonality", "cg", "theorem-main",
+                                   "diffops", "sl2"])
+def test_verify_without_samples_exits_2(suite, capsys):
+    assert main(["verify", "--suite", suite, "--samples", "0"]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, lmax", [
+    ("orthogonality", -1), ("cg", 0), ("cg", -1), ("theorem-main", -1),
+    ("diffops", -1), ("sl2", -1)])
+def test_verify_without_labels_exits_2(suite, lmax, capsys):
+    assert main(["verify", "--suite", suite, "--lmax", str(lmax)]) == 2
+    err = capsys.readouterr().err
+    assert "--lmax" in err and "low >= high" not in err
+
+
+def test_verify_cg_compares_every_sample(monkeypatch, capsys):
+    # at lmax 1-3 some draws reach no coupled target; at lmax 1 and seed 5
+    # none of the first five draws does, and five draws once passed the
+    # suite without a comparison
+    from sl3rep import oracle
+
+    calls = []
+    real = oracle.product_integral
+    monkeypatch.setattr(oracle, "product_integral",
+                        lambda *a: calls.append(a) or real(*a))
+    assert main(["verify", "--suite", "cg", "--lmax", "1", "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert len(calls) == 5
+    monkeypatch.setattr(oracle, "product_integral",
+                        lambda *a: calls.append(a) or 0j)
+    for lmax in (1, 2, 3):
+        for seed in range(200):
+            calls.clear()
+            main(["verify", "--suite", "cg", "--lmax", str(lmax),
+                  "--seed", str(seed), "--samples", "3"])
+            assert len(calls) == 3, (lmax, seed)
+    capsys.readouterr()
 
 
 def test_main_callable_in_process(capsys):

@@ -5,19 +5,23 @@ specialization."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sl3rep.action import generator_matrix_numeric
 from sl3rep.clebsch import q_float
 from sl3rep.oracle import (GRAM_BLOCK_MAX_ENTRIES, QuadratureRule,
                            _gram_blocks, _node_values, _node_weights,
-                           coordinate_diffops_check, fd_lie_derivative,
+                           coordinate_diffops_check, expm, fd_lie_derivative,
                            integrate_K, orthogonality_report, product_integral,
                            sample_group_point, sl2_extend, sl2_fd_derivative,
                            sl2_iwasawa, sl2_ladder_check, sl2_maass_check,
                            verify_theorem_main)
 from sl3rep.series import GroupElement, extend_wigner
-from sl3rep.wigner import EulerAngles, WignerIndex
+from sl3rep.wigner import EulerAngles, WignerIndex, _rx, _rz
 
 
 def test_quadrature_mass_one():
@@ -94,6 +98,48 @@ def test_fd_derivative_along_k_matches_exact():
     got = fd_lie_derivative(lam, idx, generator_matrix_numeric("Y1"), g)
     want = 1j * idx.m2 * extend_wigner(lam, idx, g)
     assert got == pytest.approx(want, abs=1e-7)
+
+
+STEPS = [1e-6, -1e-6, 1e-3, 0.4, -0.7, 1.0, 3.0, -3.0]
+
+
+@pytest.mark.parametrize("t", STEPS)
+def test_expm_closed_forms(t):
+    # X_i is nilpotent of order 2, H_i diagonal, Y1 and Y2 rotations
+    for tag in ("X1", "X2", "X3", "X-1", "X-2", "X-3"):
+        x = generator_matrix_numeric(tag).real
+        assert np.array_equal(expm(t * x), np.eye(3) + t * x), tag
+    for tag in ("H1", "H2"):
+        d = np.diag(generator_matrix_numeric(tag).real)
+        got = expm(t * np.diag(d))
+        assert np.array_equal(got, np.diag(np.diag(got))), tag
+        np.testing.assert_allclose(np.diag(got), np.exp(t * d), rtol=1e-14)
+    y1, y2 = (generator_matrix_numeric(tag).real for tag in ("Y1", "Y2"))
+    np.testing.assert_allclose(expm(t * y1), _rz(t), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(expm(t * y2), _rx(t), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(
+           lambda n: st.lists(st.floats(-1, 1), min_size=n * n, max_size=n * n)),
+       st.floats(0, 15))
+def test_expm_matches_mpmath(entries, norm):
+    x = np.array(entries).reshape(int(math.isqrt(len(entries))), -1)
+    if np.abs(x).max() > 0:
+        x = x * (norm / np.linalg.norm(x, 2))
+    with mpmath.workdps(40):
+        want = np.array(mpmath.expm(mpmath.matrix(x.tolist())).tolist(), dtype=float)
+    got = expm(x)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("x", [[[0.0, np.nan], [0.0, 0.0]],
+                               [[0.0, np.inf], [0.0, 0.0]],
+                               # exp overflows to inf, and inf * 0 to nan
+                               [[800.0, 0.0], [0.0, -800.0]]])
+def test_expm_refuses_non_finite(x):
+    with pytest.raises(ValueError):
+        expm(np.array(x))
 
 
 def test_fd_step_validation():

@@ -187,9 +187,8 @@ def test_euler_rejects_non_orthogonal():
 
 def _fd_right(i, idx, ang, h=1e-6):
     """Reference right derivative along the Y_i one-parameter subgroup."""
-    from scipy.linalg import expm
-
     from sl3rep.action import generator_matrix_numeric
+    from sl3rep.oracle import expm
 
     x = generator_matrix_numeric(f"Y{i}").real
     k = matrix_from_euler(ang)
@@ -199,9 +198,8 @@ def _fd_right(i, idx, ang, h=1e-6):
 
 
 def _fd_left(i, idx, ang, h=1e-6):
-    from scipy.linalg import expm
-
     from sl3rep.action import generator_matrix_numeric
+    from sl3rep.oracle import expm
 
     x = generator_matrix_numeric(f"Y{i}").real
     k = matrix_from_euler(ang)
@@ -224,6 +222,19 @@ def test_left_derivative_matches_fd(i):
     for idx in [WignerIndex(1, 0, 1), WignerIndex(2, 1, -1), WignerIndex(3, -2, 2)]:
         exact = eval_vector(left_derivative_Y(i, idx), ang)
         assert exact == pytest.approx(_fd_left(i, idx, ang), abs=1e-7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 60).flatmap(
+    lambda l: st.tuples(st.just(l), st.integers(-l, l), st.integers(-l, l))))
+def test_left_derivative_is_the_mirrored_table(i, lmm):
+    # L(Y_i) D^l_{m1,m2} steps m1 as pi(Y_i) steps m2, with Y2 negated
+    l, m1, m2 = lmm
+    left = left_derivative_Y(i, WignerIndex(l, m1, m2))
+    right = right_derivative_Y(i, WignerIndex(l, m2, m1))
+    sign = -1 if i == 2 else 1
+    assert left.terms == {WignerIndex(l, t.m2, t.m1): sign * c
+                          for t, c in right.items()}
 
 
 def test_y_derivatives_satisfy_so3_bracket():
