@@ -34,9 +34,15 @@ Three coefficient modes are supported:
 The factor i of the complexified generators is the RadicalScalar I, so
 every generator, its 3x3 matrix and its exact action on Wigner functions
 (symbolic LambdaForm coefficients, the Y action read from the so(3) step
-table `wigner.y_steps`) live in the one scalar type.  Composing two
-operators raises the lambda-degree to 2; the bracket verifier composes the
-cached U_j amplitudes as integer vectors over one tracked denominator.
+table `wigner.y_steps`) live in the one scalar type.
+
+The bracket verifier checks [pi(A), pi(B)] = pi([A, B]) through the same
+factorization, never expanding a composition in full.  For (Y, Y) and
+(Y, Z) pairs the defect is sum_{j,k} U_j-amplitude times a lam-free,
+m1-free identity E_j(l, m2) on the m2 index, decided once per
+(pair, j, l, m2).  For (Z, Z) pairs both orders compose the same
+U_j' U_j amplitudes, which are multiplied once as integer vectors of degree
+2 in lam and weighted by lam-free differences of coupling products.
 """
 
 from __future__ import annotations
@@ -451,6 +457,15 @@ def standard_basis_coords(tag: str) -> tuple:
     return tuple(sorted(coords.items()))
 
 
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _y_row(i: int, l: int, m: int) -> tuple:
+    """pi(Y_i) on D^l_{.,m} as ((m', coefficient), ...): the `y_steps` rows,
+    each unit read as the exact value it is."""
+    return tuple((t, RadicalScalar({1: unit.real, -1: unit.imag})
+                  * RadicalScalar.sqrt_rational(square))
+                 for t, unit, square in y_steps(i, l, m))
+
+
 @lru_cache(maxsize=200_000)
 def _apply_poly_cached(tag: str, idx: WignerIndex) -> KTypeVector:
     """Action of any generator with exact LambdaForm coefficients: Y_i from
@@ -459,11 +474,8 @@ def _apply_poly_cached(tag: str, idx: WignerIndex) -> KTypeVector:
         return act_Z(Z_TAGS[tag], idx)
     if tag in Y_TAGS:
         l, m1, m2 = WignerIndex(*idx).validate()
-        return KTypeVector({
-            WignerIndex(l, m1, t): LambdaForm.constant(
-                RadicalScalar({1: unit.real, -1: unit.imag})
-                * RadicalScalar.sqrt_rational(square))
-            for t, unit, square in y_steps(Y_TAGS[tag], l, m2)})
+        return KTypeVector({WignerIndex(l, m1, t): LambdaForm.constant(c)
+                            for t, c in _y_row(Y_TAGS[tag], l, m2)})
     # standard generator: exact linear combination of the above
     out = KTypeVector()
     for t, c in standard_basis_coords(tag):
@@ -521,6 +533,14 @@ def _int_terms(form: LambdaForm) -> tuple:
     return tuple(out)
 
 
+def _constant_value(terms: tuple) -> RadicalScalar:
+    """The RadicalScalar of integer terms without a lam part."""
+    out = ZERO
+    for rad, im, p0, _, _, den in terms:
+        out = out + RadicalScalar({-rad if im else rad: Fraction(p0, den)})
+    return out
+
+
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _u_terms(j: int, l: int, m1: int) -> tuple:
     """The symbolic U_j amplitudes of D^l_{m1,.} as ((k, terms), ...)."""
@@ -562,19 +582,22 @@ class _DegreeTwoSum:
         self.entries: dict[tuple, list[int]] = {}
         self.den = 1
 
-    def add(self, target: WignerIndex, a: tuple, b: tuple, sign: int) -> None:
+    def _factor(self, d: int) -> int:
+        """den // d, after putting every entry over a multiple of d."""
+        if self.den % d:
+            scale = d // gcd(self.den, d)
+            for e in self.entries.values():
+                e[:] = [x * scale for x in e]
+            self.den *= scale
+        return self.den // d
+
+    def add(self, target: tuple, a: tuple, b: tuple, sign: int) -> None:
         """Add sign * a * b at `target`."""
         entries = self.entries
         for ra, ia, a0, a1, a2, da in a:
             for rb, ib, b0, b1, b2, db in b:
-                d = da * db
-                if self.den % d:
-                    scale = d // gcd(self.den, d)
-                    for e in entries.values():
-                        e[:] = [x * scale for x in e]
-                    self.den *= scale
                 g = gcd(ra, rb)
-                f = sign * g * (self.den // d)
+                f = sign * g * self._factor(da * db)
                 if ia & ib:  # i * i = -1
                     f = -f
                 key = (target, ra // g * (rb // g), ia ^ ib)
@@ -587,11 +610,30 @@ class _DegreeTwoSum:
                 e[4] += fa1 * b2 + fa2 * b1
                 e[5] += fa2 * b2
 
-    def compose(self, outer: str, inner: tuple, sign: int) -> None:
-        """Add sign * pi(outer) applied to the vector `inner`."""
-        for mid, b in inner:
-            for target, a in _apply_flat(outer, mid):
-                self.add(target, a, b, sign)
+    def add_scaled(self, w: RadicalScalar, amps: tuple, at: tuple) -> None:
+        """Add w times the degree-2 amplitudes (den, ((K, rad, im, coeffs),
+        ...)) of `_uu_terms` at the targets (L, m1 + K, m2), at = (L, m1, m2)."""
+        entries = self.entries
+        den, polys = amps
+        L, m1, m2 = at
+        for rw, c in w.terms.items():
+            iw = rw < 0
+            rw = -rw if iw else rw
+            fw = c.numerator * self._factor(den * c.denominator)
+            for K, rad, im, (c0, c1, c2, c3, c4, c5) in polys:
+                g = gcd(rad, rw)
+                f = -fw * g if im and iw else fw * g
+                e = entries.setdefault(((L, m1 + K, m2), rad // g * (rw // g), im ^ iw),
+                                       [0] * 6)
+                e[0] += f * c0
+                e[1] += f * c1
+                e[2] += f * c2
+                e[3] += f * c3
+                e[4] += f * c4
+                e[5] += f * c5
+
+    def is_zero(self) -> bool:
+        return not any(any(e) for e in self.entries.values())
 
 
 @lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite
@@ -606,15 +648,102 @@ def _bracket_coords_flat(tag_a: str, tag_b: str) -> tuple:
                  for t, c in sorted(coords.items()))
 
 
-def _bracket_defect_zero(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
-    """Direct exact computation of [pi(A), pi(B)] - pi([A, B]) on one index."""
+# The defect [pi(A), pi(B)] - pi([A, B]) factors through q (x) U.  pi(Y_i)
+# acts on m2 alone, and pi(Z_n) = sum_j q(n,j,l,m2) U_j carries all of its
+# lam- and m1-dependence in the U_j amplitudes A_jk(lam,l,m1).
+#
+# * (Y, Y) and (Y, Z) pairs: the defect on D^l_{m1,m2} is
+#   sum_{j,k} A_jk sum_s E_j(l,m2; s) D^{l+j}_{m1+k,s}, where E_j is the
+#   bracket identity on the m2 index alone, each Z_n restricted to its
+#   coupling q(n,j,l,.) (for (Y, Y), j = k = 0 and A = 1).  E_j is free of
+#   lam and m1.  Each (j, k, s) is its own target and each A_jk is nonzero,
+#   so the defect vanishes iff E_j = 0 for every j with U_j D^l_{m1,.} != 0.
+# * (Z_a, Z_b) pairs: both orders compose the same U_j' U_j amplitudes, so
+#   the commutator is the one sum of U_j' U_j D^l_{m1,.} weighted by
+#   Q_jj'(l,m2) = q(b,j,l,m2) q(a,j',l+j,m2+b) - q(a,j,l,m2) q(b,j',l+j,m2+a),
+#   of degree 2 in lam; pi([Z_a, Z_b]) is a combination of Y's.
+
+
+def _m2_row(tag: str, j: int, l: int, m: int) -> tuple[int, tuple]:
+    """A (Y, Z) tag on the m2 index of D^l_{.,m}, each Z_n restricted to its
+    U_j part: (l after it, ((m', coefficient), ...))."""
+    if tag in Y_TAGS:
+        return l, _y_row(Y_TAGS[tag], l, m)
+    n = Z_TAGS[tag]
+    qn = q(n, j, l, m)
+    return l + j, ((m + n, qn),) if qn else ()
+
+
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _m2_identity_holds(tag_a: str, tag_b: str, coords: tuple, j: int, l: int,
+                       m2: int) -> bool:
+    """E_j(l, m2; .) = 0 for a (Y, Y) or (Y, Z) pair: A B = B A + sum_t c_t T
+    on the m2 index of D^l_{.,m2}, each Z restricted to its U_j part, with
+    (t, c_t) the `coords` as _bracket_coords_flat gives them (part of the
+    key, so a verdict is never reused for other coordinates)."""
+    if any((t in Y_TAGS) != (tag_b in Y_TAGS) for t, _ in coords):
+        raise AssertionError(f"[{tag_a}, {tag_b}] leaves the span of the {tag_b[0]}'s")
+    ab: dict[int, RadicalScalar] = {}
+    rhs: dict[int, RadicalScalar] = {}
+    for first, second, side in ((tag_b, tag_a, ab), (tag_a, tag_b, rhs)):
+        lt, row = _m2_row(first, j, l, m2)
+        for t, c1 in row:
+            for s, c2 in _m2_row(second, j, lt, t)[1]:
+                side[s] = side.get(s, ZERO) + c2 * c1
+    for t, terms in coords:
+        c = _constant_value(terms)
+        for s, ct in _m2_row(t, j, l, m2)[1]:
+            rhs[s] = rhs.get(s, ZERO) + ct * c
+    return all(ab.get(s, ZERO) == rhs.get(s, ZERO) for s in ab.keys() | rhs.keys())
+
+
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _uu_terms(j: int, jp: int, l: int, m1: int) -> tuple:
+    """U_j' U_j D^l_{m1,.} as (den, ((K, rad, im, coefficients), ...)): the
+    integer coefficients of 1, lam1, lam2, lam1^2, lam1 lam2, lam2^2 over den
+    of each part D^{l+j+j'}_{m1+K,.}, zero parts left out."""
     acc = _DegreeTwoSum()
-    acc.compose(tag_a, _apply_flat(tag_b, idx), 1)
-    acc.compose(tag_b, _apply_flat(tag_a, idx), -1)
-    for t, c in _bracket_coords_flat(tag_a, tag_b):
+    for k, inner in _u_terms(j, l, m1):
+        for kp, outer in _u_terms(jp, l + j, m1 + k):
+            acc.add(k + kp, outer, inner, 1)
+    return acc.den, tuple((K, rad, im, tuple(e))
+                          for (K, rad, im), e in acc.entries.items() if any(e))
+
+
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _zz_weights(a: int, b: int, l: int, m2: int) -> tuple:
+    """The nonzero Q_jj'(l, m2) of (Z_a, Z_b) as ((j, j', Q), ...)."""
+    out = []
+    for j in range(-2, 3):
+        qb, qa = q(b, j, l, m2), q(a, j, l, m2)
+        for jp in range(-2, 3):
+            w = qb * q(a, jp, l + j, m2 + b) if qb else ZERO
+            if qa:
+                w = w - qa * q(b, jp, l + j, m2 + a)
+            if w:
+                out.append((j, jp, w))
+    return tuple(out)
+
+
+def _bracket_defect_zero(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
+    """Whether [pi(A), pi(B)] - pi([A, B]) vanishes on D_idx, computed
+    exactly in the factored form above, for (Y, Z) tags with a Y tag first
+    (the sorted order bracket_check passes)."""
+    l, m1, m2 = idx
+    coords = _bracket_coords_flat(tag_a, tag_b)
+    if tag_b in Y_TAGS:
+        return _m2_identity_holds(tag_a, tag_b, coords, 0, l, m2)
+    if tag_a in Y_TAGS:
+        return all(_m2_identity_holds(tag_a, tag_b, coords, j, l, m2)
+                   for j in range(-2, 3) if _u_terms(j, l, m1))
+    a, b = Z_TAGS[tag_a], Z_TAGS[tag_b]
+    acc = _DegreeTwoSum()
+    for j, jp, w in _zz_weights(a, b, l, m2):
+        acc.add_scaled(w, _uu_terms(j, jp, l, m1), (l + j + jp, m1, m2 + a + b))
+    for t, c in coords:
         for target, p in _apply_flat(t, idx):
             acc.add(target, p, c, -1)
-    return not any(any(e) for e in acc.entries.values())
+    return acc.is_zero()
 
 
 _pair_defect_zero = lru_cache(maxsize=200_000)(_bracket_defect_zero)
@@ -659,15 +788,22 @@ def _bilinear_bracket_verified(tag_a: str, tag_b: str) -> tuple:
 def bracket_check(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     """Exact check of [pi(A), pi(B)] = pi([A, B]) on one Wigner index.
 
-    Pairs of convenient-basis generators (Y, Z) are checked by direct
-    expansion.  For standard-basis generators, whose action is by
+    Pairs of convenient-basis generators (Y, Z) are checked in the factored
+    form q (x) U: a (Y, Y) or (Y, Z) defect vanishes iff a lam-free identity
+    on the m2 index holds for each j with U_j D^l_{m1,.} != 0, and a (Z, Z)
+    defect is one sum of U_j' U_j amplitudes weighted by coupling products,
+    both orders merged.  For standard-basis generators, whose action is by
     construction a fixed linear combination of convenient ones, the check
     verifies the matrix-level bilinear expansion of the bracket exactly
     and then certifies every contributing convenient-pair defect; the
     standard-pair defect is that exact bilinear combination, so it
-    vanishes iff the certified ones do.
+    vanishes iff the certified ones do.  Raises ValueError for a tag that
+    is no generator and for an index outside |m1|, |m2| <= l.
     """
-    idx = WignerIndex(*idx)
+    for tag in (tag_a, tag_b):
+        if tag not in GENERATOR_MATRICES:
+            raise ValueError(f"unknown generator tag {tag!r}")
+    idx = WignerIndex(*idx).validate()
     convenient = (tag_a in Z_TAGS or tag_a in Y_TAGS) and \
         (tag_b in Z_TAGS or tag_b in Y_TAGS)
     if convenient:

@@ -203,14 +203,33 @@ def _cmd_compose(args) -> int:
     return 0 if ok else 1
 
 
+# the options each verify suite reads; the others are refused
+_VERIFY_READS = {
+    "orthogonality": ("lmax",),
+    "cg": ("lmax", "samples", "seed"),
+    "theorem-main": ("lmax", "samples", "lam", "seed"),
+    "diffops": ("lmax", "samples", "lam", "seed"),
+    "sl2": ("samples", "seed"),
+}
+_VERIFY_DEFAULTS = {"lmax": 3, "samples": 5, "lam": None, "seed": 0}
+
+
 def _cmd_verify(args) -> int:
     from . import oracle
 
+    reads = _VERIFY_READS[args.suite]
+    for name, default in _VERIFY_DEFAULTS.items():
+        if name in reads:
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+        elif getattr(args, name) is not None:
+            flag = "--lambda" if name == "lam" else f"--{name}"
+            raise ValueError(f"the {args.suite} suite does not read {flag}")
     # a suite that compares no case must not pass
-    if args.samples < 1:
+    if "samples" in reads and args.samples < 1:
         raise ValueError("--samples must be at least 1")
     least = 1 if args.suite == "cg" else 0
-    if args.lmax < least:
+    if "lmax" in reads and args.lmax < least:
         raise ValueError(f"--lmax must be at least {least} for the "
                          f"{args.suite} suite")
     report: dict
@@ -364,10 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", required=True,
                    choices=("orthogonality", "cg", "theorem-main",
                             "diffops", "sl2"))
-    v.add_argument("--lmax", type=int, default=3)
-    v.add_argument("--samples", type=int, default=5)
+    # None marks an option not given; _cmd_verify fills in the defaults of
+    # the options the suite reads and refuses the others
+    v.add_argument("--lmax", type=int, default=None)
+    v.add_argument("--samples", type=int, default=None)
     v.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=int, default=None)
     common(v)
     v.set_defaults(func=_cmd_verify)
     return p

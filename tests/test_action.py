@@ -1,6 +1,8 @@
 """Tests for the Lie algebra action: exact coefficients, change of basis,
 bracket fidelity, ladder compositions, and matrix assembly."""
 
+import contextlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -486,6 +488,26 @@ def wigner_indices(draw, lmax):
     return WignerIndex(l, draw(st.integers(-l, l)), draw(st.integers(-l, l)))
 
 
+def compose_flat(acc, outer: str, inner: tuple, sign: int) -> None:
+    """Add sign * pi(outer) applied to the flat vector `inner` to `acc`."""
+    for mid, b in inner:
+        for target, a in action._apply_flat(outer, mid):
+            acc.add(target, a, b, sign)
+
+
+def reference_bracket_defect(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
+    """Whether [pi(A), pi(B)] - pi([A, B]) vanishes on D_idx, both
+    compositions expanded in full: the direct path that the factored
+    verifier is checked against."""
+    acc = action._DegreeTwoSum()
+    compose_flat(acc, tag_a, action._apply_flat(tag_b, idx), 1)
+    compose_flat(acc, tag_b, action._apply_flat(tag_a, idx), -1)
+    for t, c in action._bracket_coords_flat(tag_a, tag_b):
+        for target, p in action._apply_flat(t, idx):
+            acc.add(target, p, c, -1)
+    return acc.is_zero()
+
+
 @given(wigner_indices(5), st.sampled_from(CONVENIENT_BASIS),
        st.sampled_from(CONVENIENT_BASIS))
 @example(WignerIndex(1, 0, 1), "Y3", "Y1")  # i * i
@@ -494,18 +516,136 @@ def test_integer_composition_matches_compose_poly(idx, a, b):
     # pi(A) pi(B) D on integer vectors equals the LambdaPoly reference,
     # monomial by monomial, radicand by radicand and i-power by i-power
     acc = action._DegreeTwoSum()
-    acc.compose(a, action._apply_flat(b, idx), 1)
+    compose_flat(acc, a, action._apply_flat(b, idx), 1)
     want = compose_poly(a, compose_poly(b, KTypeVector({idx: LambdaPoly.constant(1)})))
     assert rationals_of_accumulator(acc) == rationals_of_poly_vector(want)
 
 
+# every cache that holds exact action data of the bracket verifier; _u_terms
+# is left out, as the perturbations below replace it
+BRACKET_CACHES = ("_apply_poly_cached", "_y_row", "_apply_flat", "_uu_terms",
+                  "_m2_identity_holds", "_zz_weights", "_pair_defect_zero")
+
+
+def clear_bracket_caches():
+    for name in BRACKET_CACHES:
+        getattr(action, name).cache_clear()
+
+
+@contextlib.contextmanager
+def perturbed(kind: str, *where):
+    """The action with one defect put in, every bracket cache cleared:
+
+    * ("amplitude", j, l, m1): the first integer of the first U_j amplitude
+      of D^l_{m1,.} off by 1;
+    * ("y_unit", i, l, m, t): the unit of the `y_steps` row of Y_i from
+      D^l_{.,m} to D^l_{.,t} negated;
+    * ("bracket",): every bracket coordinate negated;
+    * ("none",): the action as it is.
+    """
+    name, original = None, None
+    if kind == "amplitude":
+        name, original = "_u_terms", action._u_terms
+
+        def replacement(j, l, m1):
+            amps = original(j, l, m1)
+            if (j, l, m1) != where or not amps:
+                return amps
+            (k, ((rad, im, p0, *rest), *terms)), *others = amps
+            return ((k, ((rad, im, p0 + 1, *rest), *terms)), *others)
+    elif kind == "y_unit":
+        name, original = "y_steps", action.y_steps
+
+        def replacement(i, l, m):
+            return tuple((t, -unit if (i, l, m, t) == where else unit, square)
+                         for t, unit, square in original(i, l, m))
+    elif kind == "bracket":
+        name, original = "_bracket_coords_flat", action._bracket_coords_flat
+
+        def replacement(a, b):
+            return tuple((t, tuple((rad, im, -p0, -p1, -p2, den)
+                                   for rad, im, p0, p1, p2, den in c))
+                         for t, c in original(a, b))
+    if name:
+        setattr(action, name, replacement)
+    clear_bracket_caches()
+    try:
+        yield
+    finally:
+        if name:
+            setattr(action, name, original)
+        clear_bracket_caches()
+
+
+CONVENIENT_PAIRS = list(itertools.combinations(CONVENIENT_BASIS, 2))
+
+# (pair, index, perturbation) where the perturbation makes the defect nonzero
+FLIPPED = [
+    (("Y2", "Z1"), WignerIndex(2, 0, 1), ("y_unit", 2, 2, 1, 0)),
+    (("Y2", "Z1"), WignerIndex(2, 0, 0), ("bracket",)),
+    (("Z-1", "Z1"), WignerIndex(2, 0, 1), ("amplitude", 2, 2, 0)),
+    (("Z-1", "Z1"), WignerIndex(2, 0, 1), ("y_unit", 1, 2, 1, 1)),
+    (("Z-1", "Z1"), WignerIndex(2, 0, 1), ("bracket",)),
+    (("Z0", "Z1"), WignerIndex(2, 0, 1), ("amplitude", 0, 2, 0)),
+    (("Y1", "Y2"), WignerIndex(2, 0, 0), ("y_unit", 2, 2, 0, 1)),
+]
+
+
+@st.composite
+def perturbations(draw, pair: tuple, idx: WignerIndex):
+    """A perturbation of the action that the defect of pair on idx may
+    read: at the K-type of idx or one a U_j step away, mostly at its own m1
+    or m2, and a Y unit of the pair's own Y if it has one."""
+    kind = draw(st.sampled_from(("none", "amplitude", "y_unit", "bracket")))
+    if kind == "bracket" or kind == "none":
+        return (kind,)
+    l = max(0, idx.l + draw(st.sampled_from((0, 0, 0, -2, -1, 1, 2))))
+    own = idx.m1 if kind == "amplitude" else idx.m2
+    m = draw(st.sampled_from((own, own, own + 1, own - 1, own + 2, own - 2)))
+    m = max(-l, min(l, m))
+    if kind == "amplitude":
+        return kind, draw(st.integers(-2, 2)), l, m
+    i = draw(st.sampled_from([Y_TAGS[t] for t in pair if t in Y_TAGS] or [1, 2, 3]))
+    rows = action.y_steps(i, l, m)
+    return kind, i, l, m, draw(st.sampled_from([t for t, _, _ in rows] or [m]))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_factored_bracket_matches_direct_reference(data):
+    # the same verdict as the direct composition on l <= 6, with the action
+    # as it is and with one wrong amplitude, Y unit or bracket
+    pair = data.draw(st.sampled_from(CONVENIENT_PAIRS))
+    idx = data.draw(wigner_indices(6))
+    perturbation = data.draw(perturbations(pair, idx))
+    with perturbed(*perturbation):
+        assert action._bracket_defect_zero(*pair, idx) == \
+            reference_bracket_defect(*pair, idx)
+
+
+@pytest.mark.parametrize("pair,idx,perturbation", FLIPPED)
+def test_perturbation_flips_both_verdicts(pair, idx, perturbation):
+    assert action._bracket_defect_zero(*pair, idx)
+    with perturbed(*perturbation):
+        assert not reference_bracket_defect(*pair, idx)
+        assert not action._bracket_defect_zero(*pair, idx)
+        assert not bracket_check(*pair, idx)
+
+
+def test_yz_verdict_is_free_of_the_amplitudes():
+    # the (Y, Z) identity holds for any U_j amplitudes, so a wrong one
+    # leaves both verdicts true
+    pair, idx = ("Y2", "Z1"), WignerIndex(2, 0, 1)
+    with perturbed("amplitude", 0, 2, 0):
+        assert reference_bracket_defect(*pair, idx)
+        assert action._bracket_defect_zero(*pair, idx)
+
+
 @pytest.fixture
 def fresh_bracket_caches():
-    action._apply_flat.cache_clear()
-    action._pair_defect_zero.cache_clear()
+    clear_bracket_caches()
     yield
-    action._apply_flat.cache_clear()
-    action._pair_defect_zero.cache_clear()
+    clear_bracket_caches()
 
 
 @pytest.mark.parametrize("l", range(4))
@@ -524,8 +664,7 @@ def test_bracket_check_detects_one_wrong_amplitude(l, monkeypatch,
         return ((k, ((rad, im, p0 + 1, *rest), *terms)), *others)
 
     monkeypatch.setattr(action, "_u_terms", skewed)
-    action._apply_flat.cache_clear()
-    action._pair_defect_zero.cache_clear()
+    clear_bracket_caches()
     assert not bracket_check("X1", "X-1", idx)
 
 
@@ -546,9 +685,36 @@ def test_bracket_check_detects_negated_bracket(l, monkeypatch,
     assert not bracket_check("X1", "X-1", idx)
 
 
+@pytest.mark.parametrize("pair,kind", [
+    (("Y2", "Z1"), "bracket"), (("Z-1", "Z1"), "bracket"), (("Z-1", "Z1"), "amplitude"),
+])
+@pytest.mark.parametrize("l", range(1, 4))
+def test_bracket_check_negative_controls_per_pair_class(pair, kind, l):
+    # a (Y, Z) and a (Z, Z) pair, as the X1/X-1 controls above; the wrong
+    # amplitude is the first of U_2 D^l_{0,.}
+    idx = WignerIndex(l, 0, 1)
+    perturbation = ("amplitude", 2, l, 0) if kind == "amplitude" else (kind,)
+    clear_bracket_caches()
+    assert bracket_check(*pair, idx)
+    with perturbed(*perturbation):
+        assert not bracket_check(*pair, idx)
+
+
+@pytest.mark.parametrize("args", [
+    ("Z1", "Z2", (1, 5, 0)), ("Z1", "Z2", (-1, 0, 0)), ("Y1", "Z2", (2, 0, 3)),
+    ("Q", "Z1", (1, 0, 0)), ("Y9", "Z1", (1, 0, 0)), ("Z1", "Z3", (1, 0, 0)),
+    ("X1", "H3", (1, 0, 0)),
+])
+def test_bracket_check_rejects_bad_input(args):
+    with pytest.raises(ValueError):
+        bracket_check(*args)
+
+
 def test_bracket_caches_are_bounded():
     assert action._pair_defect_zero.cache_info().maxsize == 200_000
     assert action._apply_flat.cache_info().maxsize == 200_000
+    for name in BRACKET_CACHES:
+        assert getattr(action, name).cache_info().maxsize is not None, name
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,30 @@ def test_verify_without_labels_exits_2(suite, lmax, capsys):
     assert "--lmax" in err and "low >= high" not in err
 
 
+@pytest.mark.parametrize("suite, flag, value", [
+    ("orthogonality", "--lambda", "1,2"), ("orthogonality", "--samples", "2"),
+    ("orthogonality", "--seed", "5"), ("cg", "--lambda", "1,2"),
+    ("sl2", "--lmax", "9"), ("sl2", "--lambda", "5,5")])
+def test_verify_refuses_options_its_suite_does_not_read(suite, flag, value,
+                                                        capsys):
+    assert main(["verify", "--suite", suite, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("bare, explicit", [
+    (["--suite", "orthogonality"], ["--lmax", "3"]),
+    (["--suite", "cg"], ["--lmax", "3", "--samples", "5", "--seed", "0"]),
+    (["--suite", "sl2"], ["--samples", "5", "--seed", "0"]),
+])
+def test_verify_defaults_are_those_of_the_options_read(bare, explicit, capsys):
+    # the report echoes the defaults of the options a suite reads
+    assert main(["verify", *bare]) == 0
+    out = capsys.readouterr().out
+    assert main(["verify", *bare, *explicit]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_verify_cg_compares_every_sample(monkeypatch, capsys):
     # at lmax 1-3 some draws reach no coupled target; at lmax 1 and seed 5
     # none of the first five draws does, and five draws once passed the
