@@ -23,13 +23,13 @@ q(n,j,l,m2) in m2.  Both caches are keyed on the coefficient mode as well
 as on lam, because 11, Fraction(11) and 11+0j hash and compare alike but
 give exact and complex coefficients.
 
-Three coefficient modes are supported:
-
-* symbolic: LambdaForm coefficients (degree <= 1 in the spectral
-  parameter), authoritative for exact zero tests;
-* exact-evaluated: RadicalScalar coefficients at a rational spectral
-  parameter, used for invariant-subspace certificates;
-* numeric: complex coefficients for matrix export and oracle comparison.
+The coefficient mode follows the type of lam: `lambda_factor`, the one
+formula for Lambda, is evaluated at lam itself (at lam = None, at the unit
+forms lam_1, lam_2, lam_3).  The coefficients are symbolic LambdaForms for
+lam = None, the only answers that carry one; exact RadicalScalars at a
+rational triple, for invariant-subspace certificates; and complex at any
+other triple, as a RadicalScalar times a complex number is complex, for
+matrix export and oracle comparison.  `_lam_key` checks lam once per call.
 
 The factor i of the complexified generators is the RadicalScalar I, so
 every generator, its 3x3 matrix and its exact action on Wigner functions
@@ -155,52 +155,49 @@ def reassemble(coords: dict[str, RadicalScalar]) -> Matrix:
 # ---------------------------------------------------------------------------
 # Lambda factors and the main expansion
 
-C_FACTORS = {-2: RadicalScalar.from_rational(1), 0: _SQ23,
-             2: RadicalScalar.from_rational(1)}
-
-
-def lambda_factor(k: int, j: int, l: int, m1: int) -> LambdaForm:
-    """Lam^(k)_j(lam, l, m1) as a symbolic degree-1 form in lam."""
-    if k == -2:
-        return LambdaForm(const=1 - m1, c1=ONE, c2=-ONE)
-    if k == 0:
-        return LambdaForm(const=Fraction(2 * j * l + j + j * j, 2),
-                          c1=ONE, c2=ONE, c3=RadicalScalar.from_rational(-2))
-    if k == 2:
-        return LambdaForm(const=1 + m1, c1=ONE, c2=-ONE)
-    raise ValueError("k must be -2, 0, or 2")
-
+C_FACTORS = {-2: ONE, 0: _SQ23, 2: ONE}
 
 LamArg = Union[None, Sequence]
+
+# lam_1, lam_2, lam_3 as forms: lambda_factor at these is the symbolic Lambda
+_LAMBDA_UNITS = (LambdaForm(c1=ONE), LambdaForm(c2=ONE), LambdaForm(c3=ONE))
+
+
+def lambda_factor(k: int, j: int, l: int, m1: int, lam: LamArg = None):
+    """Lam^(k)_j(lam, l, m1): a LambdaForm for lam = None, a rational at a
+    rational triple, complex at a complex one, summed as LambdaForm.eval sums."""
+    l1, l2, l3 = _LAMBDA_UNITS if lam is None else lam
+    if k == -2:
+        return 1 - m1 + l1 - l2
+    if k == 0:
+        return j * l + j * (j + 1) // 2 + l1 + l2 - 2 * l3
+    if k == 2:
+        return 1 + m1 + l1 - l2
+    raise ValueError("k must be -2, 0, or 2")
+
 
 # Callers walk the labels K-type by K-type, so the working set of either
 # amplitude cache is a few (l, m1) rows; eviction only costs a recomputation.
 _AMPLITUDE_CACHE_SIZE = 1 << 14
 
 
-def _lam_mode(lam: LamArg) -> str:
-    if lam is None:
-        return "symbolic"
-    if all(isinstance(x, (int, Fraction)) for x in lam):
-        return "exact"
-    return "numeric"
-
-
 def _lam_key(lam: LamArg) -> tuple[str, tuple | None]:
-    """The mode and the components of a spectral parameter, as a cache key.
-
-    The mode is part of the key because 11, Fraction(11) and 11+0j hash and
-    compare alike, yet give RadicalScalar and complex coefficients.
-    """
-    return _lam_mode(lam), None if lam is None else tuple(lam)
-
-
-def _coeff(form: LambdaForm, scalar: RadicalScalar, lam: LamArg, mode: str):
-    if mode == "symbolic":
-        return form * scalar
-    if mode == "exact":
-        return form.eval_exact(lam) * scalar
-    return form.eval(lam) * float(scalar)
+    """The mode and the components of a spectral parameter, as a cache key,
+    made complex in numeric mode; ValueError unless lam is None or a triple
+    summing to zero.  The mode is part of the key because 11, Fraction(11)
+    and 11+0j hash and compare alike, yet give RadicalScalar and complex
+    coefficients."""
+    if lam is None:
+        return "symbolic", None
+    lam = tuple(lam)
+    if all(isinstance(x, (int, Fraction)) for x in lam):
+        mode, zero_sum = "exact", sum(lam) == 0
+    else:
+        lam = tuple(complex(x) for x in lam)
+        mode, zero_sum = "numeric", abs(sum(lam)) <= 1e-12
+    if len(lam) != 3 or not zero_sum:
+        raise ValueError("spectral parameter must be a triple summing to zero")
+    return mode, lam
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
@@ -214,7 +211,7 @@ def _u_amplitudes(j: int, l: int, m1: int, mode: str, lam) -> tuple:
         qk = q(k, j, l, m1)
         if qk.is_zero():
             continue
-        c = _coeff(lambda_factor(k, j, l, m1), C_FACTORS[k] * qk, lam, mode)
+        c = lambda_factor(k, j, l, m1, lam) * (C_FACTORS[k] * qk)
         if not coeff_is_zero(c):
             out.append((k, c))
     return tuple(out)
@@ -244,7 +241,8 @@ def act_Z(n: int, idx: WignerIndex, lam: LamArg = None) -> KTypeVector:
     """pi(Z_n) on a Wigner function, as sum_j q(n,j,l,m2) U_j D^l_{m1,m2}.
 
     lam = None gives symbolic LambdaForm coefficients; a rational triple
-    gives exact RadicalScalar coefficients; a complex triple gives floats.
+    gives exact RadicalScalar coefficients; any other triple gives complex
+    ones.  Raises ValueError for a lam that is no triple summing to zero.
     The U_j amplitudes come from a bounded cache keyed on (j, l, m1), the
     mode and lam, so only the coupling factor is computed per call.
     """
@@ -322,7 +320,7 @@ def _folded_amplitudes(delta, j: int, l: int, m1: int, mode: str, lam) -> tuple:
                 f"U_{j} on v_({l},{m1},.) reaches the invalid label "
                 f"v_({lt},{t},.) for parity {delta}")
         if t == 0:
-            c_pos = c_pos * 0.5 if mode == "numeric" else c_pos * _HALF
+            c_pos = c_pos * _HALF
         out.append((t, c_pos))
     return tuple(out)
 
@@ -389,8 +387,7 @@ def _ladder_m2(v: KTypeVector, step: int) -> KTypeVector:
         if arg <= 0 or abs(m2 + step) > l:
             continue
         coeff = RadicalScalar.sqrt_rational(arg)
-        out.add_term(WignerIndex(l, m1, m2 + step),
-                     c * float(coeff) if isinstance(c, complex) else c * coeff)
+        out.add_term(WignerIndex(l, m1, m2 + step), c * coeff)
     return out
 
 
@@ -406,10 +403,7 @@ def act_W(n: int, L: int, m2: int, v: KTypeVector,
         raise ValueError("n must be in -2..2")
     out = KTypeVector()
     for idx, c in v.items():
-        part = act_Z(n, idx, lam)
-        if not isinstance(c, (int, float, complex)) or c != 1:
-            part = part.scaled(c)
-        out = out + part
+        out = out + act_Z(n, idx, lam).scaled(c)
     if n == 0:
         return out
     steps = abs(n)
@@ -429,8 +423,6 @@ def act_W(n: int, L: int, m2: int, v: KTypeVector,
                              f"normalization argument {arg}")
         norm = norm * RadicalScalar.sqrt_rational(Fraction(1, arg))
         out = _ladder_m2(out, direction)
-    if _lam_mode(lam) == "numeric":
-        return out.scaled(float(norm))
     return out.scaled(norm)
 
 
@@ -488,11 +480,10 @@ def decompose_standard_basis(tag: str, idx: WignerIndex,
                              lam: LamArg = None) -> KTypeVector:
     """Action of X_i / H_i (or any tag) via the exact change of basis,
     evaluated at lam, a triple summing to zero, if one is given."""
+    _, lam = _lam_key(lam)
     vec = _apply_poly_cached(tag, WignerIndex(*idx))
     if lam is None:
         return vec
-    if len(lam) != 3 or not abs(sum(complex(x) for x in lam)) <= 1e-12:
-        raise ValueError("spectral parameter must be a triple summing to zero")
     out = KTypeVector()
     for target, form in vec.items():
         out.add_term(target, form.eval(lam))
@@ -531,14 +522,6 @@ def _int_terms(form: LambdaForm) -> tuple:
         den = lcm(*(c.denominator for c in p))
         out.append((rad, im, *(int(c * den) for c in p), den))
     return tuple(out)
-
-
-def _constant_value(terms: tuple) -> RadicalScalar:
-    """The RadicalScalar of integer terms without a lam part."""
-    out = ZERO
-    for rad, im, p0, _, _, den in terms:
-        out = out + RadicalScalar({-rad if im else rad: Fraction(p0, den)})
-    return out
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
@@ -643,9 +626,8 @@ def _generator_bracket(tag_a: str, tag_b: str) -> Matrix:
 
 @lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite
 def _bracket_coords_flat(tag_a: str, tag_b: str) -> tuple:
-    coords = decompose_matrix(_generator_bracket(tag_a, tag_b))
-    return tuple((t, _int_terms(LambdaForm.constant(c)))
-                 for t, c in sorted(coords.items()))
+    """The coordinates of [A, B] as sorted ((tag, coefficient), ...)."""
+    return tuple(sorted(decompose_matrix(_generator_bracket(tag_a, tag_b)).items()))
 
 
 # The defect [pi(A), pi(B)] - pi([A, B]) factors through q (x) U.  pi(Y_i)
@@ -690,8 +672,7 @@ def _m2_identity_holds(tag_a: str, tag_b: str, coords: tuple, j: int, l: int,
         for t, c1 in row:
             for s, c2 in _m2_row(second, j, lt, t)[1]:
                 side[s] = side.get(s, ZERO) + c2 * c1
-    for t, terms in coords:
-        c = _constant_value(terms)
+    for t, c in coords:
         for s, ct in _m2_row(t, j, l, m2)[1]:
             rhs[s] = rhs.get(s, ZERO) + ct * c
     return all(ab.get(s, ZERO) == rhs.get(s, ZERO) for s in ab.keys() | rhs.keys())
@@ -708,6 +689,10 @@ def _uu_terms(j: int, jp: int, l: int, m1: int) -> tuple:
             acc.add(k + kp, outer, inner, 1)
     return acc.den, tuple((K, rad, im, tuple(e))
                           for (K, rad, im), e in acc.entries.items() if any(e))
+
+
+# the amplitude 1 at D^L_{m1,.}, in the format of _uu_terms
+_UNIT_AMPLITUDE = (1, ((0, 1, 0, (1, 0, 0, 0, 0, 0)),))
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
@@ -740,9 +725,9 @@ def _bracket_defect_zero(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     acc = _DegreeTwoSum()
     for j, jp, w in _zz_weights(a, b, l, m2):
         acc.add_scaled(w, _uu_terms(j, jp, l, m1), (l + j + jp, m1, m2 + a + b))
-    for t, c in coords:
-        for target, p in _apply_flat(t, idx):
-            acc.add(target, p, c, -1)
+    for t, c in coords:  # pi([Z_a, Z_b]) = sum_t c_t pi(Y_t), lam-free
+        for s, ct in _y_row(Y_TAGS[t], l, m2):
+            acc.add_scaled(-(c * ct), _UNIT_AMPLITUDE, (l, m1, s))
     return acc.is_zero()
 
 

@@ -116,6 +116,8 @@ def _cmd_wigner(args) -> int:
 def _cmd_cg(args) -> int:
     from .clebsch import q
 
+    if args.l < 0 or abs(args.m) > args.l or abs(args.k) > 2 or abs(args.j) > 2:
+        raise ValueError("a coupling index has l >= 0, |m| <= l and |k|, |j| <= 2")
     val = q(args.k, args.j, args.l, args.m)
     if args.format == "json":
         _emit(json.dumps({"k": args.k, "j": args.j, "l": args.l, "m": args.m,
@@ -127,16 +129,24 @@ def _cmd_cg(args) -> int:
 
 
 def _cmd_sl2(args) -> int:
-    from .sl2 import SL2Params, sl2_composition_report
+    from .sl2 import SL2Params, _check_parity, sl2_composition_report
 
+    _read_options(args, ("l",) if args.mode == "ladder" else (), {"l": 0},
+                  f"sl2 {args.mode}")
     params = SL2Params(args.nu, args.eps)
     if args.mode == "ladder":
+        _check_parity(params, [args.l])
         nu = args.nu
         rows = [("raise", 2 * nu + 1 + args.l, args.l + 2),
                 ("lower", 2 * nu + 1 - args.l, args.l - 2),
                 ("weight", f"{args.l}i", args.l)]
-        _emit("\n".join(f"{name}: v_{args.l} -> ({coeff}) v_{target}"
-                        for name, coeff, target in rows), args.out)
+        if args.format == "json":
+            _emit(json.dumps({"nu": str(nu), "eps": args.eps, "l": args.l, "rows": [
+                {"name": name, "coefficient": str(coeff), "target": target}
+                for name, coeff, target in rows]}), args.out)
+        else:
+            _emit("\n".join(f"{name}: v_{args.l} -> ({coeff}) v_{target}"
+                            for name, coeff, target in rows), args.out)
         return 0
     report = sl2_composition_report(params)
     if args.format == "json":
@@ -153,6 +163,8 @@ def _cmd_sl2(args) -> int:
 def _cmd_series(args) -> int:
     from .series import SeriesParams, basis, multiplicity
 
+    if args.lmax < 0:
+        raise ValueError("--lmax must be nonnegative")
     params = SeriesParams(args.lam, args.delta)
     lines = ["l,m1,m2"]
     for l in range(args.lmax + 1):
@@ -179,17 +191,17 @@ def _cmd_action(args) -> int:
 def _cmd_compose(args) -> int:
     from . import structure
 
-    lmax = args.lmax
-    if lmax is None:
-        lmax = 31 if args.preset == "k23" else 12
+    defaults = {"k": 2, "s": Fraction(1, 4), "lmax": 31 if args.preset == "k23" else 12}
+    _read_options(args, _COMPOSE_READS[args.preset] + ("lmax",), defaults,
+                  f"the {args.preset} preset")
     if args.preset == "even-k":
-        report = structure.even_k_report(args.k, lmax)
+        report = structure.even_k_report(args.k, args.lmax)
     elif args.preset == "degenerate":
-        report = structure.degenerate_series_report(args.s, lmax)
+        report = structure.degenerate_series_report(args.s, args.lmax)
     elif args.preset == "k3":
-        report = structure.k3_chain_report(lmax)
+        report = structure.k3_chain_report(args.lmax)
     else:
-        report = structure.k23_subspace_report(lmax)
+        report = structure.k23_subspace_report(args.lmax)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), sort_keys=True, default=str),
               args.out)
@@ -203,7 +215,20 @@ def _cmd_compose(args) -> int:
     return 0 if ok else 1
 
 
-# the options each verify suite reads; the others are refused
+def _read_options(args, reads, defaults: dict, what: str) -> None:
+    """Fill in the defaults of the options in `reads` that the parser gave as
+    None (not given), and refuse any other option of `defaults` given."""
+    for name, default in defaults.items():
+        if name in reads:
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+        elif getattr(args, name) is not None:
+            flag = "--lambda" if name == "lam" else f"--{name}"
+            raise ValueError(f"{what} does not read {flag}")
+
+
+# the options each compose preset and each verify suite reads
+_COMPOSE_READS = {"even-k": ("k",), "degenerate": ("s",), "k3": (), "k23": ()}
 _VERIFY_READS = {
     "orthogonality": ("lmax",),
     "cg": ("lmax", "samples", "seed"),
@@ -218,13 +243,7 @@ def _cmd_verify(args) -> int:
     from . import oracle
 
     reads = _VERIFY_READS[args.suite]
-    for name, default in _VERIFY_DEFAULTS.items():
-        if name in reads:
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-        elif getattr(args, name) is not None:
-            flag = "--lambda" if name == "lam" else f"--{name}"
-            raise ValueError(f"the {args.suite} suite does not read {flag}")
+    _read_options(args, reads, _VERIFY_DEFAULTS, f"the {args.suite} suite")
     # a suite that compares no case must not pass
     if "samples" in reads and args.samples < 1:
         raise ValueError("--samples must be at least 1")
@@ -350,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     s2.add_argument("mode", choices=("ladder", "compose"))
     s2.add_argument("--nu", type=_parse_scalar, required=True)
     s2.add_argument("--eps", type=int, default=0, choices=(0, 1))
-    s2.add_argument("--l", type=int, default=0)
+    s2.add_argument("--l", type=int, default=None)
     common(s2, ("table", "json"))
     s2.set_defaults(func=_cmd_sl2)
 
@@ -373,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("compose", help="composition-series reports")
     co.add_argument("--preset", required=True,
                     choices=("even-k", "degenerate", "k3", "k23"))
-    co.add_argument("--k", type=int, default=2)
-    co.add_argument("--s", type=_parse_scalar, default=Fraction(1, 4))
+    # None marks an option not given, as for verify below
+    co.add_argument("--k", type=int, default=None)
+    co.add_argument("--s", type=_parse_scalar, default=None)
     co.add_argument("--lmax", type=int, default=None)
     common(co, ("table", "json"))
     co.set_defaults(func=_cmd_compose)
@@ -383,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", required=True,
                    choices=("orthogonality", "cg", "theorem-main",
                             "diffops", "sl2"))
-    # None marks an option not given; _cmd_verify fills in the defaults of
+    # None marks an option not given; _read_options fills in the defaults of
     # the options the suite reads and refuses the others
     v.add_argument("--lmax", type=int, default=None)
     v.add_argument("--samples", type=int, default=None)

@@ -5,7 +5,9 @@ squarefree n != 0, where sqrt(n) = i * sqrt(-n) for n < 0; so I = sqrt(-1)
 is an ordinary value.  This is exactly the coefficient field produced by
 the coupling coefficients, ladder normalizations and the factor i of the
 complexified generators, so zero tests (the basis of invariant-subspace
-detection) are exact.
+detection) are exact.  A RadicalScalar r times a float or complex x, in
+either order, is complex(r) * x, as a Fraction times a float is a float in
+Python's numeric tower.
 """
 
 from __future__ import annotations
@@ -159,6 +161,8 @@ class RadicalScalar:
             out._hash = None
             return out
         if not isinstance(other, RadicalScalar):
+            if isinstance(other, (float, complex)):
+                return complex(self) * other
             return NotImplemented
         if not self.terms or not other.terms:
             return _ZERO

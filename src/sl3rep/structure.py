@@ -27,7 +27,7 @@ from .action import (_couplings, _folded_amplitudes, act_U, act_Z_on_basis,
                      label_components, lambda_factor)
 from .clebsch import q
 from .errors import VerificationError
-from .scalars import RadicalScalar, ZERO
+from .scalars import RadicalScalar
 from .series import BasisLabel, SeriesParams, basis, label_valid, multiplicity
 from .wigner import WignerIndex
 
@@ -70,19 +70,17 @@ def _boundary_reason(params: SeriesParams, l: int, m1: int, j: int,
     for src, _w in label_components(params.delta, l, m1):
         k = target_m1 - src
         if k in (-2, 0, 2) and target_m1 <= l + j:
-            contributions.append(
-                (src, k, q(k, j, l, src),
-                 lambda_factor(k, j, l, src).eval_exact(params.lam)))
+            contributions.append((src, k, q(k, j, l, src),
+                                  lambda_factor(k, j, l, src, params.lam)))
     if not contributions:
         return {"reason": "out-of-range", "detail": "no coupling path"}
-    nonzero = [(src, k) for src, k, qk, lv in contributions
-               if not qk.is_zero() and not lv.is_zero()]
+    nonzero = [(src, k) for src, k, qk, lv in contributions if qk and lv]
     if nonzero:
         paths = ", ".join(f"(src m1 = {src}, shift {k})" for src, k in nonzero)
         return {"reason": "folded-cancellation",
                 "detail": f"radical cancellation between {paths}"}
     for src, k, qk, lv in contributions:
-        if lv.is_zero():
+        if not lv:
             return {"reason": "lambda-zero",
                     "detail": f"Lambda^({k})(lam, {l}, {src}) = 0"}
     src, k = contributions[0][:2]
@@ -346,18 +344,10 @@ def degenerate_series_report(s, lmax: int = 12) -> StructureReport:
         for j, r in ((2, up), (-2, down)):
             if l + j < 0:
                 continue
-            vec = act_U(j, WignerIndex(l, 0, 0), lam)
-            expected = RadicalScalar.sqrt_rational(Fraction(2, 3)) * q(0, j, l, 0)
-            coeff = vec.get(WignerIndex(l + j, 0, 0))
-            if exact:
-                want = expected * r
-                got = coeff if coeff is not None else ZERO
-                if got != want:
-                    raise VerificationError(f"rung mismatch at l={l}, j={j}")
-            else:
-                got = coeff if coeff is not None else 0.0
-                if abs(got - float(expected) * complex(r)) > 1e-9 * (1 + abs(r)):
-                    raise VerificationError(f"rung mismatch at l={l}, j={j}")
+            got = act_U(j, WignerIndex(l, 0, 0), lam).get(WignerIndex(l + j, 0, 0), 0)
+            want = RadicalScalar.sqrt_rational(Fraction(2, 3)) * q(0, j, l, 0) * r
+            if (got != want if exact else abs(got - want) > 1e-9 * (1 + abs(r))):
+                raise VerificationError(f"rung mismatch at l={l}, j={j}")
     chain = []
     certificates = []
     if exact:

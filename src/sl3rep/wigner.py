@@ -180,6 +180,5 @@ def eval_vector(vec: KTypeVector, angles: EulerAngles) -> complex:
     """Evaluate a complex-coefficient Wigner combination at Euler angles."""
     total = 0.0 + 0.0j
     for idx, c in vec.items():
-        cc = complex(c) if not isinstance(c, complex) else c
-        total += cc * wigner_D(idx, angles)
+        total += c * wigner_D(idx, angles)
     return total

@@ -216,6 +216,47 @@ def test_lambda_factor_values():
         lambda_factor(1, 0, 2, 0)
 
 
+@given(st.integers(0, 12), st.data(), spectral_parameters())
+@settings(max_examples=150, deadline=None)
+def test_lambda_factor_at_lam_is_the_form_evaluated(l, data, lam):
+    # one formula: at a rational lam the exact value of the form, at a
+    # complex one its complex value, as LambdaForm.eval computes it
+    m1 = data.draw(st.integers(-l, l))
+    for k in (-2, 0, 2):
+        for j in range(-2, 3):
+            form = lambda_factor(k, j, l, m1)
+            assert isinstance(form, LambdaForm)
+            got = lambda_factor(k, j, l, m1, lam)
+            if lam is None:
+                assert got == form
+            elif all(isinstance(x, Fraction) for x in lam):
+                assert got == form.eval_exact(lam)
+            else:
+                assert type(got) is complex and got == form.eval(lam)
+
+
+BAD_LAMBDAS = [
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), (1, -1), (1, -1, 0, 0),
+    (0.3 + 0.1j, -0.2, 0.5), (0.3j, -0.3j), (1j, -1j, 0, 0), (float("nan"), 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("lam", BAD_LAMBDAS)
+def test_entry_points_reject_a_lam_that_is_no_zero_sum_triple(lam):
+    params = SeriesParams((0, 0, 0), (0, 0, 0))
+    calls = [
+        lambda: act_Z(1, WignerIndex(2, 1, 0), lam),
+        lambda: act_U(1, WignerIndex(2, 1, 0), lam),
+        # U_-2 of an l = 0 index is no vector: no Lambda is ever evaluated
+        lambda: act_U(-2, WignerIndex(0, 0, 0), lam),
+        lambda: act_Z_on_basis(1, BasisLabel(2, 0, 0), params, lam),
+        lambda: decompose_standard_basis("X1", WignerIndex(2, 1, 0), lam),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="triple summing to zero"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # folded basis action
 
@@ -503,8 +544,9 @@ def reference_bracket_defect(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     compose_flat(acc, tag_a, action._apply_flat(tag_b, idx), 1)
     compose_flat(acc, tag_b, action._apply_flat(tag_a, idx), -1)
     for t, c in action._bracket_coords_flat(tag_a, tag_b):
+        terms = action._int_terms(LambdaForm.constant(c))
         for target, p in action._apply_flat(t, idx):
-            acc.add(target, p, c, -1)
+            acc.add(target, p, terms, -1)
     return acc.is_zero()
 
 
@@ -563,9 +605,7 @@ def perturbed(kind: str, *where):
         name, original = "_bracket_coords_flat", action._bracket_coords_flat
 
         def replacement(a, b):
-            return tuple((t, tuple((rad, im, -p0, -p1, -p2, den)
-                                   for rad, im, p0, p1, p2, den in c))
-                         for t, c in original(a, b))
+            return tuple((t, -c) for t, c in original(a, b))
     if name:
         setattr(action, name, replacement)
     clear_bracket_caches()
@@ -676,9 +716,7 @@ def test_bracket_check_detects_negated_bracket(l, monkeypatch,
     exact = action._bracket_coords_flat
 
     def negated(a, b):
-        return tuple((t, tuple((rad, im, -p0, -p1, -p2, den)
-                               for rad, im, p0, p1, p2, den in c))
-                     for t, c in exact(a, b))
+        return tuple((t, -c) for t, c in exact(a, b))
 
     monkeypatch.setattr(action, "_bracket_coords_flat", negated)
     action._pair_defect_zero.cache_clear()
@@ -708,6 +746,23 @@ def test_bracket_check_negative_controls_per_pair_class(pair, kind, l):
 def test_bracket_check_rejects_bad_input(args):
     with pytest.raises(ValueError):
         bracket_check(*args)
+
+
+def test_bracket_check_reads_no_composed_action(fresh_bracket_caches, monkeypatch):
+    # every convenient and standard pair on every index with l <= 3, with
+    # the direct action paths kept for the reference and bench/ made to fail
+    def refuse(*args):
+        raise AssertionError("bracket_check read a composed action")
+
+    monkeypatch.setattr(action, "_apply_flat", refuse)
+    monkeypatch.setattr(action, "_apply_poly_cached", refuse)
+    pairs = CONVENIENT_PAIRS + list(itertools.combinations(STANDARD_BASIS, 2))
+    assert len(pairs) == 56
+    for l in range(4):
+        for m1 in range(-l, l + 1):
+            for m2 in range(-l, l + 1):
+                for pair in pairs:
+                    assert bracket_check(*pair, WignerIndex(l, m1, m2)), (pair, l, m1, m2)
 
 
 def test_bracket_caches_are_bounded():

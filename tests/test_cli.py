@@ -3,6 +3,7 @@ exit codes."""
 
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -14,13 +15,19 @@ import pytest
 
 import sl3rep
 from sl3rep import VerificationError, action, structure
-from sl3rep.cli import _csv_text, _fmt_complex, main
+from sl3rep.cli import _csv_text, _fmt_complex, _parse_scalar, main
 from sl3rep.series import BasisLabel, SeriesParams, basis
+
+
+# a subprocess imports the package these tests import, also where only
+# pytest's `pythonpath` setting puts it on the path
+_PATHS = [str(Path(sl3rep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in _PATHS if p)}
 
 
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "sl3rep.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=SUBPROCESS_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -240,7 +247,7 @@ def test_imports_stay_clear_of_scipy():
             "print(sorted(names))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=SUBPROCESS_ENV)
     names, loaded = proc.stdout.splitlines()
     assert "'oracle'" in names and "'cli'" in names
     assert loaded == "[]"
@@ -284,6 +291,73 @@ def test_verify_defaults_are_those_of_the_options_read(bare, explicit, capsys):
     out = capsys.readouterr().out
     assert main(["verify", *bare, *explicit]) == 0
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("preset, flag, value", [
+    ("k23", "--k", "7"), ("k23", "--s", "1/3"), ("k3", "--k", "2"),
+    ("k3", "--s", "1/4"), ("even-k", "--s", "1/4"), ("degenerate", "--k", "2")])
+def test_compose_refuses_options_its_preset_does_not_read(preset, flag, value,
+                                                          capsys):
+    assert main(["compose", "--preset", preset, flag, value, "--lmax", "27"]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("preset, explicit", [
+    ("even-k", ["--k", "2"]), ("degenerate", ["--s", "1/4"])])
+def test_compose_defaults_are_those_of_the_options_read(preset, explicit, capsys):
+    assert main(["compose", "--preset", preset, "--lmax", "6"]) == 0
+    out = capsys.readouterr().out
+    assert main(["compose", "--preset", preset, "--lmax", "6", *explicit]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("nu, l, eps", [("1/2", "2", "0"), ("0.3+0.1i", "-3", "1")])
+def test_sl2_ladder_json_holds_the_table_rows(nu, l, eps, capsys):
+    argv = ["sl2", "ladder", "--nu", nu, "--l", l, "--eps", eps]
+    assert main(argv) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["nu"], doc["eps"], doc["l"]) == (str(_parse_scalar(nu)), int(eps), int(l))
+    assert [f"{row['name']}: v_{l} -> ({row['coefficient']}) v_{row['target']}"
+            for row in doc["rows"]] == table
+    assert [row["name"] for row in doc["rows"]] == ["raise", "lower", "weight"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["sl2", "ladder", "--nu", "1/2", "--l", "1", "--eps", "0"], "parity"),
+    (["sl2", "ladder", "--nu", "1/2", "--eps", "1"], "parity"),
+    (["sl2", "compose", "--nu", "1/2", "--l", "2"], "--l"),
+])
+def test_sl2_refuses_a_weight_it_cannot_use(argv, err, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert err in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("k, j, l, m", [
+    (3, 0, 4, 0), (-3, 0, 4, 0), (0, 3, 4, 0), (0, -3, 4, 0), (0, 0, -1, 0),
+    (0, 0, 1, 2), (0, 0, 1, -2)])
+def test_cg_refuses_an_index_that_is_no_coupling_index(k, j, l, m, capsys):
+    assert main(["cg", "--k", str(k), "--j", str(j), "--l", str(l),
+                 "--m", str(m)]) == 2
+    captured = capsys.readouterr()
+    assert "coupling index" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("k, j, l, m", [(2, -2, 1, 1), (0, -2, 1, 0), (2, 0, 0, 0)])
+def test_cg_prints_a_zero_coefficient_of_a_coupling_index(k, j, l, m, capsys):
+    # ruled out by the triangle or the range rule, not by the index
+    assert main(["cg", "--k", str(k), "--j", str(j), "--l", str(l),
+                 "--m", str(m)]) == 0
+    assert capsys.readouterr().out == "0 ≈ 0.000000\n"
+
+
+def test_series_without_labels_exits_2(capsys):
+    assert main(["series", "--delta", "0,0,0", "--lmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--lmax" in captured.err and not captured.out
 
 
 def test_verify_cg_compares_every_sample(monkeypatch, capsys):

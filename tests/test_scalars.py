@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl3rep.scalars import I, ONE, ZERO, LambdaForm, RadicalScalar
@@ -188,3 +188,16 @@ def test_square_extraction_cache_is_bounded():
     from sl3rep.scalars import _square_extract
 
     assert _square_extract.cache_info().maxsize == 1 << 16
+
+
+@given(gaussian_scalars(), st.one_of(
+    st.floats(-1e6, 1e6),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
+@settings(max_examples=150, deadline=None)
+@example(I * RadicalScalar.sqrt_rational(3) + Fraction(1, 2), 0.25)
+@example(I * RadicalScalar.sqrt_rational(3) + Fraction(1, 2), -1.5 + 2j)
+def test_times_float_or_complex_is_complex(r, x):
+    # as a Fraction times a float is a float: complex(r) * x, in both orders
+    want = complex(r) * x
+    for got in (r * x, x * r):
+        assert type(got) is complex and got == want
