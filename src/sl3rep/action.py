@@ -55,7 +55,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .clebsch import q
+from .clebsch import q, q_core, q_float
 from .errors import VerificationError
 from .ktvector import KTypeVector, coeff_is_zero
 from .scalars import I, ONE, ZERO, LambdaForm, RadicalScalar
@@ -112,12 +112,9 @@ def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
                        for j in range(3)) for i in range(3))
 
 
-def matrix_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(a[i][j] - b[i][j] for j in range(3)) for i in range(3))
-
-
 def matrix_bracket(a: Matrix, b: Matrix) -> Matrix:
-    return matrix_sub(matrix_mul(a, b), matrix_mul(b, a))
+    ab, ba = matrix_mul(a, b), matrix_mul(b, a)
+    return tuple(tuple(ab[i][j] - ba[i][j] for j in range(3)) for i in range(3))
 
 
 _HALF = Fraction(1, 2)
@@ -182,11 +179,9 @@ _AMPLITUDE_CACHE_SIZE = 1 << 14
 
 
 def _lam_key(lam: LamArg) -> tuple[str, tuple | None]:
-    """The mode and the components of a spectral parameter, as a cache key,
-    made complex in numeric mode; ValueError unless lam is None or a triple
-    summing to zero.  The mode is part of the key because 11, Fraction(11)
-    and 11+0j hash and compare alike, yet give RadicalScalar and complex
-    coefficients."""
+    """The mode and the components of a spectral parameter, as a cache key
+    (see the module docstring), made complex in numeric mode; ValueError
+    unless lam is None or a triple summing to zero."""
     if lam is None:
         return "symbolic", None
     lam = tuple(lam)
@@ -208,33 +203,40 @@ def _u_amplitudes(j: int, l: int, m1: int, mode: str, lam) -> tuple:
     """
     out = []
     for k in (-2, 0, 2):
-        qk = q(k, j, l, m1)
-        if qk.is_zero():
-            continue
-        c = lambda_factor(k, j, l, m1, lam) * (C_FACTORS[k] * qk)
-        if not coeff_is_zero(c):
-            out.append((k, c))
+        if mode == "numeric":
+            ckq = complex(_ckq_float(k, j, l, m1))
+        elif ckq := q(k, j, l, m1):
+            ckq = C_FACTORS[k] * ckq
+        if ckq:
+            c = lambda_factor(k, j, l, m1, lam) * ckq
+            if not coeff_is_zero(c):
+                out.append((k, c))
     return tuple(out)
+
+
+def _ckq_float(k: int, j: int, l: int, m1: int) -> float:
+    """float(C_FACTORS[k] * q(k, j, l, m1)), bitwise, from the integers of q:
+    c_0 = sqrt(6)/3 folds 6 into the radicand over one gcd."""
+    if k:
+        return q_float(k, j, l, m1)
+    num, rad, den = q_core(0, j, l, m1)
+    g = gcd(6, rad)
+    return num * g / (3 * den) * sqrt(6 // g * (rad // g))
 
 
 def _couplings(n: int, l: int, m2: int, mode: str) -> Sequence[tuple]:
     """The nonzero q(n, j, l, m2) as (j, q) pairs, float in numeric mode."""
-    if mode == "numeric":
-        return _float_couplings(n, l, m2)
     if n not in (-2, -1, 0, 1, 2):
         raise ValueError("n must be in -2..2")
-    out = []
-    for j in range(-2, 3):
-        qn = q(n, j, l, m2)
-        if not qn.is_zero():
-            out.append((j, qn))
-    return out
+    if mode == "numeric":
+        return _float_couplings(n, l, m2)
+    return [(j, qn) for j in range(-2, 3) if (qn := q(n, j, l, m2))]
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _float_couplings(n: int, l: int, m2: int) -> tuple:
-    """_couplings in floats, each q converted once."""
-    return tuple((j, float(qn)) for j, qn in _couplings(n, l, m2, "exact"))
+    """The nonzero q(n, j, l, m2) as (j, q_float) pairs."""
+    return tuple((j, x) for j in range(-2, 3) if (x := q_float(n, j, l, m2)))
 
 
 def act_Z(n: int, idx: WignerIndex, lam: LamArg = None) -> KTypeVector:
@@ -735,9 +737,7 @@ _pair_defect_zero = lru_cache(maxsize=200_000)(_bracket_defect_zero)
 
 
 def _coords_of(tag: str) -> tuple:
-    if tag in Z_TAGS or tag in Y_TAGS:
-        return ((tag, ONE),)
-    return standard_basis_coords(tag)
+    return ((tag, ONE),) if tag in CONVENIENT_BASIS else standard_basis_coords(tag)
 
 
 @lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite

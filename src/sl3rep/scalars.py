@@ -126,18 +126,12 @@ class RadicalScalar:
                 merged[n] = c
             elif n in merged:
                 del merged[n]
-        out = RadicalScalar.__new__(RadicalScalar)
-        out.terms = merged
-        out._hash = None
-        return out
+        return _canonical(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RadicalScalar.__new__(RadicalScalar)
-        out.terms = {n: -c for n, c in self.terms.items()}
-        out._hash = None
-        return out
+        return _canonical({n: -c for n, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -156,10 +150,7 @@ class RadicalScalar:
             if not other:
                 return _ZERO
             q = Fraction(other)
-            out = RadicalScalar.__new__(RadicalScalar)
-            out.terms = {n: c * q for n, c in self.terms.items()}
-            out._hash = None
-            return out
+            return _canonical({n: c * q for n, c in self.terms.items()})
         if not isinstance(other, RadicalScalar):
             if isinstance(other, (float, complex)):
                 return complex(self) * other
@@ -180,10 +171,7 @@ class RadicalScalar:
                     merged[n] = c
                 elif n in merged:
                     del merged[n]
-        out = RadicalScalar.__new__(RadicalScalar)
-        out.terms = merged
-        out._hash = None
-        return out
+        return _canonical(merged)
 
     __rmul__ = __mul__
 
@@ -246,6 +234,14 @@ class RadicalScalar:
             else:
                 parts.append(f"{c}*sqrt({n})")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _canonical(terms: dict) -> RadicalScalar:
+    """The RadicalScalar of terms that are canonical as they stand."""
+    out = RadicalScalar.__new__(RadicalScalar)
+    out.terms = terms
+    out._hash = None
+    return out
 
 
 def _coerce(x) -> "RadicalScalar":

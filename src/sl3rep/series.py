@@ -64,13 +64,8 @@ def label_sign(delta: Delta, l: int) -> int:
 
 def label_valid(delta: Delta, label: BasisLabel) -> bool:
     l, m1, m2 = label
-    if l < 0 or m1 < 0 or m1 > l or abs(m2) > l:
-        return False
-    if (m1 - delta[0] - delta[1]) % 2:
-        return False
-    if m1 == 0 and label_sign(delta, l) != 1:
-        return False
-    return True
+    return (0 <= m1 <= l and abs(m2) <= l and not (m1 - delta[0] - delta[1]) % 2
+            and (m1 > 0 or label_sign(delta, l) == 1))
 
 
 def basis(params: SeriesParams, l: int) -> list[BasisLabel]:
@@ -78,14 +73,8 @@ def basis(params: SeriesParams, l: int) -> list[BasisLabel]:
     if l < 0:
         raise ValueError("l must be nonnegative")
     delta = params.delta
-    out = []
-    start = (delta[0] + delta[1]) % 2
-    for m1 in range(start, l + 1, 2):
-        if m1 == 0 and label_sign(delta, l) != 1:
-            continue
-        for m2 in range(-l, l + 1):
-            out.append(BasisLabel(l, m1, m2))
-    return out
+    return [BasisLabel(l, m1, m2) for m1 in range((delta[0] + delta[1]) % 2, l + 1, 2)
+            if m1 > 0 or label_sign(delta, l) == 1 for m2 in range(-l, l + 1)]
 
 
 def multiplicity(delta: Delta, l: int) -> int:

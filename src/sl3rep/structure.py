@@ -108,7 +108,8 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
         raise ValueError("invariance certification needs a rational "
                          "spectral parameter")
     result = InvarianceResult(invariant=True)
-    interior = spec.labels(lmax - 2)
+    span = spec.labels(lmax)
+    interior = [lab for lab in span if lab.l <= lmax - 2]  # labels() walks l upward
     result.checked_labels = len(interior)
     # The Y generators act within a fixed (l, m1) pair, so any predicate on
     # labels that admits one m2 admits the whole row; still verify that the
@@ -160,7 +161,7 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
                 else:
                     entry.update(_boundary_reason(params, l, m1, j, target_m1))
                 result.certificates.append(entry)
-    result.connected = _connected(spec, lmax, edges)
+    result.connected = _connected({lab[:2] for lab in span}, edges)
     if result.invariant:
         _numeric_recheck(spec, interior)
     return result
@@ -181,26 +182,24 @@ def _numeric_recheck(spec: SubspaceSpec, labels: list[BasisLabel],
                             f"numeric recheck found leakage {lab} -> {target}")
 
 
-def _connected(spec: SubspaceSpec, lmax: int, edges: dict) -> bool:
+def _connected(nodes: set[tuple], edges: dict) -> bool:
     """Reachability of the span's (l, m1) rows along undirected skeleton edges."""
-    nodes = sorted({(lab.l, lab.m1) for lab in spec.labels(lmax)})
     if not nodes:
         return True
-    node_set = set(nodes)
     adj: dict[tuple, set] = {v: set() for v in nodes}
     for v, targets in edges.items():
         for t in targets:
-            if t in node_set and t != v:
+            if t in nodes and t != v:
                 adj[v].add(t)
                 adj[t].add(v)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
+    stack = [next(iter(nodes))]
+    seen = set(stack)
     while stack:
         for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(node_set)
+    return len(seen) == len(nodes)
 
 
 @dataclass

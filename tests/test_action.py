@@ -257,6 +257,56 @@ def test_entry_points_reject_a_lam_that_is_no_zero_sum_triple(lam):
             call()
 
 
+def test_float_couplings_are_bitwise_the_floats_of_q():
+    for n, l in itertools.product(range(-2, 3), range(13)):
+        for m2 in range(-l, l + 1):
+            want = [(j, float(q(n, j, l, m2)).hex())
+                    for j in range(-2, 3) if q(n, j, l, m2)]
+            got = [(j, x.hex()) for j, x in action._float_couplings(n, l, m2)]
+            assert got == want, (n, l, m2)
+
+
+def complex_parameters():
+    part = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+    return st.tuples(part, part, part, part).map(
+        lambda p: (complex(p[0], p[1]), complex(p[2], p[3]),
+                   -complex(p[0], p[1]) - complex(p[2], p[3])))
+
+
+@given(st.integers(0, 12).flatmap(
+    lambda l: st.tuples(st.just(l), st.integers(-l, l))), complex_parameters())
+@example((5, -3), (1 + 0j, -1 + 0j, -0j))  # no imaginary parts: signed zeros
+@settings(max_examples=150, deadline=None)
+def test_numeric_amplitudes_are_bitwise_the_exact_ones_converted(index, lam):
+    # the numeric U_j amplitudes take c_k q as a float from the integers of
+    # q; each must be the complex of the exact c_k q times Lambda, to the bit
+    l, m1 = index
+    mode, key = action._lam_key(lam)
+    assert mode == "numeric"
+    for j in range(-2, 3):
+        want = []
+        for k in (-2, 0, 2):
+            if q(k, j, l, m1):
+                c = lambda_factor(k, j, l, m1, key) * complex(C_FACTORS[k] * q(k, j, l, m1))
+                if c != 0:
+                    want.append((k, c))
+        got = action._u_amplitudes.__wrapped__(j, l, m1, mode, key)
+        assert got == tuple(want)
+        assert [(z.real.hex(), z.imag.hex()) for _, z in got] == \
+            [(z.real.hex(), z.imag.hex()) for _, z in want]
+
+
+@pytest.mark.parametrize("lam", [None, (Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6)),
+                                 (0.5 + 0.1j, -0.2j, -0.5 + 0.1j)])
+@pytest.mark.parametrize("n", [-3, 3, 5])
+def test_z_entry_points_reject_n_outside_the_five(n, lam):
+    params = SeriesParams((Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6)), (0, 0, 0))
+    with pytest.raises(ValueError, match="n must be in"):
+        act_Z(n, WignerIndex(3, 1, 0), lam)
+    with pytest.raises(ValueError, match="n must be in"):
+        act_Z_on_basis(n, BasisLabel(3, 2, 0), params, lam)
+
+
 # ---------------------------------------------------------------------------
 # folded basis action
 

@@ -1,20 +1,61 @@
 """Tests for the exact l' = 2 coupling coefficients.
 
-The independent oracle is a from-scratch Racah-sum Clebsch-Gordan
-implementation written here in the test; the package computes q from five
-closed forms, so agreement is meaningful.
+Two independent oracles are written here in the test: a from-scratch
+Racah-sum Clebsch-Gordan implementation, and the five closed forms with
+big-integer factorials (`reference_q`).  The package computes q from
+integer products of linear factors, so agreement with both is meaningful.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sl3rep.clebsch import (cg_product, in_range, q, q_float,
+from sl3rep.clebsch import (cg_product, in_range, q, q_core, q_float,
                             verify_recurrence_CG4, verify_symmetry)
 from sl3rep.scalars import RadicalScalar
 from sl3rep.wigner import EulerAngles, WignerIndex, wigner_D
+
+
+def reference_q(k, j, l, m):
+    """q(k, j, l, m) from the five closed forms with big-integer factorials,
+    square-extracted as one Fraction; exact zero outside the index set."""
+    if not in_range(k, j, l, m):
+        return RadicalScalar()
+    f = factorial
+    if j == -2:
+        sign = -1 if k % 2 else 1
+        rad = Fraction(6 * f(l - m) * f(l + m),
+                       l * (l - 1) * (2 * l - 1) * (2 * l + 1)
+                       * f(2 - k) * f(2 + k) * f(l - k - m - 2) * f(l + k + m - 2))
+        return sign * RadicalScalar.sqrt_rational(rad)
+    if j == -1:
+        pre = (-1 if k % 2 else 1) * (k + l * k + 2 * m)
+        rad = Fraction(3 * f(l - m) * f(l + m),
+                       l * (l - 1) * (l + 1) * (2 * l + 1)
+                       * f(2 - k) * f(2 + k) * f(l - k - m - 1) * f(l + k + m - 1))
+        return pre * RadicalScalar.sqrt_rational(rad)
+    if j == 0:
+        pre = (-1 if k % 2 else 1) * (2 * l * l * (k * k - 1) + l * (5 * k * k + 6 * k * m - 2)
+                                      + 3 * (k * k + 3 * k * m + 2 * m * m))
+        rad = Fraction(f(l - m) * f(l + m),
+                       l * (l + 1) * (2 * l - 1) * (2 * l + 3)
+                       * f(2 - k) * f(2 + k) * f(l - k - m) * f(l + k + m))
+        return pre * RadicalScalar.sqrt_rational(rad)
+    if j == 1:
+        pre = l * k - 2 * m
+        rad = Fraction(3 * f(l - k - m + 1) * f(l + k + m + 1),
+                       l * (l + 1) * (l + 2) * (2 * l + 1)
+                       * f(2 - k) * f(2 + k) * f(l - m) * f(l + m))
+        return pre * RadicalScalar.sqrt_rational(rad)
+    rad = Fraction(6 * f(l - k - m + 2) * f(l + k + m + 2),
+                   (l + 1) * (l + 2) * (2 * l + 1) * (2 * l + 3)
+                   * f(2 - k) * f(2 + k) * f(l - m) * f(l + m))
+    return RadicalScalar.sqrt_rational(rad)
 
 
 def reference_cg(j1, m1, j2, m2, J, M):
@@ -115,4 +156,52 @@ def test_cg_product_rejects_wrong_degree():
 
 
 def test_coefficient_cache_is_bounded():
-    assert q.cache_info().maxsize == 1 << 16
+    assert q.cache_info().maxsize == q_core.cache_info().maxsize == 1 << 16
+
+
+def coupling_indices(lmax):
+    """Every (k, j, l, m) with |k|, |j| <= 2, l <= lmax and |m| <= l, the
+    indices outside the triangle or range rule included."""
+    for l in range(lmax + 1):
+        for k, j, m in itertools.product(range(-2, 3), range(-2, 3), range(-l, l + 1)):
+            yield k, j, l, m
+
+
+def test_q_equals_the_factorial_closed_forms():
+    count = 0
+    for k, j, l, m in coupling_indices(40):
+        assert q(k, j, l, m) == reference_q(k, j, l, m), (k, j, l, m)
+        count += 1
+    assert count == 42_025
+
+
+def test_q_float_is_bitwise_the_float_of_q():
+    # num / den * sqrt(rad): int true division is correctly rounded, as
+    # Fraction.__float__ is, so no last-bit difference may appear
+    for k, j, l, m in coupling_indices(40):
+        assert q_float(k, j, l, m).hex() == float(reference_q(k, j, l, m)).hex()
+
+
+@st.composite
+def large_indices(draw):
+    l = draw(st.integers(0, 2000))
+    return (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), l,
+            draw(st.integers(-l, l)))
+
+
+@given(large_indices())
+@settings(max_examples=200, deadline=None)
+def test_q_equals_the_closed_forms_up_to_l_2000(index):
+    assert q(*index) == reference_q(*index)
+
+
+@pytest.mark.parametrize("l", [10 ** 5, 2 * 10 ** 5])
+def test_identities_hold_at_large_l(l):
+    # independent of the closed form; each coefficient took seconds when q
+    # was built from factorials
+    for j in range(-2, 3):
+        for m in (-l, -l + 3, -1, 0, 7, l - 2, l):
+            assert verify_recurrence_CG4(l, m, j), (l, m, j)
+    for k, j in itertools.product(range(-2, 3), range(-2, 3)):
+        for m in (-l + 2, 0, 5, l - 3):
+            assert verify_symmetry(k, j, l, m), (k, j, l, m)
