@@ -37,12 +37,11 @@ every generator, its 3x3 matrix and its exact action on Wigner functions
 table `wigner.y_steps`) live in the one scalar type.
 
 The bracket verifier checks [pi(A), pi(B)] = pi([A, B]) through the same
-factorization, never expanding a composition in full.  For (Y, Y) and
-(Y, Z) pairs the defect is sum_{j,k} U_j-amplitude times a lam-free,
-m1-free identity E_j(l, m2) on the m2 index, decided once per
-(pair, j, l, m2).  For (Z, Z) pairs both orders compose the same
-U_j' U_j amplitudes, which are multiplied once as integer vectors of degree
-2 in lam and weighted by lam-free differences of coupling products.
+factorization, never expanding a composition in full.  The defect on
+D^l_{m1,m2} is one sum of the U products U_js D^l_{m1,.} (js = (), (j,) or
+(j, j')), cached as integer vectors of degree <= 2 in lam, each weighted by
+a lam-free, m1-free sum W_js(l, m2; s) of coupling and Y-step products,
+tabled once per (pair, l, m2).
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, sqrt
+from operator import add, sub
 from typing import Sequence, Union
 
 import numpy as np
@@ -283,12 +283,6 @@ def label_components(delta, l: int, m1: int) -> tuple:
     return ((m1, 1), (-m1, label_sign(delta, l)))
 
 
-def _expand_label(delta, label: BasisLabel) -> list[tuple[WignerIndex, int]]:
-    l, m1, m2 = label
-    return [(WignerIndex(l, src, m2), w)
-            for src, w in label_components(delta, l, m1)]
-
-
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _folded_amplitudes(delta, j: int, l: int, m1: int, mode: str, lam) -> tuple:
     """U_j v_{l,m1,.} re-folded into the labels v_{l+j,m1',.}, m1' >= 0.
@@ -481,11 +475,12 @@ def _apply_poly_cached(tag: str, idx: WignerIndex) -> KTypeVector:
 def decompose_standard_basis(tag: str, idx: WignerIndex,
                              lam: LamArg = None) -> KTypeVector:
     """Action of X_i / H_i (or any tag) via the exact change of basis,
-    evaluated at lam, a triple summing to zero, if one is given."""
+    evaluated at lam, a triple summing to zero, if one is given; a new
+    vector, never the cached one."""
     _, lam = _lam_key(lam)
     vec = _apply_poly_cached(tag, WignerIndex(*idx))
     if lam is None:
-        return vec
+        return KTypeVector(vec.terms)
     out = KTypeVector()
     for target, form in vec.items():
         out.add_term(target, form.eval(lam))
@@ -597,7 +592,7 @@ class _DegreeTwoSum:
 
     def add_scaled(self, w: RadicalScalar, amps: tuple, at: tuple) -> None:
         """Add w times the degree-2 amplitudes (den, ((K, rad, im, coeffs),
-        ...)) of `_uu_terms` at the targets (L, m1 + K, m2), at = (L, m1, m2)."""
+        ...)) of `_u_product` at the targets (L, m1 + K, m2), at = (L, m1, m2)."""
         entries = self.entries
         den, polys = amps
         L, m1, m2 = at
@@ -634,102 +629,69 @@ def _bracket_coords_flat(tag_a: str, tag_b: str) -> tuple:
 
 # The defect [pi(A), pi(B)] - pi([A, B]) factors through q (x) U.  pi(Y_i)
 # acts on m2 alone, and pi(Z_n) = sum_j q(n,j,l,m2) U_j carries all of its
-# lam- and m1-dependence in the U_j amplitudes A_jk(lam,l,m1).
-#
-# * (Y, Y) and (Y, Z) pairs: the defect on D^l_{m1,m2} is
-#   sum_{j,k} A_jk sum_s E_j(l,m2; s) D^{l+j}_{m1+k,s}, where E_j is the
-#   bracket identity on the m2 index alone, each Z_n restricted to its
-#   coupling q(n,j,l,.) (for (Y, Y), j = k = 0 and A = 1).  E_j is free of
-#   lam and m1.  Each (j, k, s) is its own target and each A_jk is nonzero,
-#   so the defect vanishes iff E_j = 0 for every j with U_j D^l_{m1,.} != 0.
-# * (Z_a, Z_b) pairs: both orders compose the same U_j' U_j amplitudes, so
-#   the commutator is the one sum of U_j' U_j D^l_{m1,.} weighted by
-#   Q_jj'(l,m2) = q(b,j,l,m2) q(a,j',l+j,m2+b) - q(a,j,l,m2) q(b,j',l+j,m2+a),
-#   of degree 2 in lam; pi([Z_a, Z_b]) is a combination of Y's.
+# lam- and m1-dependence in the U_j amplitudes.  So every composition of
+# the defect on D^l_{m1,m2} is a U product U_js D^l_{m1,.} (js = (), (j,) or
+# (j, j'), the U_j in the order applied) placed at an m2 index s, and the
+# defect is the one sum over (js, s) of W_js(l, m2; s) U_js D^l_{m1,.}, with
+# W the lam-free, m1-free sum of the coupling and Y-step products of all
+# paths on the m2 index that take m2 to s through js.
 
 
-def _m2_row(tag: str, j: int, l: int, m: int) -> tuple[int, tuple]:
-    """A (Y, Z) tag on the m2 index of D^l_{.,m}, each Z_n restricted to its
-    U_j part: (l after it, ((m', coefficient), ...))."""
+def _m2_steps(tag: str, js: tuple, l: int, m: int) -> list:
+    """A (Y, Z) tag on the m2 index of D^l_{.,m}, after the U steps js:
+    ((js', l', m', coefficient), ...), a Z_n step adding j to js."""
     if tag in Y_TAGS:
-        return l, _y_row(Y_TAGS[tag], l, m)
+        return [(js, l, t, c) for t, c in _y_row(Y_TAGS[tag], l, m)]
     n = Z_TAGS[tag]
-    qn = q(n, j, l, m)
-    return l + j, ((m + n, qn),) if qn else ()
+    return [(js + (j,), l + j, m + n, qn)
+            for j in range(-2, 3) if (qn := q(n, j, l, m))]
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
-def _m2_identity_holds(tag_a: str, tag_b: str, coords: tuple, j: int, l: int,
-                       m2: int) -> bool:
-    """E_j(l, m2; .) = 0 for a (Y, Y) or (Y, Z) pair: A B = B A + sum_t c_t T
-    on the m2 index of D^l_{.,m2}, each Z restricted to its U_j part, with
-    (t, c_t) the `coords` as _bracket_coords_flat gives them (part of the
-    key, so a verdict is never reused for other coordinates)."""
-    if any((t in Y_TAGS) != (tag_b in Y_TAGS) for t, _ in coords):
-        raise AssertionError(f"[{tag_a}, {tag_b}] leaves the span of the {tag_b[0]}'s")
-    ab: dict[int, RadicalScalar] = {}
-    rhs: dict[int, RadicalScalar] = {}
-    for first, second, side in ((tag_b, tag_a, ab), (tag_a, tag_b, rhs)):
-        lt, row = _m2_row(first, j, l, m2)
-        for t, c1 in row:
-            for s, c2 in _m2_row(second, j, lt, t)[1]:
-                side[s] = side.get(s, ZERO) + c2 * c1
+def _defect_weights(tag_a: str, tag_b: str, coords: tuple, l: int, m2: int) -> tuple:
+    """The nonzero W_js(l, m2; s) of [pi(A), pi(B)] - sum_t c_t pi(T) on
+    D^l_{.,m2} as ((js, s, W), ...), with (t, c_t) the `coords` as
+    _bracket_coords_flat gives them (part of the key, so a table is never
+    reused for other coordinates)."""
+    w: dict[tuple, RadicalScalar] = {}
+    for first, second, op in ((tag_b, tag_a, add), (tag_a, tag_b, sub)):
+        for js1, lt, t, c1 in _m2_steps(first, (), l, m2):
+            for js, _, s, c2 in _m2_steps(second, js1, lt, t):
+                w[(js, s)] = op(w.get((js, s), ZERO), c2 * c1)
     for t, c in coords:
-        for s, ct in _m2_row(t, j, l, m2)[1]:
-            rhs[s] = rhs.get(s, ZERO) + ct * c
-    return all(ab.get(s, ZERO) == rhs.get(s, ZERO) for s in ab.keys() | rhs.keys())
+        for js, _, s, ct in _m2_steps(t, (), l, m2):
+            w[(js, s)] = w.get((js, s), ZERO) - ct * c
+    return tuple((js, s, x) for (js, s), x in w.items() if x)
+
+
+# the identity as _u_terms gives amplitudes: the integer terms of 1 at k = 0
+_UNIT_TERMS = ((0, ((1, 0, 1, 0, 0, 1),)),)
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
-def _uu_terms(j: int, jp: int, l: int, m1: int) -> tuple:
-    """U_j' U_j D^l_{m1,.} as (den, ((K, rad, im, coefficients), ...)): the
-    integer coefficients of 1, lam1, lam2, lam1^2, lam1 lam2, lam2^2 over den
-    of each part D^{l+j+j'}_{m1+K,.}, zero parts left out."""
+def _u_product(js: tuple, l: int, m1: int) -> tuple:
+    """U_js D^l_{m1,.}, the U_j of js applied in order, as (den, ((K, rad,
+    im, coefficients), ...)): the integer coefficients of 1, lam1, lam2,
+    lam1^2, lam1 lam2, lam2^2 over den of each part D^{l+sum(js)}_{m1+K,.},
+    zero parts left out."""
     acc = _DegreeTwoSum()
-    for k, inner in _u_terms(j, l, m1):
-        for kp, outer in _u_terms(jp, l + j, m1 + k):
+    for k, inner in _u_terms(js[0], l, m1) if js else _UNIT_TERMS:
+        outers = _u_terms(js[1], l + js[0], m1 + k) if len(js) == 2 else _UNIT_TERMS
+        for kp, outer in outers:
             acc.add(k + kp, outer, inner, 1)
     return acc.den, tuple((K, rad, im, tuple(e))
                           for (K, rad, im), e in acc.entries.items() if any(e))
 
 
-# the amplitude 1 at D^L_{m1,.}, in the format of _uu_terms
-_UNIT_AMPLITUDE = (1, ((0, 1, 0, (1, 0, 0, 0, 0, 0)),))
-
-
-@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
-def _zz_weights(a: int, b: int, l: int, m2: int) -> tuple:
-    """The nonzero Q_jj'(l, m2) of (Z_a, Z_b) as ((j, j', Q), ...)."""
-    out = []
-    for j in range(-2, 3):
-        qb, qa = q(b, j, l, m2), q(a, j, l, m2)
-        for jp in range(-2, 3):
-            w = qb * q(a, jp, l + j, m2 + b) if qb else ZERO
-            if qa:
-                w = w - qa * q(b, jp, l + j, m2 + a)
-            if w:
-                out.append((j, jp, w))
-    return tuple(out)
-
-
 def _bracket_defect_zero(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
-    """Whether [pi(A), pi(B)] - pi([A, B]) vanishes on D_idx, computed
-    exactly in the factored form above, for (Y, Z) tags with a Y tag first
-    (the sorted order bracket_check passes)."""
+    """Whether [pi(A), pi(B)] - pi([A, B]) vanishes on D_idx, for (Y, Z)
+    tags in either order: the one sum of the U products weighted by
+    _defect_weights."""
     l, m1, m2 = idx
-    coords = _bracket_coords_flat(tag_a, tag_b)
-    if tag_b in Y_TAGS:
-        return _m2_identity_holds(tag_a, tag_b, coords, 0, l, m2)
-    if tag_a in Y_TAGS:
-        return all(_m2_identity_holds(tag_a, tag_b, coords, j, l, m2)
-                   for j in range(-2, 3) if _u_terms(j, l, m1))
-    a, b = Z_TAGS[tag_a], Z_TAGS[tag_b]
     acc = _DegreeTwoSum()
-    for j, jp, w in _zz_weights(a, b, l, m2):
-        acc.add_scaled(w, _uu_terms(j, jp, l, m1), (l + j + jp, m1, m2 + a + b))
-    for t, c in coords:  # pi([Z_a, Z_b]) = sum_t c_t pi(Y_t), lam-free
-        for s, ct in _y_row(Y_TAGS[t], l, m2):
-            acc.add_scaled(-(c * ct), _UNIT_AMPLITUDE, (l, m1, s))
+    for js, s, w in _defect_weights(tag_a, tag_b, _bracket_coords_flat(tag_a, tag_b),
+                                    l, m2):
+        acc.add_scaled(w, _u_product(js, l, m1), (l + sum(js), m1, s))
     return acc.is_zero()
 
 
@@ -774,10 +736,10 @@ def bracket_check(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     """Exact check of [pi(A), pi(B)] = pi([A, B]) on one Wigner index.
 
     Pairs of convenient-basis generators (Y, Z) are checked in the factored
-    form q (x) U: a (Y, Y) or (Y, Z) defect vanishes iff a lam-free identity
-    on the m2 index holds for each j with U_j D^l_{m1,.} != 0, and a (Z, Z)
-    defect is one sum of U_j' U_j amplitudes weighted by coupling products,
-    both orders merged.  For standard-basis generators, whose action is by
+    form q (x) U: the defect is one sum of the cached U products
+    U_js D^l_{m1,.}, each weighted by a lam-free, m1-free sum of coupling
+    and Y-step products over both orders and pi([A, B]).  For
+    standard-basis generators, whose action is by
     construction a fixed linear combination of convenient ones, the check
     verifies the matrix-level bilinear expansion of the bracket exactly
     and then certifies every contributing convenient-pair defect; the

@@ -18,11 +18,12 @@ from sl3rep.action import (C_FACTORS, CONVENIENT_BASIS, GENERATOR_MATRICES,
                            act_Z, act_Z_on_basis, assemble_matrix,
                            bracket_check, compose_poly, decompose_matrix,
                            decompose_standard_basis, generator_matrix_numeric,
-                           lambda_factor, matrix_bracket, project_P,
-                           pwqu_exceptional, reassemble, standard_basis_coords)
+                           label_components, lambda_factor, matrix_bracket,
+                           project_P, pwqu_exceptional, reassemble,
+                           standard_basis_coords)
 from sl3rep.clebsch import q
 from sl3rep.ktvector import KTypeVector
-from sl3rep.scalars import ZERO, LambdaForm, RadicalScalar
+from sl3rep.scalars import ONE, ZERO, LambdaForm, RadicalScalar
 from sl3rep.series import BasisLabel, SeriesParams, basis, label_valid
 from sl3rep.wigner import WignerIndex, right_derivative_Y
 
@@ -316,13 +317,19 @@ DELTAS = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1),
           (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 
 
+def expand_label(delta, label: BasisLabel) -> list[tuple[WignerIndex, int]]:
+    """The Wigner components of v_label with their weights."""
+    l, m1, m2 = label
+    return [(WignerIndex(l, src, m2), w)
+            for src, w in label_components(delta, l, m1)]
+
+
 @pytest.mark.parametrize("delta", DELTAS)
 @given(st.data(), spectral_parameters())
 @settings(max_examples=40, deadline=None)
 def test_fold_consistency_and_unfolding(delta, data, lam):
     # act_Z_on_basis must give valid labels only, and agree with the
     # unfactorized expansion acting on the unfolded Wigner sum
-    from sl3rep.action import _expand_label
     params = SeriesParams(lam or (0, 0, 0), delta)
     labels = [lab for l in range(9) for lab in basis(params, l)]
     label = data.draw(st.sampled_from(labels))
@@ -330,11 +337,11 @@ def test_fold_consistency_and_unfolding(delta, data, lam):
     folded = act_Z_on_basis(n, label, params, lam)
     assert all(label_valid(delta, lab) for lab in folded)
     raw = KTypeVector()
-    for idx, w in _expand_label(delta, label):
+    for idx, w in expand_label(delta, label):
         raw = raw + reference_act_Z(n, idx, lam).scaled(w)
     rebuilt = KTypeVector()
     for lab, c in folded.items():
-        for idx, w in _expand_label(delta, lab):
+        for idx, w in expand_label(delta, lab):
             rebuilt.add_term(idx, c * w)
     diff = raw - rebuilt
     if lam is not None and isinstance(lam[0], complex):
@@ -615,8 +622,8 @@ def test_integer_composition_matches_compose_poly(idx, a, b):
 
 # every cache that holds exact action data of the bracket verifier; _u_terms
 # is left out, as the perturbations below replace it
-BRACKET_CACHES = ("_apply_poly_cached", "_y_row", "_apply_flat", "_uu_terms",
-                  "_m2_identity_holds", "_zz_weights", "_pair_defect_zero")
+BRACKET_CACHES = ("_apply_poly_cached", "_y_row", "_apply_flat", "_u_product",
+                  "_defect_weights", "_pair_defect_zero")
 
 
 def clear_bracket_caches():
@@ -731,6 +738,38 @@ def test_yz_verdict_is_free_of_the_amplitudes():
         assert action._bracket_defect_zero(*pair, idx)
 
 
+def test_y_pair_weights_vanish_up_to_l_12():
+    # every (Y, Y) and (Y, Z) table is empty, so their verdict is free of
+    # lam and m1 on every index with l <= 12
+    pairs = [p for p in CONVENIENT_PAIRS if p[0] in Y_TAGS]
+    assert len(pairs) == 18
+    tables = 0
+    for a, b in pairs:
+        coords = action._bracket_coords_flat(a, b)
+        for l in range(13):
+            for m2 in range(-l, l + 1):
+                assert action._defect_weights(a, b, coords, l, m2) == (), (a, b, l, m2)
+                tables += 1
+    assert tables == 3042
+
+
+def test_bracket_outside_the_span_of_b_fails_both_verdicts(monkeypatch,
+                                                          fresh_bracket_caches):
+    # a Y term put into [Y1, Z1], whose coordinates are Z's: a wrong
+    # coordinate is a nonzero defect, not an error
+    pair, idx = ("Y1", "Z1"), WignerIndex(2, 0, 1)
+    exact = action._bracket_coords_flat
+
+    def with_y2(a, b):
+        coords = exact(a, b)
+        return coords + (("Y2", ONE),) if (a, b) == pair else coords
+
+    monkeypatch.setattr(action, "_bracket_coords_flat", with_y2)
+    clear_bracket_caches()
+    assert not action._bracket_defect_zero(*pair, idx)
+    assert not reference_bracket_defect(*pair, idx)
+
+
 @pytest.fixture
 def fresh_bracket_caches():
     clear_bracket_caches()
@@ -831,6 +870,18 @@ def test_bracket_caches_are_bounded():
 def test_decompose_standard_basis_rejects_bad_lambda(lam):
     with pytest.raises(ValueError, match="summing to zero"):
         decompose_standard_basis("X1", WignerIndex(2, 1, 0), lam)
+
+
+@pytest.mark.parametrize("tag", ["Z1", "X1"])
+def test_decompose_standard_basis_returns_a_new_vector(tag, fresh_bracket_caches):
+    # a term added to the symbolic result reaches neither a later call nor
+    # compose_poly, which read the same cache
+    idx = WignerIndex(2, 1, 0)
+    first = decompose_standard_basis(tag, idx)
+    want = dict(first.terms)
+    first.add_term(WignerIndex(7, 0, 0), LambdaForm.constant(ONE))
+    assert decompose_standard_basis(tag, idx).terms == want
+    assert compose_poly(tag, KTypeVector({idx: ONE})).terms == want
 
 
 def test_decompose_standard_basis_numeric():

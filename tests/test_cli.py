@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output formats, determinism, and
 exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -86,6 +87,37 @@ def test_action_json_deterministic(tmp_path):
     code3, out3, _ = run_cli(*args, "--out", str(target))
     assert code3 == 0 and out3 == ""
     assert json.loads(target.read_text()) == doc
+
+
+# sha256 of the stdout bytes; each was the same under PYTHONHASHSEED 0, 1,
+# 2 and random
+PINNED_OUTPUTS = [
+    ("compose --preset k3 --format json",
+     "85410c88fa63b0a94d94b0aed1a2602d12e68c1ac7b42750782fa1503462e68f"),
+    ("compose --preset k23 --format json",
+     "5434a970a9394e60df8708b1b9a836b011e29a3db64074e2cf6391604416db6b"),
+    ("compose --preset even-k --k 4 --format json",
+     "1a03ac55f33317a271c46ce0bbcac6161157c19d96305100552cc8c57ea8c53b"),
+    ("compose --preset degenerate --s 1/4 --format json",
+     "b827306f53ad6562532c86348611ee6ee0ca6f986cf8b01f7aab62933c03c61b"),
+    ("compose --preset degenerate --s 0.3+0.1i --format json",
+     "506d135a19c829796fabcf2b2b632137905e737ea9da99b2792717f5f43ed2c1"),
+    ("action --lambda 1/3,1/5 --delta 1,0,1 --gen Z1 --lmax 6 --format json",
+     "936a6ffb44c95cbe436d7e47ecd19bfe4bd2aeababaf0e86772afd8314ca64ad"),
+    ("action --lambda 0.3+0.1i,-0.2 --delta 0,1,0 --gen Z-2 --lmax 6 --format csv",
+     "17b95892f7e09bb9a17130498359dba9e44508dfd7ac15b60233a1859c83e30e"),
+    ("action --lambda 0.3+0.1i,-0.2 --delta 0,1,0 --gen Y3 --lmax 6 --format json",
+     "e7a51e343642cb6cc99d7fe8f687cfe7fc79cb1202a4fcd86f49516b7a170813"),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_OUTPUTS,
+                         ids=[command for command, _ in PINNED_OUTPUTS])
+def test_cli_output_bytes_are_pinned(command, digest):
+    proc = subprocess.run([sys.executable, "-m", "sl3rep.cli", *command.split()],
+                          capture_output=True, env=SUBPROCESS_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_action_csv():
