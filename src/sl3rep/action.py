@@ -25,11 +25,12 @@ give exact and complex coefficients.
 
 The coefficient mode follows the type of lam: `lambda_factor`, the one
 formula for Lambda, is evaluated at lam itself (at lam = None, at the unit
-forms lam_1, lam_2, lam_3).  The coefficients are symbolic LambdaForms for
-lam = None, the only answers that carry one; exact RadicalScalars at a
-rational triple, for invariant-subspace certificates; and complex at any
-other triple, as a RadicalScalar times a complex number is complex, for
-matrix export and oracle comparison.  `_lam_key` checks lam once per call.
+forms lam_1, lam_2, lam_3), times c_k q(k,j,l,m1) from one integer core
+(`_ckq_core`).  The coefficients are symbolic LambdaForms for lam = None,
+the only answers that carry one; exact RadicalScalars at a rational triple,
+for invariant-subspace certificates; and complex at any other triple, c_k q
+and q(n,j,l,m2) read as floats, for matrix export and oracle comparison.
+`_lam_key` checks lam once per call.
 
 The factor i of the complexified generators is the RadicalScalar I, so
 every generator, its 3x3 matrix and its exact action on Wigner functions
@@ -41,7 +42,8 @@ factorization, never expanding a composition in full.  The defect on
 D^l_{m1,m2} is one sum of the U products U_js D^l_{m1,.} (js = (), (j,) or
 (j, j')), cached as integer vectors of degree <= 2 in lam, each weighted by
 a lam-free, m1-free sum W_js(l, m2; s) of coupling and Y-step products,
-tabled once per (pair, l, m2).
+tabled once per (pair, l, m2).  It reads no LambdaForm: its U_j terms
+(`_u_terms`) are the core of c_k q times the integer coefficients of Lambda.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, sqrt
+from math import gcd, sqrt
 from operator import add, sub
 from typing import Sequence, Union
 
@@ -58,7 +60,8 @@ import numpy as np
 from .clebsch import q, q_core, q_float
 from .errors import VerificationError
 from .ktvector import KTypeVector, coeff_is_zero
-from .scalars import I, ONE, ZERO, LambdaForm, RadicalScalar
+from .scalars import (I, ONE, ZERO, LambdaForm, RadicalScalar, _canonical,
+                      check_lambda)
 from .series import BasisLabel, SeriesParams, basis, label_sign, label_valid
 from .wigner import WignerIndex, ladder_coeff_sq, y_steps
 
@@ -181,18 +184,23 @@ _AMPLITUDE_CACHE_SIZE = 1 << 14
 def _lam_key(lam: LamArg) -> tuple[str, tuple | None]:
     """The mode and the components of a spectral parameter, as a cache key
     (see the module docstring), made complex in numeric mode; ValueError
-    unless lam is None or a triple summing to zero."""
+    unless lam is None or a triple summing to zero (`check_lambda`)."""
     if lam is None:
         return "symbolic", None
-    lam = tuple(lam)
-    if all(isinstance(x, (int, Fraction)) for x in lam):
-        mode, zero_sum = "exact", sum(lam) == 0
-    else:
-        lam = tuple(complex(x) for x in lam)
-        mode, zero_sum = "numeric", abs(sum(lam)) <= 1e-12
-    if len(lam) != 3 or not zero_sum:
-        raise ValueError("spectral parameter must be a triple summing to zero")
-    return mode, lam
+    lam = check_lambda(lam)
+    return "numeric" if isinstance(lam[0], complex) else "exact", lam
+
+
+def _ckq_core(k: int, j: int, l: int, m1: int) -> tuple[int, int, int]:
+    """(num, rad, den) with C_FACTORS[k] * q(k, j, l, m1) = num sqrt(rad) / den,
+    rad squarefree and gcd(num, den) = 1: the one place where c_0 =
+    sqrt(6)/3 folds 6 into the radicand, over one gcd."""
+    num, rad, den = q_core(k, j, l, m1)
+    if k or not num:
+        return num, rad, den
+    g = gcd(6, rad)
+    h = gcd(num * g, 3 * den)
+    return num * g // h, 6 // g * (rad // g), 3 * den // h
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
@@ -200,43 +208,28 @@ def _u_amplitudes(j: int, l: int, m1: int, mode: str, lam) -> tuple:
     """U_j D^l_{m1,.} as ((k, c_k q(k,j,l,m1) Lam^(k)_j(lam,l,m1)), ...).
 
     Each amplitude goes to D^{l+j}_{m1+k,.}; zero amplitudes are left out.
+    c_k q is num / den * sqrt(rad) of `_ckq_core`, as a float in numeric
+    mode (bitwise complex(C_FACTORS[k] * q)) and exact otherwise.
     """
     out = []
     for k in (-2, 0, 2):
-        if mode == "numeric":
-            ckq = complex(_ckq_float(k, j, l, m1))
-        elif ckq := q(k, j, l, m1):
-            ckq = C_FACTORS[k] * ckq
-        if ckq:
+        num, rad, den = _ckq_core(k, j, l, m1)
+        if num:
+            ckq = (complex(num / den * sqrt(rad)) if mode == "numeric"
+                   else _canonical({rad: Fraction(num, den)}))
             c = lambda_factor(k, j, l, m1, lam) * ckq
             if not coeff_is_zero(c):
                 out.append((k, c))
     return tuple(out)
 
 
-def _ckq_float(k: int, j: int, l: int, m1: int) -> float:
-    """float(C_FACTORS[k] * q(k, j, l, m1)), bitwise, from the integers of q:
-    c_0 = sqrt(6)/3 folds 6 into the radicand over one gcd."""
-    if k:
-        return q_float(k, j, l, m1)
-    num, rad, den = q_core(0, j, l, m1)
-    g = gcd(6, rad)
-    return num * g / (3 * den) * sqrt(6 // g * (rad // g))
-
-
-def _couplings(n: int, l: int, m2: int, mode: str) -> Sequence[tuple]:
-    """The nonzero q(n, j, l, m2) as (j, q) pairs, float in numeric mode."""
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _couplings(n: int, l: int, m2: int, mode: str) -> tuple:
+    """The nonzero q(n, j, l, m2) as (j, q) pairs, q_float in numeric mode."""
     if n not in (-2, -1, 0, 1, 2):
         raise ValueError("n must be in -2..2")
-    if mode == "numeric":
-        return _float_couplings(n, l, m2)
-    return [(j, qn) for j in range(-2, 3) if (qn := q(n, j, l, m2))]
-
-
-@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
-def _float_couplings(n: int, l: int, m2: int) -> tuple:
-    """The nonzero q(n, j, l, m2) as (j, q_float) pairs."""
-    return tuple((j, x) for j in range(-2, 3) if (x := q_float(n, j, l, m2)))
+    coupling = q_float if mode == "numeric" else q
+    return tuple((j, x) for j in range(-2, 3) if (x := coupling(n, j, l, m2)))
 
 
 def act_Z(n: int, idx: WignerIndex, lam: LamArg = None) -> KTypeVector:
@@ -479,12 +472,8 @@ def decompose_standard_basis(tag: str, idx: WignerIndex,
     vector, never the cached one."""
     _, lam = _lam_key(lam)
     vec = _apply_poly_cached(tag, WignerIndex(*idx))
-    if lam is None:
-        return KTypeVector(vec.terms)
-    out = KTypeVector()
-    for target, form in vec.items():
-        out.add_term(target, form.eval(lam))
-    return out
+    return KTypeVector(vec.terms) if lam is None else vec.map_coeff(
+        lambda form: form.eval(lam))
 
 
 def compose_poly(tag: str, v: KTypeVector) -> KTypeVector:
@@ -507,25 +496,27 @@ def compose_poly(tag: str, v: KTypeVector) -> KTypeVector:
 # coefficients of each (target, rad, im) and monomial are.
 
 
-def _int_terms(form: LambdaForm) -> tuple:
-    """The integer terms of a LambdaForm, lam3 eliminated."""
-    groups: dict[tuple[int, int], list] = {}
-    for slot, r in enumerate(form.canonical()):
-        for rad, c in r.terms.items():
-            key = (-rad, 1) if rad < 0 else (rad, 0)
-            groups.setdefault(key, [Fraction(0)] * 3)[slot] += c
-    out = []
-    for (rad, im), p in sorted(groups.items()):
-        den = lcm(*(c.denominator for c in p))
-        out.append((rad, im, *(int(c * den) for c in p), den))
-    return tuple(out)
+def _int_terms(c: RadicalScalar) -> tuple:
+    """The integer terms of a constant, a negative radicand read as i^1."""
+    return tuple(sorted((abs(rad), int(rad < 0), x.numerator, 0, 0, x.denominator)
+                        for rad, x in c.terms.items()))
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _u_terms(j: int, l: int, m1: int) -> tuple:
-    """The symbolic U_j amplitudes of D^l_{m1,.} as ((k, terms), ...)."""
-    return tuple((k, _int_terms(form))
-                 for k, form in _u_amplitudes(j, l, m1, "symbolic", None))
+    """The U_j amplitudes of D^l_{m1,.} as ((k, terms), ...), each the one
+    term of c_k q (`_ckq_core`) times the integer coefficients of Lam."""
+    out = []
+    for k in (-2, 0, 2):
+        num, rad, den = _ckq_core(k, j, l, m1)
+        # Lam at these triples gives its integer coefficients, lam3 eliminated
+        a0, a1, a2 = (num * lambda_factor(k, j, l, m1, lam)
+                      for lam in ((0, 0, 0), (1, 0, -1), (0, 1, -1)))
+        p = (a0, a1 - a0, a2 - a0)
+        if any(p):
+            g = gcd(*p, den)
+            out.append((k, ((rad, 0, *(x // g for x in p), den // g),)))
+    return tuple(out)
 
 
 def _scaled_terms(terms: tuple, r: RadicalScalar) -> tuple:
@@ -542,15 +533,15 @@ def _scaled_terms(terms: tuple, r: RadicalScalar) -> tuple:
 @lru_cache(maxsize=200_000)
 def _apply_flat(tag: str, idx: WignerIndex) -> tuple:
     """pi(tag) D_idx for a (Y, Z) tag as ((target, terms), ...): Z_n as
-    sum_j q(n,j,l,m2) U_j, Y_i as read from _apply_poly_cached."""
+    sum_j q(n,j,l,m2) U_j, Y_i from its `_y_row`."""
+    l, m1, m2 = idx
     if tag in Z_TAGS:
         n = Z_TAGS[tag]
-        l, m1, m2 = idx
         return tuple((WignerIndex(l + j, m1 + k, m2 + n), _scaled_terms(terms, qn))
-                     for j, qn in _couplings(n, l, m2, "symbolic")
+                     for j, qn in _couplings(n, l, m2, "exact")
                      for k, terms in _u_terms(j, l, m1))
-    return tuple((target, _int_terms(form))
-                 for target, form in _apply_poly_cached(tag, idx).items())
+    return tuple((WignerIndex(l, m1, t), _int_terms(c))
+                 for t, c in _y_row(Y_TAGS[tag], l, m2) if c)
 
 
 class _DegreeTwoSum:
@@ -643,8 +634,7 @@ def _m2_steps(tag: str, js: tuple, l: int, m: int) -> list:
     if tag in Y_TAGS:
         return [(js, l, t, c) for t, c in _y_row(Y_TAGS[tag], l, m)]
     n = Z_TAGS[tag]
-    return [(js + (j,), l + j, m + n, qn)
-            for j in range(-2, 3) if (qn := q(n, j, l, m))]
+    return [(js + (j,), l + j, m + n, qn) for j, qn in _couplings(n, l, m, "exact")]
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)

@@ -208,8 +208,8 @@ def verify_theorem_main(lam, lmax: int, samples: int = 5,
     sampled group point, the exact-engine expansion (evaluated through the
     Iwasawa extension) is compared with the finite-difference derivative.
     The default step h = 2e-5 keeps the O(h^2) error of the central
-    differences well below the CLI's 1e-6 tolerance for |Re|, |Im| <= 1;
-    at 1e-4 it alone exceeded it for some such lam.
+    differences below the CLI's 1e-6 tolerance for |Re|, |Im| <= 1; where it
+    does not (large lam), `sl3rep verify` reruns at h / 2 and exits 2.
     """
     from .action import act_Z, generator_matrix_numeric
 
@@ -308,7 +308,7 @@ def coordinate_diffops_check(lam, idx: WignerIndex, point,
         coord = _coord_operator(tag, F, tuple(point), idx.m2, h)
         group = fd_lie_derivative(lam, idx, generator_matrix_numeric(tag), g, h)
         rows[tag] = abs(coord - group)
-    return {"index": tuple(idx), "point": list(point),
+    return {"index": tuple(idx), "point": list(point), "step": h,
             "rows": rows, "max_deviation": max(rows.values())}
 
 

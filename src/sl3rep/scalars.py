@@ -258,6 +258,21 @@ ONE = RadicalScalar.from_rational(1)
 I = RadicalScalar({-1: 1})
 
 
+def check_lambda(lam: Iterable) -> tuple:
+    """lam as a rational or else complex triple; ValueError unless its sum is
+    zero, exactly if rational and within 1e-12 otherwise (a NaN sum fails)."""
+    lam = tuple(lam)
+    if len(lam) == 3:
+        a, b, c = lam
+        rational = (int, Fraction)
+        if isinstance(a, rational) and isinstance(b, rational) and isinstance(c, rational):
+            if a + b + c == 0:
+                return lam
+        elif abs((a := complex(a)) + (b := complex(b)) + (c := complex(c))) <= 1e-12:
+            return a, b, c
+    raise ValueError("spectral parameter must be a triple summing to zero")
+
+
 class LambdaForm:
     """Degree-<=1 polynomial a*l1 + b*l2 + c*l3 + d with RadicalScalar
     coefficients, which may be complex.
@@ -323,17 +338,13 @@ class LambdaForm:
 
     def eval(self, lam: Iterable[complex]) -> complex:
         """Numeric evaluation at a complex triple with l1+l2+l3 = 0."""
-        l1, l2, l3 = (complex(x) for x in lam)
-        if not abs(l1 + l2 + l3) <= 1e-12:
-            raise ValueError("spectral parameter must sum to zero")
+        l1, l2, l3 = map(complex, check_lambda(lam))
         return (complex(self.const) + complex(self.c1) * l1
                 + complex(self.c2) * l2 + complex(self.c3) * l3)
 
     def eval_exact(self, lam: Iterable[RationalLike]) -> RadicalScalar:
         """Exact evaluation at a rational triple with l1+l2+l3 = 0."""
-        l1, l2, l3 = (Fraction(x) for x in lam)
-        if l1 + l2 + l3 != 0:
-            raise ValueError("spectral parameter must sum to zero")
+        l1, l2, l3 = check_lambda(Fraction(x) for x in lam)
         return self.const + self.c1 * l1 + self.c2 * l2 + self.c3 * l3
 
     def __repr__(self):

@@ -14,20 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .scalars import check_lambda
 from .wigner import EulerAngles, WignerIndex, euler_from_matrix, wigner_D
 
 Delta = tuple[int, int, int]
-
-
-def _check_lambda(lam: Sequence[complex]) -> tuple[complex, complex, complex]:
-    l1, l2, l3 = (complex(x) for x in lam)
-    if not abs(l1 + l2 + l3) <= 1e-12:
-        raise ValueError("spectral parameter must sum to zero")
-    return l1, l2, l3
 
 
 @dataclass(frozen=True)
@@ -36,15 +30,9 @@ class SeriesParams:
     delta: Delta
 
     def __post_init__(self):
-        if len(self.lam) != 3:
-            raise ValueError("need a triple of spectral parameters")
+        check_lambda(self.lam)
         if not all(d in (0, 1) for d in self.delta):
             raise ValueError("parities must be 0 or 1")
-        if self.exact:
-            if sum(Fraction(x) for x in self.lam) != 0:
-                raise ValueError("spectral parameter must sum to zero")
-        else:
-            _check_lambda(self.lam)
 
     @property
     def exact(self) -> bool:
@@ -155,7 +143,7 @@ def character(lam: Sequence[complex], diag: Sequence[float]) -> complex:
     Raises ValueError, naming lam and the diagonal entry, when a power
     overflows.
     """
-    l1, l2, l3 = _check_lambda(lam)
+    l1, l2, l3 = map(complex, check_lambda(lam))
     powers = []
     for name, x, e in zip("abc", diag, (1 + l1, l2, -1 + l3)):
         try:

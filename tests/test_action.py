@@ -259,11 +259,14 @@ def test_entry_points_reject_a_lam_that_is_no_zero_sum_triple(lam):
 
 
 def test_float_couplings_are_bitwise_the_floats_of_q():
+    # the one coupling table: q itself in the exact modes, its float,
+    # to the bit, in numeric mode
     for n, l in itertools.product(range(-2, 3), range(13)):
         for m2 in range(-l, l + 1):
-            want = [(j, float(q(n, j, l, m2)).hex())
-                    for j in range(-2, 3) if q(n, j, l, m2)]
-            got = [(j, x.hex()) for j, x in action._float_couplings(n, l, m2)]
+            exact = [(j, q(n, j, l, m2)) for j in range(-2, 3) if q(n, j, l, m2)]
+            assert list(action._couplings(n, l, m2, "exact")) == exact, (n, l, m2)
+            want = [(j, float(x).hex()) for j, x in exact]
+            got = [(j, x.hex()) for j, x in action._couplings(n, l, m2, "numeric")]
             assert got == want, (n, l, m2)
 
 
@@ -295,6 +298,57 @@ def test_numeric_amplitudes_are_bitwise_the_exact_ones_converted(index, lam):
         assert got == tuple(want)
         assert [(z.real.hex(), z.imag.hex()) for _, z in got] == \
             [(z.real.hex(), z.imag.hex()) for _, z in want]
+
+
+def reference_int_terms(form: LambdaForm) -> tuple:
+    """The integer terms (rad, im, p0, p1, p2, den) of a LambdaForm, lam3
+    eliminated: the conversion the bracket verifier made of its symbolic
+    amplitudes before they were built from the integers of c_k q."""
+    groups: dict[tuple[int, int], list] = {}
+    for slot, r in enumerate(form.canonical()):
+        for rad, c in r.terms.items():
+            key = (-rad, 1) if rad < 0 else (rad, 0)
+            groups.setdefault(key, [Fraction(0)] * 3)[slot] += c
+    out = []
+    for (rad, im), p in sorted(groups.items()):
+        den = math.lcm(*(c.denominator for c in p))
+        out.append((rad, im, *(int(c * den) for c in p), den))
+    return tuple(out)
+
+
+def test_u_terms_are_the_integer_terms_of_the_symbolic_amplitudes():
+    # built from C_FACTORS, q and the symbolic Lambda, not from the cores
+    # that _u_terms and _u_amplitudes both read
+    for l in range(25):
+        for m1, j in itertools.product(range(-l, l + 1), range(-2, 3)):
+            want = []
+            for k in (-2, 0, 2):
+                form = lambda_factor(k, j, l, m1) * (C_FACTORS[k] * q(k, j, l, m1))
+                if form:
+                    want.append((k, reference_int_terms(form)))
+            assert action._u_terms.__wrapped__(j, l, m1) == tuple(want), (j, l, m1)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@given(st.sampled_from((-2, 0, 2)), st.integers(-2, 2),
+       st.integers(0, 2000).flatmap(lambda l: st.tuples(st.just(l), st.integers(-l, l))))
+@example(0, 2, (2, -2))  # 6 meets the radicand 42: both factors cancel
+@example(0, 2, (1, 0))   # 6 meets the radicand 15: 3 cancels
+@example(0, -1, (3, 0))  # q vanishes
+@example(0, 2, (1999, -7))
+@settings(max_examples=300, deadline=None)
+def test_ckq_core_is_c_k_q(k, j, index):
+    l, m = index
+    num, rad, den = action._ckq_core(k, j, l, m)
+    exact = C_FACTORS[k] * q(k, j, l, m)
+    assert den > 0 and math.gcd(num, den) == 1
+    assert not any(rad % (p * p) == 0 for p in SMALL_PRIMES)
+    assert Fraction(num, den) ** 2 * rad == (exact * exact).as_rational()
+    if num:
+        assert exact.terms == {rad: Fraction(num, den)}  # rad is its squarefree key
+    assert (num / den * math.sqrt(rad)).hex() == complex(exact).real.hex()
 
 
 @pytest.mark.parametrize("lam", [None, (Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6)),
@@ -601,7 +655,7 @@ def reference_bracket_defect(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     compose_flat(acc, tag_a, action._apply_flat(tag_b, idx), 1)
     compose_flat(acc, tag_b, action._apply_flat(tag_a, idx), -1)
     for t, c in action._bracket_coords_flat(tag_a, tag_b):
-        terms = action._int_terms(LambdaForm.constant(c))
+        terms = action._int_terms(c)
         for target, p in action._apply_flat(t, idx):
             acc.add(target, p, terms, -1)
     return acc.is_zero()

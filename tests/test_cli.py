@@ -443,6 +443,53 @@ def test_theorem_main_default_step_passes(capsys):
     assert doc["step"] == 2e-05
 
 
+# at lambda = (8i, 8i, -16i) the O(h^2) error of the central differences at
+# the suites' default steps is above their tolerances (1.09e-6 for
+# theorem-main, 2.3e-4 for diffops) for a correct expansion
+FD_AT_LARGE_LAMBDA = {
+    "theorem-main": ["verify", "--suite", "theorem-main", "--lambda", "8i,8i",
+                     "--lmax", "3", "--samples", "2", "--seed", "1"],
+    "diffops": ["verify", "--suite", "diffops", "--lambda", "8i,8i",
+                "--lmax", "3", "--samples", "20", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FD_AT_LARGE_LAMBDA))
+def test_unresolved_step_exits_2(suite, capsys):
+    assert main(FD_AT_LARGE_LAMBDA[suite]) == 2
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["passed"] is False and doc["max_deviation"] > doc["tolerance"]
+    assert 3 * doc["half_step_deviation"] <= doc["max_deviation"]
+    assert "cannot resolve the tolerance" in captured.err
+
+
+def test_wrong_expansion_still_exits_1(monkeypatch, capsys):
+    exact = action.act_Z
+
+    def off_by_one_percent(n, idx, lam=None):
+        return exact(n, idx, lam).scaled(1.01)
+
+    monkeypatch.setattr(action, "act_Z", off_by_one_percent)
+    assert main(FD_AT_LARGE_LAMBDA["theorem-main"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["half_step_deviation"] > doc["max_deviation"] / 3
+
+
+def test_wrong_coordinate_operator_still_exits_1(monkeypatch, capsys):
+    from sl3rep import oracle
+
+    exact = oracle._coord_operator
+
+    def off_by_one_percent(tag, F, point, m2, h):
+        return 1.01 * exact(tag, F, point, m2, h)
+
+    monkeypatch.setattr(oracle, "_coord_operator", off_by_one_percent)
+    assert main(FD_AT_LARGE_LAMBDA["diffops"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["half_step_deviation"] > doc["max_deviation"] / 3
+
+
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     declared = re.search(r'^version = "([^"]+)"', text, re.M).group(1)

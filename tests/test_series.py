@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl3rep.action import act_Z
+from sl3rep.scalars import LambdaForm, check_lambda
 from sl3rep.series import (BasisLabel, GroupElement, SeriesParams, basis,
                            basis_function, character, extend_wigner, iwasawa,
                            label_sign, label_valid, multiplicity, parity_check)
@@ -28,6 +30,35 @@ def test_params_validation():
         SeriesParams((math.nan, 0.0, 0.0), (0, 0, 0))
     assert SeriesParams((1, 2, -3), (0, 0, 0)).exact
     assert not SeriesParams((0.5j, -0.5j, 0), (0, 0, 0)).exact
+
+
+@pytest.mark.parametrize("lam", [(0.1, -0.1), (Fraction(1, 2), Fraction(-1, 2)),
+                                 (0.1, -0.1, 0.0, 0.0), (1, -1, 0, 0)],
+                         ids=["float-pair", "rational-pair", "float-quadruple",
+                              "int-quadruple"])
+def test_one_lambda_check_refuses_pairs_and_quadruples(lam):
+    # every entry point reads the one check of sl3rep.scalars, message and all
+    calls = [
+        lambda: check_lambda(lam),
+        lambda: SeriesParams(lam, (0, 0, 0)),
+        lambda: character(lam, (1.2, 0.9, 1 / (1.2 * 0.9))),
+        lambda: LambdaForm(c1=1).eval(lam),
+        lambda: LambdaForm(c1=1).eval_exact(Fraction(x) for x in lam),
+        lambda: act_Z(1, WignerIndex(2, 1, 0), lam),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="spectral parameter must be a triple summing to zero"):
+            call()
+
+
+def test_one_lambda_check_keeps_the_type_of_lam():
+    assert check_lambda((1, Fraction(-1, 2), Fraction(-1, 2))) == \
+        (1, Fraction(-1, 2), Fraction(-1, 2))
+    assert check_lambda((1, -1, 0.0)) == (1 + 0j, -1 + 0j, 0j)
+    with pytest.raises(ValueError):  # exact for rationals: no tolerance
+        check_lambda((Fraction(1, 10 ** 15), 0, 0))
+    check_lambda((1e-13, 0.0, 0.0))  # within 1e-12 otherwise
 
 
 @pytest.mark.parametrize("delta", DELTAS)
