@@ -38,12 +38,12 @@ every generator, its 3x3 matrix and its exact action on Wigner functions
 table `wigner.y_steps`) live in the one scalar type.
 
 The bracket verifier checks [pi(A), pi(B)] = pi([A, B]) through the same
-factorization, never expanding a composition in full.  The defect on
-D^l_{m1,m2} is one sum of the U products U_js D^l_{m1,.} (js = (), (j,) or
-(j, j')), cached as integer vectors of degree <= 2 in lam, each weighted by
-a lam-free, m1-free sum W_js(l, m2; s) of coupling and Y-step products,
-tabled once per (pair, l, m2).  It reads no LambdaForm: its U_j terms
-(`_u_terms`) are the core of c_k q times the integer coefficients of Lambda.
+factorization in integers alone, never expanding a composition.  The defect
+on D^l_{m1,m2} is one sum of the U products U_js D^l_{m1,.} (js = (), (j,)
+or (j, j'); integer vectors of degree <= 2 in lam), each weighted by the
+integer monomials of a lam-free, m1-free sum W_js(l, m2; s) of coupling and
+Y-step products, tabled per (pair, l, m2).  `_int_terms` converts each
+coupling, Y step and bracket coordinate once; no LambdaForm is read.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, sqrt
-from operator import add, sub
 from typing import Sequence, Union
 
 import numpy as np
@@ -467,13 +466,13 @@ def _apply_poly_cached(tag: str, idx: WignerIndex) -> KTypeVector:
 
 def decompose_standard_basis(tag: str, idx: WignerIndex,
                              lam: LamArg = None) -> KTypeVector:
-    """Action of X_i / H_i (or any tag) via the exact change of basis,
-    evaluated at lam, a triple summing to zero, if one is given; a new
-    vector, never the cached one."""
-    _, lam = _lam_key(lam)
+    """Action of X_i / H_i (or any tag) via the exact change of basis, at
+    lam if one is given: RadicalScalars at a rational triple, complex at any
+    other (the mode follows lam); a new vector, never the cached one."""
+    mode, lam = _lam_key(lam)
     vec = _apply_poly_cached(tag, WignerIndex(*idx))
     return KTypeVector(vec.terms) if lam is None else vec.map_coeff(
-        lambda form: form.eval(lam))
+        lambda form: form.eval_exact(lam) if mode == "exact" else form.eval(lam))
 
 
 def compose_poly(tag: str, v: KTypeVector) -> KTypeVector:
@@ -581,27 +580,25 @@ class _DegreeTwoSum:
                 e[4] += fa1 * b2 + fa2 * b1
                 e[5] += fa2 * b2
 
-    def add_scaled(self, w: RadicalScalar, amps: tuple, at: tuple) -> None:
-        """Add w times the degree-2 amplitudes (den, ((K, rad, im, coeffs),
-        ...)) of `_u_product` at the targets (L, m1 + K, m2), at = (L, m1, m2)."""
+    def add_scaled(self, w: tuple, amps: tuple, at: tuple) -> None:
+        """Add w = (rad, im, num) times the degree-2 amplitudes (den, ((K, rad,
+        im, coeffs), ...)) of `_u_product` at (L, m1 + K, m2), at = (L, m1, m2)."""
         entries = self.entries
+        rw, iw, num = w
         den, polys = amps
         L, m1, m2 = at
-        for rw, c in w.terms.items():
-            iw = rw < 0
-            rw = -rw if iw else rw
-            fw = c.numerator * self._factor(den * c.denominator)
-            for K, rad, im, (c0, c1, c2, c3, c4, c5) in polys:
-                g = gcd(rad, rw)
-                f = -fw * g if im and iw else fw * g
-                e = entries.setdefault(((L, m1 + K, m2), rad // g * (rw // g), im ^ iw),
-                                       [0] * 6)
-                e[0] += f * c0
-                e[1] += f * c1
-                e[2] += f * c2
-                e[3] += f * c3
-                e[4] += f * c4
-                e[5] += f * c5
+        fw = num * self._factor(den)
+        for K, rad, im, (c0, c1, c2, c3, c4, c5) in polys:
+            g = gcd(rad, rw)
+            f = -fw * g if im and iw else fw * g
+            e = entries.setdefault(((L, m1 + K, m2), rad // g * (rw // g), im ^ iw),
+                                   [0] * 6)
+            e[0] += f * c0
+            e[1] += f * c1
+            e[2] += f * c2
+            e[3] += f * c3
+            e[4] += f * c4
+            e[5] += f * c5
 
     def is_zero(self) -> bool:
         return not any(any(e) for e in self.entries.values())
@@ -630,28 +627,31 @@ def _bracket_coords_flat(tag_a: str, tag_b: str) -> tuple:
 
 def _m2_steps(tag: str, js: tuple, l: int, m: int) -> list:
     """A (Y, Z) tag on the m2 index of D^l_{.,m}, after the U steps js:
-    ((js', l', m', coefficient), ...), a Z_n step adding j to js."""
+    ((js', l', m', `_int_terms` of the coefficient), ...), Z_n adding j to js."""
     if tag in Y_TAGS:
-        return [(js, l, t, c) for t, c in _y_row(Y_TAGS[tag], l, m)]
+        return [(js, l, t, _int_terms(c)) for t, c in _y_row(Y_TAGS[tag], l, m)]
     n = Z_TAGS[tag]
-    return [(js + (j,), l + j, m + n, qn) for j, qn in _couplings(n, l, m, "exact")]
+    return [(js + (j,), l + j, m + n, _int_terms(qn))
+            for j, qn in _couplings(n, l, m, "exact")]
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _defect_weights(tag_a: str, tag_b: str, coords: tuple, l: int, m2: int) -> tuple:
-    """The nonzero W_js(l, m2; s) of [pi(A), pi(B)] - sum_t c_t pi(T) on
-    D^l_{.,m2} as ((js, s, W), ...), with (t, c_t) the `coords` as
-    _bracket_coords_flat gives them (part of the key, so a table is never
-    reused for other coordinates)."""
-    w: dict[tuple, RadicalScalar] = {}
-    for first, second, op in ((tag_b, tag_a, add), (tag_a, tag_b, sub)):
+    """The W_js(l, m2; s) of [pi(A), pi(B)] - sum_t c_t pi(T) on D^l_{.,m2}
+    as nonzero monomials ((js, s, (rad, im, num)), ...), with (t, c_t) the
+    `coords` as _bracket_coords_flat gives them (part of the key, so a table
+    is never reused for other coordinates)."""
+    acc = _DegreeTwoSum()
+    for first, second, sign in ((tag_b, tag_a, 1), (tag_a, tag_b, -1)):
         for js1, lt, t, c1 in _m2_steps(first, (), l, m2):
             for js, _, s, c2 in _m2_steps(second, js1, lt, t):
-                w[(js, s)] = op(w.get((js, s), ZERO), c2 * c1)
+                acc.add((js, s), c2, c1, sign)
     for t, c in coords:
         for js, _, s, ct in _m2_steps(t, (), l, m2):
-            w[(js, s)] = w.get((js, s), ZERO) - ct * c
-    return tuple((js, s, x) for (js, s), x in w.items() if x)
+            acc.add((js, s), ct, _int_terms(c), -1)
+    # the whole defect on D^l_{m1,m2} is over acc.den > 0: the zero test drops it
+    return tuple((js, s, (rad, im, e[0]))
+                 for ((js, s), rad, im), e in acc.entries.items() if e[0])
 
 
 # the identity as _u_terms gives amplitudes: the integer terms of 1 at k = 0

@@ -295,11 +295,11 @@ def _cmd_verify(args) -> int:
             lam = args.lam or (0.1, 0.2, -0.3)
             for _ in range(args.samples):
                 l = int(rng.integers(0, args.lmax + 1))
-                m1 = int(rng.integers(-l, l + 1))
-                m2 = int(rng.integers(-l, l + 1))
+                # the slice sits at k = 1, where both sides vanish off m1 = m2
+                m = int(rng.integers(-l, l + 1))
                 point = [float(v) for v in rng.uniform(-1, 1, size=3)] + \
                         [float(v) for v in rng.uniform(0.5, 2.0, size=2)]
-                res = oracle.coordinate_diffops_check(lam, WignerIndex(l, m1, m2),
+                res = oracle.coordinate_diffops_check(lam, WignerIndex(l, m, m),
                                                       point, **step)
                 max_dev = max(max_dev, res["max_deviation"])
             return {"suite": "diffops", "lmax": args.lmax, "seed": args.seed,

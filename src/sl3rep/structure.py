@@ -335,10 +335,10 @@ def degenerate_series_report(s, lmax: int = 12) -> StructureReport:
                 vanishing.append((l, +2))
             if l >= 2 and down == 0:
                 vanishing.append((l, -2))
-        for j in (-1, 1):
-            for m2 in range(-min(l, 2), min(l, 2) + 1):
-                if not act_U(j, WignerIndex(l, 0, m2), lam).is_zero():
-                    u1_zero = False
+        # exact amplitudes are pruned at zero, complex ones judged as the rungs
+        u1_zero &= not any(exact or abs(c) > 1e-9 * (1 + abs(sv)) for j in (-1, 1)
+                           for m2 in range(-min(l, 2), min(l, 2) + 1)
+                           for _, c in act_U(j, WignerIndex(l, 0, m2), lam).items())
         # cross-check the printed rung against the engine
         for j, r in ((2, up), (-2, down)):
             if l + j < 0:

@@ -1,6 +1,7 @@
 """Tests for the Lie algebra action: exact coefficients, change of basis,
 bracket fidelity, ladder compositions, and matrix assembly."""
 
+import collections
 import contextlib
 import itertools
 import json
@@ -807,6 +808,78 @@ def test_y_pair_weights_vanish_up_to_l_12():
     assert tables == 3042
 
 
+def reference_defect_weights(tag_a: str, tag_b: str, l: int, m2: int) -> dict:
+    """The W_js(l, m2; s) of a convenient pair as RadicalScalars keyed by
+    (js, s): the coupling and Y-step products of both orders and of
+    pi([A, B]), summed in RadicalScalar arithmetic, the couplings from q."""
+    def steps(tag, js, l, m):
+        if tag in Y_TAGS:
+            return [(js, l, t, c) for t, c in action._y_row(Y_TAGS[tag], l, m)]
+        n = Z_TAGS[tag]
+        return [(js + (j,), l + j, m + n, q(n, j, l, m)) for j in range(-2, 3)
+                if q(n, j, l, m)]
+
+    w = {}
+    for first, second, sign in ((tag_b, tag_a, 1), (tag_a, tag_b, -1)):
+        for js1, lt, t, c1 in steps(first, (), l, m2):
+            for js, _, s, c2 in steps(second, js1, lt, t):
+                w[(js, s)] = w.get((js, s), ZERO) + c2 * c1 * sign
+    for t, c in action._bracket_coords_flat(tag_a, tag_b):
+        for js, _, s, ct in steps(t, (), l, m2):
+            w[(js, s)] = w.get((js, s), ZERO) - ct * c
+    return w
+
+
+def test_integer_defect_weights_are_the_radical_ones_over_one_denominator():
+    # every integer table is the RadicalScalar one, monomial by monomial
+    # (radicand, i-power), times one positive rational: the dropped
+    # denominator; a sign or a term gone wrong breaks the single ratio
+    tables = nonempty = 0
+    for a, b in CONVENIENT_PAIRS:
+        coords = action._bracket_coords_flat(a, b)
+        for l in range(9):
+            for m2 in range(-l, l + 1):
+                want = {(js, s, abs(rad), int(rad < 0)): x
+                        for (js, s), w in reference_defect_weights(a, b, l, m2).items()
+                        for rad, x in w.terms.items()}
+                table = action._defect_weights(a, b, coords, l, m2)
+                got = {(js, s, rad, im): num for js, s, (rad, im, num) in table}
+                assert len(got) == len(table) and got.keys() == want.keys(), \
+                    (a, b, l, m2)
+                ratios = {want[key] / got[key] for key in got}
+                assert len(ratios) <= 1 and all(r > 0 for r in ratios), (a, b, l, m2)
+                tables += 1
+                nonempty += bool(table)
+    assert tables == 28 * 81 and nonempty > 0
+
+
+# every RadicalScalar method that computes or builds a value
+RADICAL_SCALAR_WORK = ("__init__", "__add__", "__radd__", "__neg__", "__sub__",
+                       "__rsub__", "__mul__", "__rmul__", "inverse", "__truediv__")
+
+
+def test_warm_bracket_sweep_makes_no_radical_scalar_operation(monkeypatch):
+    # with the exact couplings, Y rows and matrix certificates cached, every
+    # table, U product and verdict on l <= 4 is integer work alone
+    pairs = CONVENIENT_PAIRS + list(itertools.combinations(STANDARD_BASIS, 2))
+    indices = [WignerIndex(l, m1, m2) for l in range(5)
+               for m1 in range(-l, l + 1) for m2 in range(-l, l + 1)]
+
+    def sweep():
+        return all(bracket_check(*pair, idx) for idx in indices for pair in pairs)
+
+    assert sweep()
+    for name in ("_defect_weights", "_u_product", "_pair_defect_zero"):
+        getattr(action, name).cache_clear()
+    calls = []
+    for name in RADICAL_SCALAR_WORK:
+        method = vars(RadicalScalar)[name]
+        monkeypatch.setattr(RadicalScalar, name, lambda *args, _m=method, _n=name:
+                            calls.append(_n) or _m(*args))
+    assert sweep()
+    assert len(calls) == 0, collections.Counter(calls)
+
+
 def test_bracket_outside_the_span_of_b_fails_both_verdicts(monkeypatch,
                                                           fresh_bracket_caches):
     # a Y term put into [Y1, Z1], whose coordinates are Z's: a wrong
@@ -957,6 +1030,27 @@ def test_decompose_standard_basis_numeric():
             for t in set(got.terms) | set(want.terms):
                 assert abs(got.get(t, 0) - want.get(t, 0)) <= 1e-12 * scale, \
                     (tag, idx, t)
+
+
+@pytest.mark.parametrize("lam", [(1, -1, 0),
+                                 (Fraction(1, 3), Fraction(-1, 2), Fraction(1, 6))])
+def test_decompose_standard_basis_is_exact_at_a_rational_lambda(lam):
+    # the coefficient mode follows lam: at a rational triple every
+    # coefficient is the RadicalScalar of the exact convenient-basis actions
+    # combined with the coordinates of the standard generator
+    for tag in STANDARD_BASIS:
+        for l in range(4):
+            for m1, m2 in itertools.product(range(-l, l + 1), repeat=2):
+                idx = WignerIndex(l, m1, m2)
+                want = KTypeVector()
+                for t, c in standard_basis_coords(tag):
+                    part = (KTypeVector({WignerIndex(l, m1, s): y for s, y
+                                         in action._y_row(Y_TAGS[t], l, m2)})
+                            if t in Y_TAGS else act_Z(Z_TAGS[t], idx, lam))
+                    want = want + part.scaled(c)
+                got = decompose_standard_basis(tag, idx, lam)
+                assert all(isinstance(x, RadicalScalar) for _, x in got.items())
+                assert got.terms == want.terms, (tag, idx)
 
 
 def test_assemble_matrix_consistency():

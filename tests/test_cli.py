@@ -170,6 +170,16 @@ def test_compose_preset_exit_code():
     assert doc["metadata"]["quarter_integral"] is True
 
 
+def test_compose_degenerate_at_complex_s_reports_u_pm1_zero():
+    # 1 + lam1 - lam2 rounds to 7.9e-17 at this s, which is no amplitude
+    code, out, _ = run_cli("compose", "--preset", "degenerate", "--s",
+                           "0.123+0.456i", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["metadata"]["U_pm1_zero"] is True
+    assert "U_{+-1} vanishes identically on the subspace" in doc["notes"]
+
+
 def test_verify_suite_pass_and_fields():
     code, out, _ = run_cli("verify", "--suite", "cg", "--lmax", "3",
                            "--samples", "10")
@@ -445,7 +455,7 @@ def test_theorem_main_default_step_passes(capsys):
 
 # at lambda = (8i, 8i, -16i) the O(h^2) error of the central differences at
 # the suites' default steps is above their tolerances (1.09e-6 for
-# theorem-main, 2.3e-4 for diffops) for a correct expansion
+# theorem-main, 3.1e-4 for diffops) for a correct expansion
 FD_AT_LARGE_LAMBDA = {
     "theorem-main": ["verify", "--suite", "theorem-main", "--lambda", "8i,8i",
                      "--lmax", "3", "--samples", "2", "--seed", "1"],
@@ -488,6 +498,25 @@ def test_wrong_coordinate_operator_still_exits_1(monkeypatch, capsys):
     assert main(FD_AT_LARGE_LAMBDA["diffops"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["half_step_deviation"] > doc["max_deviation"] / 3
+
+
+def test_verify_diffops_draws_diagonal_indices(monkeypatch, capsys):
+    # the coordinate slice sits at k = 1, where both sides vanish for
+    # m1 != m2, so an off-diagonal draw would compare two zeros
+    from sl3rep import oracle
+
+    indices = []
+
+    def record(lam, idx, point, **step):
+        indices.append(idx)
+        return {"max_deviation": 0.0, "step": 1e-4}
+
+    monkeypatch.setattr(oracle, "coordinate_diffops_check", record)
+    for seed in range(20):
+        assert main(["verify", "--suite", "diffops", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    assert len(indices) == 100
+    assert all(idx.m1 == idx.m2 for idx in indices), indices
 
 
 def test_version_matches_pyproject():

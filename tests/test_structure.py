@@ -17,6 +17,7 @@ from sl3rep.structure import (InvarianceResult, SubspaceSpec,
                               degenerate_series_report, even_k_report,
                               k3_chain_report, k23_subspace_report,
                               verify_invariant)
+from sl3rep.wigner import WignerIndex
 
 
 def test_whole_module_is_invariant():
@@ -106,6 +107,40 @@ def test_degenerate_series_numeric_parameter():
     rep = degenerate_series_report(0.3 + 0.2j, lmax=6)
     assert rep.metadata["U_pm1_zero"]
     assert not rep.chain  # no exact certification without a rational s
+
+
+@given(st.integers(-3000, 3000), st.integers(-3000, 3000))
+@example(123, 456)  # 1 + lam1 - lam2 rounds to 7.9e-17 there
+@settings(max_examples=60, deadline=None)
+def test_degenerate_series_u_pm1_vanishes_at_complex_s(re, im):
+    # the transverse factors 1 -+ m1 + lam1 - lam2 vanish at m1 = 0 up to
+    # rounding, which is judged as the rungs are
+    rep = degenerate_series_report(complex(re, im) / 1000, lmax=4)
+    assert rep.metadata["U_pm1_zero"] is True
+    assert "U_{+-1} vanishes identically on the subspace" in rep.notes
+
+
+def test_degenerate_series_reports_a_u_pm1_amplitude_above_rounding(monkeypatch):
+    # 1e-6 added to every amplitude of U_{+-1}, at an s where rounding
+    # leaves some of them nonzero and where it leaves none
+    exact = structure.act_U
+
+    def offset(j, idx, lam=None):
+        out = exact(j, idx, lam)
+        if j in (-1, 1):
+            l, m1, m2 = idx
+            for k in (-2, 0, 2):
+                if max(abs(m1 + k), abs(m2)) <= l + j:
+                    out.add_term(WignerIndex(l + j, m1 + k, m2), 1e-6)
+        return out
+
+    for s in (0.123 + 0.456j, 0.3 + 0.2j):
+        assert degenerate_series_report(s, lmax=4).metadata["U_pm1_zero"] is True
+        monkeypatch.setattr(structure, "act_U", offset)
+        rep = degenerate_series_report(s, lmax=4)
+        monkeypatch.setattr(structure, "act_U", exact)
+        assert rep.metadata["U_pm1_zero"] is False
+        assert "U_{+-1} does NOT vanish (unexpected)" in rep.notes
 
 
 def test_k3_chain():
