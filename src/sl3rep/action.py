@@ -365,53 +365,37 @@ def project_P(l: int, j: int, v: KTypeVector) -> KTypeVector:
 # The compositions W and the normalized ladder steps
 
 
-def _ladder_m2(v: KTypeVector, step: int) -> KTypeVector:
-    """Raw pi(+-Y2 + iY3) step: shifts every m2 by `step` with the exact
-    sqrt(l(l+1) - m2(m2+step)) coefficient."""
-    out = KTypeVector()
-    for idx, c in v.items():
-        l, m1, m2 = idx
-        arg = ladder_coeff_sq(l, m2, step)
-        if arg <= 0 or abs(m2 + step) > l:
-            continue
-        coeff = RadicalScalar.sqrt_rational(arg)
-        out.add_term(WignerIndex(l, m1, m2 + step), c * coeff)
-    return out
-
-
 def act_W(n: int, L: int, m2: int, v: KTypeVector,
           lam: LamArg = None) -> KTypeVector:
-    """W^L_{n,m2} applied to a vector supported on D^._{., m2}.
-
-    Composes pi(Z_n) with normalized m2-restoring ladder steps; the
-    normalizations use the target K-type L.  Raises when a normalization
-    square-root argument is not positive.
-    """
+    """W^L_{n,m2} applied to a vector supported on D^._{., m2}: pi(Z_n), then
+    the |n| steps of `_w_step` back to m2, the step from m normalized by
+    1/sqrt(ladder_coeff_sq(L, m, step)) for the target K-type L.  Raises
+    when a normalization square is not positive."""
     if n not in (-2, -1, 0, 1, 2):
         raise ValueError("n must be in -2..2")
     out = KTypeVector()
     for idx, c in v.items():
         out = out + act_Z(n, idx, lam).scaled(c)
-    if n == 0:
-        return out
-    steps = abs(n)
-    direction = -1 if n > 0 else 1  # bring m2 back to its original value
-    norm = RadicalScalar.from_rational(1)
-    for i in range(steps):
-        # normalization arguments read off the printed definition:
-        # L(L+1) - (m2 + s)(m2 + s') walking back toward m2
-        if n > 0:
-            hi = m2 + steps - i
-            arg = L * (L + 1) - hi * (hi - 1)
-        else:
-            lo = m2 - steps + i
-            arg = L * (L + 1) - lo * (lo + 1)
+    step = -1 if n > 0 else 1
+    norm = ONE
+    for m in range(m2 + n, m2, step):
+        arg = ladder_coeff_sq(L, m, step)
         if arg <= 0:
             raise ValueError(f"W^{L}_{{{n},{m2}}} undefined: nonpositive "
                              f"normalization argument {arg}")
         norm = norm * RadicalScalar.sqrt_rational(Fraction(1, arg))
-        out = _ladder_m2(out, direction)
+        out = KTypeVector({WignerIndex(l, m1, t): c * coeff
+                           for (l, m1, at), c in out.items()
+                           for t, coeff in _w_step(step, l, at)})
     return out.scaled(norm)
+
+
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _w_step(step: int, l: int, m: int) -> tuple:
+    """pi(step Y2 + iY3) on D^l_{.,m} as ((m', coefficient),) from the
+    `_y_row`s of Y2 and Y3: +Y2 + iY3 raises m and -Y2 + iY3 lowers it."""
+    return tuple((t, c) for (t, y2), (_, y3) in zip(_y_row(2, l, m), _y_row(3, l, m))
+                 if (c := step * y2 + I * y3))
 
 
 def pwqu_exceptional(lmax: int) -> set[tuple[int, int]]:
@@ -734,8 +718,10 @@ def bracket_check(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     verifies the matrix-level bilinear expansion of the bracket exactly
     and then certifies every contributing convenient-pair defect; the
     standard-pair defect is that exact bilinear combination, so it
-    vanishes iff the certified ones do.  Raises ValueError for a tag that
-    is no generator and for an index outside |m1|, |m2| <= l.
+    vanishes if the certified ones do.  A False verdict for a standard
+    pair says only that some contributing convenient-pair defect is
+    nonzero; their combination could still cancel.  Raises ValueError for
+    a tag that is no generator and for an index outside |m1|, |m2| <= l.
     """
     for tag in (tag_a, tag_b):
         if tag not in GENERATOR_MATRICES:

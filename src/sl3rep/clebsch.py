@@ -17,7 +17,7 @@ from math import factorial, gcd, prod, sqrt
 
 from .ktvector import KTypeVector
 from .scalars import RadicalScalar, ZERO, _canonical, _square_extract
-from .wigner import WignerIndex
+from .wigner import WignerIndex, ladder_coeff_sq
 
 
 def in_range(k: int, j: int, l: int, m: int) -> bool:
@@ -100,8 +100,8 @@ def verify_recurrence_CG4(l: int, m: int, j: int) -> bool:
     """Exact check of the three-term coupling recurrence at (l, m, j)."""
     lhs = (RadicalScalar.sqrt_rational(Fraction(2, 3))
            * Fraction(2 * l * j + j * (j + 1) - 6, 2) * q(0, j, l, m))
-    rhs = (RadicalScalar.sqrt_rational((l - m) * (l + 1 + m)) * q(-1, j, l, m + 1)
-           + RadicalScalar.sqrt_rational((l + m) * (l + 1 - m)) * q(1, j, l, m - 1))
+    rhs = (RadicalScalar.sqrt_rational(ladder_coeff_sq(l, m, 1)) * q(-1, j, l, m + 1)
+           + RadicalScalar.sqrt_rational(ladder_coeff_sq(l, m, -1)) * q(1, j, l, m - 1))
     return lhs == rhs
 
 

@@ -11,6 +11,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -129,19 +130,19 @@ def _cmd_cg(args) -> int:
 
 
 def _cmd_sl2(args) -> int:
-    from .sl2 import SL2Params, _check_parity, sl2_composition_report
+    from .sl2 import (SL2Params, _check_parity, _ladder_coeff,
+                      sl2_composition_report)
 
     _read_options(args, ("l",) if args.mode == "ladder" else (), {"l": 0},
                   f"sl2 {args.mode}")
     params = SL2Params(args.nu, args.eps)
     if args.mode == "ladder":
         _check_parity(params, [args.l])
-        nu = args.nu
-        rows = [("raise", 2 * nu + 1 + args.l, args.l + 2),
-                ("lower", 2 * nu + 1 - args.l, args.l - 2),
+        rows = [("raise", _ladder_coeff(params, args.l, +1), args.l + 2),
+                ("lower", _ladder_coeff(params, args.l, -1), args.l - 2),
                 ("weight", f"{args.l}i", args.l)]
         if args.format == "json":
-            _emit(json.dumps({"nu": str(nu), "eps": args.eps, "l": args.l, "rows": [
+            _emit(json.dumps({"nu": str(args.nu), "eps": args.eps, "l": args.l, "rows": [
                 {"name": name, "coefficient": str(coeff), "target": target}
                 for name, coeff, target in rows]}), args.out)
         else:
@@ -423,10 +424,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative value (-7/4, -1/3,1/5, -0.3+0.1i) joined to
+    its option as --opt=value: argparse's own test for a negative number
+    varies with the Python version and misses these.  Every option but
+    --help takes one value."""
+    out: list[str] = []
+    for word in argv:
+        prev = out[-1] if out else ""
+        if (re.match(r"-[\d.i]", word) and prev.startswith("--")
+                and "=" not in prev and not "--help".startswith(prev)):
+            out[-1] = f"{prev}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:

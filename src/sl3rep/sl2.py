@@ -44,20 +44,18 @@ def _ladder_coeff(params: SL2Params, l: int, direction: int):
     return c if params.exact else complex(c)
 
 
-def raise_(params: SL2Params, v: KTypeVector) -> KTypeVector:
+def _ladder(params: SL2Params, v: KTypeVector, direction: int) -> KTypeVector:
     _check_parity(params, v)
-    out = KTypeVector()
-    for l, c in v.items():
-        out.add_term(l + 2, _ladder_coeff(params, l, +1) * c)
-    return out
+    return KTypeVector({l + 2 * direction: _ladder_coeff(params, l, direction) * c
+                        for l, c in v.items()})
+
+
+def raise_(params: SL2Params, v: KTypeVector) -> KTypeVector:
+    return _ladder(params, v, +1)
 
 
 def lower(params: SL2Params, v: KTypeVector) -> KTypeVector:
-    _check_parity(params, v)
-    out = KTypeVector()
-    for l, c in v.items():
-        out.add_term(l - 2, _ladder_coeff(params, l, -1) * c)
-    return out
+    return _ladder(params, v, -1)
 
 
 def weight(params: SL2Params, v: KTypeVector) -> KTypeVector:
@@ -74,25 +72,16 @@ def basis_vector(l: int) -> KTypeVector:
 
 def sl2_standard_basis_action(params: SL2Params, generator: str,
                               v: KTypeVector) -> KTypeVector:
-    """Action of E, H, F (upper, diagonal, lower nilpotent) on weight vectors."""
-    _check_parity(params, v)
-    nu = params.nu
-    out = KTypeVector()
-    for l, c in v.items():
-        if generator == "E":
-            out.add_term(l - 2, 1j * (l - 1 - 2 * nu) / 4 * c)
-            out.add_term(l, -1j * l / 2 * c)
-            out.add_term(l + 2, 1j * (l + 1 + 2 * nu) / 4 * c)
-        elif generator == "H":
-            out.add_term(l - 2, -(l - 1 - 2 * nu) / 2 * c)
-            out.add_term(l + 2, (l + 1 + 2 * nu) / 2 * c)
-        elif generator == "F":
-            out.add_term(l - 2, 1j * (l - 1 - 2 * nu) / 4 * c)
-            out.add_term(l, 1j * l / 2 * c)
-            out.add_term(l + 2, 1j * (l + 1 + 2 * nu) / 4 * c)
-        else:
-            raise ValueError("generator must be E, H, or F")
-    return out
+    """Action of E, H, F (upper, diagonal, lower nilpotent) on weight vectors:
+    H = (R + L)/2 and E, F = i(R - L)/4 -+ W/2, with R = raise_, L = lower
+    and W = weight; H is exact at a rational nu."""
+    r, lo = raise_(params, v), lower(params, v)
+    if generator == "H":
+        return (r + lo).scaled(Fraction(1, 2))
+    if generator not in ("E", "F"):
+        raise ValueError("generator must be E, H, or F")
+    return (r - lo).scaled(0.25j) + weight(params, v).scaled(
+        -0.5 if generator == "E" else 0.5)
 
 
 @dataclass

@@ -48,8 +48,7 @@ def _jy_eigenbasis(l: int) -> tuple[np.ndarray, np.ndarray]:
     """(mu, V) with J_y = V diag(mu) V^H in the basis m = -l..l."""
     if not 0 <= l <= LMAX_VALIDATED:
         raise ValueError(f"l = {l} is outside the validated 0 <= l <= {LMAX_VALIDATED}")
-    m = np.arange(-l, l)
-    j_plus = np.diag(np.sqrt(l * (l + 1) - m * (m + 1.0)), -1)
+    j_plus = np.diag(np.sqrt(ladder_coeff_sq(l, np.arange(-l, l), 1.0)), -1)
     mu, v = np.linalg.eigh((j_plus - j_plus.T) / 2j)
     mu.flags.writeable = v.flags.writeable = False
     return mu, v

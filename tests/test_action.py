@@ -518,6 +518,85 @@ def test_w_normalization_guard():
         act_W(2, 0, 0, v)
 
 
+def reference_ladder_m2(v: KTypeVector, step: int) -> KTypeVector:
+    """pi(+-Y2 + iY3) written out by hand: shifts every m2 by `step` with the
+    exact sqrt(l(l+1) - m2(m2+step)) coefficient."""
+    out = KTypeVector()
+    for (l, m1, m2), c in v.items():
+        arg = l * (l + 1) - m2 * (m2 + step)
+        if arg <= 0 or abs(m2 + step) > l:
+            continue
+        out.add_term(WignerIndex(l, m1, m2 + step),
+                     c * RadicalScalar.sqrt_rational(arg))
+    return out
+
+
+def reference_w_norm(n, L, m2):
+    """The normalization of W^L_{n,m2} written out by hand: 1/sqrt of
+    L(L+1) - (m2 + s)(m2 + s') walking back toward m2."""
+    steps = abs(n)
+    norm = RadicalScalar.from_rational(1)
+    for i in range(steps):
+        if n > 0:
+            hi = m2 + steps - i
+            arg = L * (L + 1) - hi * (hi - 1)
+        else:
+            lo = m2 - steps + i
+            arg = L * (L + 1) - lo * (lo + 1)
+        if arg <= 0:
+            raise ValueError(f"W^{L}_{{{n},{m2}}} undefined: nonpositive "
+                             f"normalization argument {arg}")
+        norm = norm * RadicalScalar.sqrt_rational(Fraction(1, arg))
+    return norm
+
+
+def w_outcome(fn, *args):
+    """repr of the vector, or of the ValueError, that fn gives."""
+    try:
+        return repr(sorted(fn(*args).items()))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+W_LAMS = [None, (Fraction(2, 3), Fraction(-1, 6), Fraction(-1, 2))]
+
+
+def reference_w_outcomes(l, lam):
+    """(n, L, m2, v, outcome) of W^L_{n,m2} on every D^l_{m1,m2} with L in
+    [l-2, l+2], its ladder steps and normalizations written out by hand, not
+    read from the step table; the steps do not depend on L."""
+    for m1, m2, n in itertools.product(range(-l, l + 1), range(-l, l + 1),
+                                       range(-2, 3)):
+        v = KTypeVector({WignerIndex(l, m1, m2): 1})
+        stepped = act_Z(n, WignerIndex(l, m1, m2), lam)
+        for _ in range(abs(n)):
+            stepped = reference_ladder_m2(stepped, -1 if n > 0 else 1)
+        for L in range(l - 2, l + 3):
+            yield n, L, m2, v, w_outcome(
+                lambda: stepped.scaled(reference_w_norm(n, L, m2)))
+
+
+@pytest.mark.parametrize("lam", W_LAMS, ids=["symbolic", "rational"])
+@pytest.mark.parametrize("l", range(6))
+def test_w_steps_from_the_step_table_match_the_hand_written_ladder(l, lam):
+    for n, L, m2, v, want in reference_w_outcomes(l, lam):
+        assert w_outcome(act_W, n, L, m2, v, lam) == want, (n, L, m2, v)
+
+
+def test_w_with_the_y2_sign_flipped_differs(monkeypatch):
+    # pi(-step Y2 + iY3) is the opposite ladder: every defined W with n != 0
+    # must differ from the hand-written one
+    step_row = action._w_step
+    monkeypatch.setattr(action, "_w_step",
+                        lambda step, l, m: step_row(-step, l, m))
+    lam = W_LAMS[1]
+    defined = [(n, L, m2, v, want) for n, L, m2, v, want in reference_w_outcomes(3, lam)
+               if n and not want.startswith("ValueError")]
+    assert len(defined) == 672
+    assert all(w_outcome(act_W, n, L, m2, v, lam) != want
+               for n, L, m2, v, want in defined)
+
+
 def test_exceptional_set():
     assert pwqu_exceptional(5) == {(0, 0), (0, 1), (1, -1)}
     assert pwqu_exceptional(40) == {(0, 0), (0, 1), (1, -1)}

@@ -252,6 +252,33 @@ def test_non_finite_or_overflowing_lambda_exits_2(argv):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("command, option", [
+    ("compose --preset degenerate --s -7/4 --lmax 4", "--s"),
+    ("sl2 compose --nu -3/2", "--nu"),
+    ("sl2 ladder --nu -i --l -2", "--nu"),
+    ("action --lambda -1/3,1/5 --delta 0,0,0 --gen Z1 --lmax 2", "--lambda"),
+    ("action --lambda -0.3+0.1i,0.2 --delta 1,0,1 --gen Z-1 --lmax 2", "--lambda"),
+    ("series --delta 0,0,0 --lambda -1,1", "--lambda"),
+])
+def test_a_negative_value_is_read_as_its_equals_form(command, option, capsys):
+    argv = command.split()
+    assert main(argv) == 0
+    spaced = capsys.readouterr()
+    at = argv.index(option)
+    assert main(argv[:at] + [f"{option}={argv[at + 1]}"] + argv[at + 2:]) == 0
+    assert capsys.readouterr() == spaced and spaced.out
+
+
+def test_a_negative_value_on_the_command_line():
+    spaced = run_cli("sl2", "compose", "--nu", "-3/2")
+    assert spaced[0] == 0 and spaced == run_cli("sl2", "compose", "--nu=-3/2")
+
+
+def test_an_option_followed_by_an_option_still_lacks_its_value(capsys):
+    assert main("compose --preset degenerate --s --lmax 4".split()) == 2
+    assert "argument --s: expected one argument" in capsys.readouterr().err
+
+
 def test_theorem_main_overflow_names_lambda(capsys):
     assert main(["verify", "--suite", "theorem-main", "--lambda", "1e5,0",
                  "--lmax", "1"]) == 2

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl3rep.action import generator_matrix_numeric
@@ -123,10 +123,19 @@ def test_expm_closed_forms(t):
 @given(st.integers(2, 3).flatmap(
            lambda n: st.lists(st.floats(-1, 1), min_size=n * n, max_size=n * n)),
        st.floats(0, 15))
+# entries so small that norm / ||x|| overflows: subnormal, and normal
+@example(entries=[-2.225073858507e-311, -2.225073858507e-311, 0.0, 0.0],
+         norm=4.195701009405945)
+@example(entries=[5e-324, 0.0, 0.0, 0.0], norm=15.0)
+@example(entries=[3e-308, 0.0, 0.0, 0.0], norm=15.0)
 def test_expm_matches_mpmath(entries, norm):
     x = np.array(entries).reshape(int(math.isqrt(len(entries))), -1)
     if np.abs(x).max() > 0:
+        # divide by the largest entry first, so the 2-norm is at least 1
+        # and the scaled matrix finite
+        x = x / np.abs(x).max()
         x = x * (norm / np.linalg.norm(x, 2))
+    assert np.isfinite(x).all()
     with mpmath.workdps(40):
         want = np.array(mpmath.expm(mpmath.matrix(x.tolist())).tolist(), dtype=float)
     got = expm(x)

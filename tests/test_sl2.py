@@ -62,6 +62,57 @@ def test_ladder_ops_are_standard_combinations():
     assert _small(w - weight(p, v))
 
 
+def reference_standard_basis_action(params, generator, v):
+    """E, H, F with their coefficients written out by hand."""
+    nu = params.nu
+    out = KTypeVector()
+    for l, c in v.items():
+        if generator == "E":
+            out.add_term(l - 2, 1j * (l - 1 - 2 * nu) / 4 * c)
+            out.add_term(l, -1j * l / 2 * c)
+            out.add_term(l + 2, 1j * (l + 1 + 2 * nu) / 4 * c)
+        elif generator == "H":
+            out.add_term(l - 2, -(l - 1 - 2 * nu) / 2 * c)
+            out.add_term(l + 2, (l + 1 + 2 * nu) / 2 * c)
+        else:
+            out.add_term(l - 2, 1j * (l - 1 - 2 * nu) / 4 * c)
+            out.add_term(l, 1j * l / 2 * c)
+            out.add_term(l + 2, 1j * (l + 1 + 2 * nu) / 4 * c)
+    return out
+
+
+@pytest.mark.parametrize("nu", [Fraction(1, 3), Fraction(-3, 2), 2, 0,
+                                0.37 + 0.21j, -1.5 - 0.75j])
+@pytest.mark.parametrize("eps", [0, 1])
+@pytest.mark.parametrize("generator", "EHF")
+def test_standard_basis_is_the_ladder_combination(nu, eps, generator):
+    p = SL2Params(nu, eps)
+    v = KTypeVector({l: (1 + l) * (1 - 0.5j) for l in range(eps - 10, 11, 2)})
+    got = sl2_standard_basis_action(p, generator, v)
+    want = reference_standard_basis_action(p, generator, v)
+    # relative to the vector: each weight sums three ladder terms that cancel
+    assert got.terms.keys() == want.terms.keys()
+    scale = max(abs(c) for c in want.terms.values())
+    for l, c in want.items():
+        assert abs(complex(got.get(l)) - c) <= 1e-15 * scale, (l, got.get(l), c)
+
+
+@pytest.mark.parametrize("nu", [Fraction(1, 3), Fraction(-7, 2), 3])
+def test_h_is_exact_at_a_rational_nu(nu):
+    p = SL2Params(nu, eps=0)
+    v = KTypeVector({l: Fraction(l + 1, 3) for l in range(-6, 7, 2)})
+    got = sl2_standard_basis_action(p, "H", v)
+    assert got and all(isinstance(c, Fraction) for c in got.terms.values())
+    assert got == (raise_(p, v) + lower(p, v)).scaled(Fraction(1, 2))
+    assert got.get(2) == Fraction(2 * nu + 1 + 0, 2) * Fraction(1, 3) \
+        + Fraction(2 * nu + 1 - 4, 2) * Fraction(5, 3)
+
+
+def test_unknown_generator_raises_even_on_the_empty_vector():
+    with pytest.raises(ValueError, match="E, H, or F"):
+        sl2_standard_basis_action(SL2Params(0), "X", KTypeVector())
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_discrete_sub_cases(k):
     # nu = (k-1)/2 with matching parity: lower kills v_k, raise kills v_{-k}
