@@ -370,12 +370,9 @@ def act_W(n: int, L: int, m2: int, v: KTypeVector,
     """W^L_{n,m2} applied to a vector supported on D^._{., m2}: pi(Z_n), then
     the |n| steps of `_w_step` back to m2, the step from m normalized by
     1/sqrt(ladder_coeff_sq(L, m, step)) for the target K-type L.  Raises
-    when a normalization square is not positive."""
+    before pi(Z_n) when a normalization square is not positive."""
     if n not in (-2, -1, 0, 1, 2):
         raise ValueError("n must be in -2..2")
-    out = KTypeVector()
-    for idx, c in v.items():
-        out = out + act_Z(n, idx, lam).scaled(c)
     step = -1 if n > 0 else 1
     norm = ONE
     for m in range(m2 + n, m2, step):
@@ -384,6 +381,10 @@ def act_W(n: int, L: int, m2: int, v: KTypeVector,
             raise ValueError(f"W^{L}_{{{n},{m2}}} undefined: nonpositive "
                              f"normalization argument {arg}")
         norm = norm * RadicalScalar.sqrt_rational(Fraction(1, arg))
+    out = KTypeVector()
+    for idx, c in v.items():
+        out = out + act_Z(n, idx, lam).scaled(c)
+    for _ in range(abs(n)):
         out = KTypeVector({WignerIndex(l, m1, t): c * coeff
                            for (l, m1, at), c in out.items()
                            for t, coeff in _w_step(step, l, at)})

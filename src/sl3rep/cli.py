@@ -192,17 +192,14 @@ def _cmd_action(args) -> int:
 def _cmd_compose(args) -> int:
     from . import structure
 
+    # each preset's report and the options it reads, in argument order
+    build, reads = {"even-k": (structure.even_k_report, ("k", "lmax")),
+                    "degenerate": (structure.degenerate_series_report, ("s", "lmax")),
+                    "k3": (structure.k3_chain_report, ("lmax",)),
+                    "k23": (structure.k23_subspace_report, ("lmax",))}[args.preset]
     defaults = {"k": 2, "s": Fraction(1, 4), "lmax": 31 if args.preset == "k23" else 12}
-    _read_options(args, _COMPOSE_READS[args.preset] + ("lmax",), defaults,
-                  f"the {args.preset} preset")
-    if args.preset == "even-k":
-        report = structure.even_k_report(args.k, args.lmax)
-    elif args.preset == "degenerate":
-        report = structure.degenerate_series_report(args.s, args.lmax)
-    elif args.preset == "k3":
-        report = structure.k3_chain_report(args.lmax)
-    else:
-        report = structure.k23_subspace_report(args.lmax)
+    _read_options(args, reads, defaults, f"the {args.preset} preset")
+    report = build(*(getattr(args, name) for name in reads))
     if args.format == "json":
         _emit(json.dumps(report.to_json(), sort_keys=True, default=str),
               args.out)
@@ -228,8 +225,7 @@ def _read_options(args, reads, defaults: dict, what: str) -> None:
             raise ValueError(f"{what} does not read {flag}")
 
 
-# the options each compose preset and each verify suite reads
-_COMPOSE_READS = {"even-k": ("k",), "degenerate": ("s",), "k3": (), "k23": ()}
+# the options each verify suite reads
 _VERIFY_READS = {
     "orthogonality": ("lmax",),
     "cg": ("lmax", "samples", "seed"),

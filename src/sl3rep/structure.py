@@ -167,17 +167,16 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
     return result
 
 
-def _numeric_recheck(spec: SubspaceSpec, labels: list[BasisLabel],
-                     rounds: int = 3, tol: float = 1e-10) -> None:
+def _numeric_recheck(spec: SubspaceSpec, labels: list[BasisLabel]) -> None:
     """Float re-evaluation of sampled labels, independent of the skeleton."""
     lam_num = tuple(complex(x) for x in spec.params.lam)
-    stride = max(1, len(labels) // (20 * rounds))
-    for r in range(rounds):
+    stride = max(1, len(labels) // 60)
+    for r in range(3):
         for lab in labels[r::stride][:20]:
             for n in range(-2, 3):
                 out = act_Z_on_basis(n, lab, spec.params, lam_num)
                 for target, c in out.items():
-                    if not spec.predicate(BasisLabel(*target)) and abs(c) > tol:
+                    if not spec.predicate(BasisLabel(*target)) and abs(c) > 1e-10:
                         raise VerificationError(
                             f"numeric recheck found leakage {lab} -> {target}")
 
@@ -239,11 +238,23 @@ class StructureReport:
         return out
 
 
-def _chain_entry(name: str, res: InvarianceResult) -> dict:
-    return {"name": name, "invariant": res.invariant,
-            "connected": res.connected,
-            "checked_labels": res.checked_labels,
-            "leakage": res.leakage}
+def _chain_report(title: str, lmax: int, members: list[tuple],
+                  multiplicities: dict, metadata: dict
+                  ) -> tuple[StructureReport, list[InvarianceResult]]:
+    """Certify each (name, params, predicate) span in chain order; the report
+    lists them and their certificates in that order."""
+    results = [verify_invariant(SubspaceSpec(*member), lmax) for member in members]
+    chain = [{"name": member[0], "invariant": res.invariant, "connected": res.connected,
+              "checked_labels": res.checked_labels, "leakage": res.leakage}
+             for member, res in zip(members, results)]
+    certificates = [cert for res in results for cert in res.certificates]
+    return StructureReport(title, chain, multiplicities, certificates,
+                           metadata=metadata), results
+
+
+def _rows(params: SeriesParams, l: int, keep: Callable[[BasisLabel], bool]) -> int:
+    """The number of m1 rows of V_l that `keep` admits."""
+    return len({lab.m1 for lab in basis(params, l) if keep(lab)})
 
 
 # ---------------------------------------------------------------------------
@@ -263,37 +274,25 @@ def even_k_report(k: int, lmax: int = 12) -> StructureReport:
         raise ValueError("lmax must be at least k + 4")
     half = Fraction(k - 1, 2)
     delta = (0, 0, 0)
-    params_b = SeriesParams((-half, half, Fraction(0)), delta)
-    params_a = SeriesParams((half, -half, Fraction(0)), delta)
-    spec_b = SubspaceSpec(f"V_B (m1 < {k})", params_b,
-                          lambda lab: lab.m1 < k)
-    spec_a = SubspaceSpec(f"V_A (m1 >= {k})", params_a,
-                          lambda lab: lab.m1 >= k)
-    res_b = verify_invariant(spec_b, lmax)
-    res_a = verify_invariant(spec_a, lmax)
+    members = [(f"V_A (m1 >= {k})", SeriesParams((half, -half, Fraction(0)), delta),
+                lambda lab: lab.m1 >= k),
+               (f"V_B (m1 < {k})", SeriesParams((-half, half, Fraction(0)), delta),
+                lambda lab: lab.m1 < k)]
     mult = {}
     mismatches = []
     for l in range(lmax + 1):
         m_a = max(0, 1 + (l - k) // 2)
-        if l % 2:
-            m_b = min(l // 2, (k - 2) // 2)
-        else:
-            m_b = min(1 + l // 2, k // 2)
-        count_a = len({lab.m1 for lab in basis(params_a, l) if lab.m1 >= k})
-        count_b = len({lab.m1 for lab in basis(params_b, l) if lab.m1 < k})
+        m_b = min(l // 2, (k - 2) // 2) if l % 2 else min(1 + l // 2, k // 2)
         total = multiplicity(delta, l)
         mult[l] = [m_a, m_b, total]
-        if count_a != m_a or count_b != m_b or m_a + m_b != total:
+        rows = [_rows(params, l, keep) for _, params, keep in members]
+        if rows != [m_a, m_b] or m_a + m_b != total:
             mismatches.append(l)
-    report = StructureReport(
-        title=f"even-k pair, k = {k}",
-        chain=[_chain_entry(spec_a.name, res_a), _chain_entry(spec_b.name, res_b)],
-        multiplicities=mult,
-        certificates=res_a.certificates + res_b.certificates,
-        metadata={"k": k, "lmax": lmax, "composition_length": 2,
-                  "multiplicity_columns": ["m_A", "m_B", "total"],
-                  "multiplicity_mismatches": mismatches},
-    )
+    report, _ = _chain_report(
+        f"even-k pair, k = {k}", lmax, members, mult,
+        {"k": k, "lmax": lmax, "composition_length": 2,
+         "multiplicity_columns": ["m_A", "m_B", "total"],
+         "multiplicity_mismatches": mismatches})
     if mismatches:
         report.notes.append(f"multiplicity mismatch at l = {mismatches}")
     report.notes.append("quotient of the B-side module by V_B is dual to V_A")
@@ -318,57 +317,46 @@ def degenerate_series_report(s, lmax: int = 12) -> StructureReport:
         raise ValueError("lmax must be at least 4")
     exact = isinstance(s, (int, Fraction))
     sv = Fraction(s) if exact else complex(s)
-    lam = (Fraction(2, 3) * sv - Fraction(1, 2),
-           Fraction(2, 3) * sv + Fraction(1, 2),
-           Fraction(-4, 3) * sv) if exact else \
-          (2 * sv / 3 - 0.5, 2 * sv / 3 + 0.5, -4 * sv / 3)
-    delta = (0, 0, 0)
-    rungs = {}
-    vanishing = []
+
+    def lam_at(t):
+        return (2 * t / 3 - Fraction(1, 2), 2 * t / 3 + Fraction(1, 2), -4 * t / 3)
+
+    def rungs_at(t, l):
+        return ((2, 4 * t + 2 * l + 3), (-2, 4 * t - 2 * l + 1))
+
+    lam = lam_at(sv)
+    ls = range(0, lmax + 1, 2)
+    vanishing = [(l, j) for l in ls for j, r in rungs_at(sv, l)
+                 if exact and l + j >= 0 and r == 0]
+    # Each U_j amplitude on m1 = 0 is affine in lam, so affine in s: the
+    # exact checks at two points decide U_{+-1} and the rungs at every s.
     u1_zero = True
-    for l in range(0, lmax + 1, 2):
-        up = 4 * sv + 2 * l + 3
-        down = 4 * sv - 2 * l + 1
-        rungs[l] = [up, down]
-        if exact:
-            if up == 0:
-                vanishing.append((l, +2))
-            if l >= 2 and down == 0:
-                vanishing.append((l, -2))
-        # exact amplitudes are pruned at zero, complex ones judged as the rungs
-        u1_zero &= not any(exact or abs(c) > 1e-9 * (1 + abs(sv)) for j in (-1, 1)
-                           for m2 in range(-min(l, 2), min(l, 2) + 1)
-                           for _, c in act_U(j, WignerIndex(l, 0, m2), lam).items())
-        # cross-check the printed rung against the engine
-        for j, r in ((2, up), (-2, down)):
-            if l + j < 0:
-                continue
-            got = act_U(j, WignerIndex(l, 0, 0), lam).get(WignerIndex(l + j, 0, 0), 0)
-            want = RadicalScalar.sqrt_rational(Fraction(2, 3)) * q(0, j, l, 0) * r
-            if (got != want if exact else abs(got - want) > 1e-9 * (1 + abs(r))):
-                raise VerificationError(f"rung mismatch at l={l}, j={j}")
-    chain = []
-    certificates = []
-    if exact:
-        params = SeriesParams(lam, delta)
-        spec = SubspaceSpec("m1 = 0 (even l)", params, lambda lab: lab.m1 == 0)
-        res = verify_invariant(spec, lmax)
-        chain.append(_chain_entry(spec.name, res))
-        certificates = res.certificates
+    for t in [sv] if exact else [Fraction(0), Fraction(1)]:
+        lam_t = lam_at(t)
+        for l in ls:
+            u1_zero &= not any(act_U(j, WignerIndex(l, 0, m2), lam_t)
+                               for j in (-1, 1)
+                               for m2 in range(-min(l, 2), min(l, 2) + 1))
+            # cross-check the printed rung against the engine
+            for j, r in rungs_at(t, l):
+                if l + j < 0:
+                    continue
+                got = act_U(j, WignerIndex(l, 0, 0), lam_t).get(WignerIndex(l + j, 0, 0), 0)
+                want = RadicalScalar.sqrt_rational(Fraction(2, 3)) * q(0, j, l, 0) * r
+                if got != want:
+                    raise VerificationError(f"rung mismatch at l={l}, j={j}")
+    members = [("m1 = 0 (even l)", SeriesParams(lam, (0, 0, 0)),
+                lambda lab: lab.m1 == 0)] if exact else []
     quarter = exact and (4 * sv).denominator == 1
-    report = StructureReport(
-        title=f"induced-from-parabolic ladder, s = {s}",
-        chain=chain,
-        multiplicities={l: [1] for l in range(0, lmax + 1, 2)},
-        certificates=certificates,
-        metadata={"s": str(s), "lambda": [str(x) for x in lam],
-                  "rungs": {str(l): [str(r) for r in rs]
-                            for l, rs in rungs.items()},
-                  "vanishing_rungs": [list(v) for v in vanishing],
-                  "quarter_integral": quarter,
-                  "U_pm1_zero": u1_zero,
-                  "multiplicity_columns": ["m"]},
-    )
+    report, _ = _chain_report(
+        f"induced-from-parabolic ladder, s = {s}", lmax, members,
+        {l: [1] for l in ls},
+        {"s": str(s), "lambda": [str(x) for x in lam],
+         "rungs": {str(l): [str(r) for _, r in rungs_at(sv, l)] for l in ls},
+         "vanishing_rungs": [list(v) for v in vanishing],
+         "quarter_integral": quarter,
+         "U_pm1_zero": u1_zero,
+         "multiplicity_columns": ["m"]})
     report.notes.append("U_{+-1} vanishes identically on the subspace"
                         if u1_zero else "U_{+-1} does NOT vanish (unexpected)")
     if vanishing:
@@ -402,36 +390,21 @@ def k3_chain_report(lmax: int = 12) -> StructureReport:
     delta = (1, 0, 1)
     params = SeriesParams((Fraction(-1), Fraction(1), Fraction(0)), delta)
     dual = SeriesParams((Fraction(1), Fraction(-1), Fraction(0)), delta)
-    spec_odd = SubspaceSpec("V1_odd (m1 = 1, l odd)", params,
-                            lambda lab: lab.m1 == 1 and lab.l % 2 == 1)
-    spec_v1 = SubspaceSpec("V1 (m1 = 1)", params, lambda lab: lab.m1 == 1)
-    spec_dual = SubspaceSpec("dual Sym^2 span (m1 >= 3)", dual,
-                             lambda lab: lab.m1 >= 3)
-    res_odd = verify_invariant(spec_odd, lmax)
-    res_v1 = verify_invariant(spec_v1, lmax)
-    res_dual = verify_invariant(spec_dual, lmax)
-    mult = {}
-    for l in range(lmax + 1):
-        m_odd = 1 if (l % 2 == 1) else 0
-        m_v1 = 1 if l >= 1 else 0
-        mult[l] = [m_odd, m_v1, multiplicity(delta, l)]
-    report = StructureReport(
-        title="length-3 chain at spectral parameter (-1, 1, 0)",
-        chain=[_chain_entry(spec_odd.name, res_odd),
-               _chain_entry(spec_v1.name, res_v1),
-               _chain_entry(spec_dual.name, res_dual)],
-        multiplicities=mult,
-        certificates=res_odd.certificates + res_v1.certificates
-        + res_dual.certificates,
-        metadata={"lmax": lmax, "composition_length": 3,
-                  "multiplicity_columns": ["m_V1_odd", "m_V1", "total"],
-                  "quotient": "symmetric square of the discrete series D2"},
-    )
-    cancels = [c for c in res_odd.certificates
-               if c["reason"] == "folded-cancellation"]
+    mult = {l: [l % 2, int(l >= 1), multiplicity(delta, l)] for l in range(lmax + 1)}
+    report, (res_odd, _, _) = _chain_report(
+        "length-3 chain at spectral parameter (-1, 1, 0)", lmax,
+        [("V1_odd (m1 = 1, l odd)", params,
+          lambda lab: lab.m1 == 1 and lab.l % 2 == 1),
+         ("V1 (m1 = 1)", params, lambda lab: lab.m1 == 1),
+         ("dual Sym^2 span (m1 >= 3)", dual, lambda lab: lab.m1 >= 3)],
+        mult,
+        {"lmax": lmax, "composition_length": 3,
+         "multiplicity_columns": ["m_V1_odd", "m_V1", "total"],
+         "quotient": "symmetric square of the discrete series D2"})
+    cancels = sum(c["reason"] == "folded-cancellation" for c in res_odd.certificates)
     if cancels:
         report.notes.append("V1_odd closure uses radical cancellation on "
-                            f"{len(cancels)} boundary transitions")
+                            f"{cancels} boundary transitions")
     return report
 
 
@@ -450,24 +423,18 @@ def k23_subspace_report(lmax: int = 31) -> StructureReport:
     if lmax < 27:
         raise ValueError("lmax must be at least 27")
     delta = (1, 0, 1)
-    params = SeriesParams((Fraction(11), Fraction(-11), Fraction(0)), delta)
-    spec = SubspaceSpec("Sym^2 span (m1 >= 23)", params,
-                        lambda lab: lab.m1 >= 23)
-    res = verify_invariant(spec, lmax)
-    mult = {}
-    for l in range(max(0, 20), lmax + 1):
-        m_sub = len({lab.m1 for lab in basis(params, l) if lab.m1 >= 23})
-        mult[l] = [m_sub, multiplicity(delta, l)]
-    report = StructureReport(
-        title="symmetric-square subspace at spectral parameter (11, -11, 0)",
-        chain=[_chain_entry(spec.name, res)],
-        multiplicities=mult,
-        certificates=res.certificates,
-        metadata={"lmax": lmax, "first_k_type": 23,
-                  "multiplicity_columns": ["m_sub", "total"],
-                  "unexplored": "other composition factors of the ambient "
-                                "module are not analyzed"},
-    )
+    span = ("Sym^2 span (m1 >= 23)",
+            SeriesParams((Fraction(11), Fraction(-11), Fraction(0)), delta),
+            lambda lab: lab.m1 >= 23)
+    mult = {l: [_rows(span[1], l, span[2]), multiplicity(delta, l)]
+            for l in range(20, lmax + 1)}
+    report, _ = _chain_report(
+        "symmetric-square subspace at spectral parameter (11, -11, 0)", lmax,
+        [span], mult,
+        {"lmax": lmax, "first_k_type": 23,
+         "multiplicity_columns": ["m_sub", "total"],
+         "unexplored": "other composition factors of the ambient "
+                       "module are not analyzed"})
     if mult.get(23, [0])[0] == 1 and mult.get(22, [1])[0] == 0:
         report.notes.append("first nonzero K-type at l = 23 with "
                             "multiplicity 1")

@@ -518,6 +518,21 @@ def test_w_normalization_guard():
         act_W(2, 0, 0, v)
 
 
+def test_undefined_w_raises_before_computing_pi_z(monkeypatch):
+    v = KTypeVector({WignerIndex(2, 0, 0): 1})
+    # the W error comes first, even at a lam that pi(Z_n) would refuse
+    with pytest.raises(ValueError, match="undefined"):
+        act_W(2, 0, 0, v, (1, 2, 3))
+
+    def no_act_z(*args):
+        raise AssertionError("pi(Z_n) computed for an undefined W")
+
+    monkeypatch.setattr(action, "act_Z", no_act_z)
+    for n, L, m2 in [(1, 0, 0), (2, 1, 0), (-2, 0, 0), (-1, 3, -3)]:
+        with pytest.raises(ValueError, match="undefined"):
+            act_W(n, L, m2, v)
+
+
 def reference_ladder_m2(v: KTypeVector, step: int) -> KTypeVector:
     """pi(+-Y2 + iY3) written out by hand: shifts every m2 by `step` with the
     exact sqrt(l(l+1) - m2(m2+step)) coefficient."""

@@ -102,6 +102,10 @@ PINNED_OUTPUTS = [
      "b827306f53ad6562532c86348611ee6ee0ca6f986cf8b01f7aab62933c03c61b"),
     ("compose --preset degenerate --s 0.3+0.1i --format json",
      "506d135a19c829796fabcf2b2b632137905e737ea9da99b2792717f5f43ed2c1"),
+    ("compose --preset k3 --format table",
+     "dd61e79dfe474a092be1a13f14c62dad3191533a1593dc36894d2dca5ccdef5d"),
+    ("compose --preset degenerate --s 0.3+0.1i --format table",
+     "f2e0627f8ee83c414fa8cb77ea7ecf35aafa316e8740913bb1ee638f0f5c808c"),
     ("action --lambda 1/3,1/5 --delta 1,0,1 --gen Z1 --lmax 6 --format json",
      "936a6ffb44c95cbe436d7e47ecd19bfe4bd2aeababaf0e86772afd8314ca64ad"),
     ("action --lambda 0.3+0.1i,-0.2 --delta 0,1,0 --gen Z-2 --lmax 6 --format csv",
@@ -171,7 +175,8 @@ def test_compose_preset_exit_code():
 
 
 def test_compose_degenerate_at_complex_s_reports_u_pm1_zero():
-    # 1 + lam1 - lam2 rounds to 7.9e-17 at this s, which is no amplitude
+    # U_{+-1} is decided exactly at s = 0 and 1, so the 7.9e-17 to which
+    # 1 + lam1 - lam2 rounds at this s does not enter the report
     code, out, _ = run_cli("compose", "--preset", "degenerate", "--s",
                            "0.123+0.456i", "--format", "json")
     assert code == 0

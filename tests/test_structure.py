@@ -1,5 +1,6 @@
 """Tests for invariant-subspace certification and the structure reports."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl3rep import VerificationError, action, structure
-from sl3rep.action import (C_FACTORS, act_Z_on_basis, label_components,
+from sl3rep.action import (C_FACTORS, act_U, act_Z_on_basis, label_components,
                            lambda_factor)
 from sl3rep.clebsch import q
-from sl3rep.scalars import ZERO
+from sl3rep.scalars import ZERO, RadicalScalar
 from sl3rep.series import (BasisLabel, SeriesParams, basis, label_valid,
                            multiplicity)
 from sl3rep.structure import (InvarianceResult, SubspaceSpec,
@@ -113,16 +114,41 @@ def test_degenerate_series_numeric_parameter():
 @example(123, 456)  # 1 + lam1 - lam2 rounds to 7.9e-17 there
 @settings(max_examples=60, deadline=None)
 def test_degenerate_series_u_pm1_vanishes_at_complex_s(re, im):
-    # the transverse factors 1 -+ m1 + lam1 - lam2 vanish at m1 = 0 up to
-    # rounding, which is judged as the rungs are
-    rep = degenerate_series_report(complex(re, im) / 1000, lmax=4)
+    # the report decides U_{+-1} and the rungs exactly at s = 0 and 1; the
+    # numeric engine at the complex lam(s) agrees up to rounding, where the
+    # transverse factors 1 -+ m1 + lam1 - lam2 vanish at m1 = 0
+    s = complex(re, im) / 1000
+    rep = degenerate_series_report(s, lmax=4)
     assert rep.metadata["U_pm1_zero"] is True
     assert "U_{+-1} vanishes identically on the subspace" in rep.notes
+    lam = (2 * s / 3 - 0.5, 2 * s / 3 + 0.5, -4 * s / 3)
+    for l in range(0, 13, 2):
+        for j in (-1, 1):
+            for m2 in range(-min(l, 2), min(l, 2) + 1):
+                for c in act_U(j, WignerIndex(l, 0, m2), lam).terms.values():
+                    assert abs(c) <= 1e-15 * (1 + abs(s)), (l, j, m2, c)
+        for j, r in ((2, 4 * s + 2 * l + 3), (-2, 4 * s - 2 * l + 1)):
+            if l + j < 0:
+                continue
+            got = act_U(j, WignerIndex(l, 0, 0), lam).get(WignerIndex(l + j, 0, 0), 0)
+            want = float(RadicalScalar.sqrt_rational(Fraction(2, 3)) * q(0, j, l, 0)) * r
+            # relative, but absolute near a vanishing rung
+            assert cmath.isclose(got, want, rel_tol=1e-13,
+                                 abs_tol=1e-13 * (1 + abs(s))), (l, j, got, want)
+
+
+def test_degenerate_series_rung_mismatch_is_caught(monkeypatch):
+    # a wrong closed form of the rungs is refused at a rational s, and at a
+    # complex s through the exact checks at s = 0 and 1
+    monkeypatch.setattr(structure, "q", lambda *idx: 2 * q(*idx))
+    for s in (Fraction(1, 3), 0.3 + 0.2j):
+        with pytest.raises(VerificationError, match="rung mismatch"):
+            degenerate_series_report(s, lmax=4)
 
 
 def test_degenerate_series_reports_a_u_pm1_amplitude_above_rounding(monkeypatch):
-    # 1e-6 added to every amplitude of U_{+-1}, at an s where rounding
-    # leaves some of them nonzero and where it leaves none
+    # 1e-6 added to every amplitude of U_{+-1}: the exact check, made at
+    # s = 0 and 1 for a complex s, reports any amplitude the engine returns
     exact = structure.act_U
 
     def offset(j, idx, lam=None):
