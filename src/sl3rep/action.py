@@ -44,6 +44,10 @@ or (j, j'); integer vectors of degree <= 2 in lam), each weighted by the
 integer monomials of a lam-free, m1-free sum W_js(l, m2; s) of coupling and
 Y-step products, tabled per (pair, l, m2).  `_int_terms` converts each
 coupling, Y step and bracket coordinate once; no LambdaForm is read.
+
+numpy is imported inside the functions that build float arrays (matrix
+assembly, `ActionMatrix.dense`, `generator_matrix_numeric`), so the exact
+action and the bracket verifier never load it.
 """
 
 from __future__ import annotations
@@ -53,8 +57,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, sqrt
 from typing import Sequence, Union
-
-import numpy as np
 
 from .clebsch import q, q_core, q_float
 from .errors import VerificationError
@@ -105,6 +107,7 @@ Y_TAGS = {"Y1": 1, "Y2": 2, "Y3": 3}
 
 
 def generator_matrix_numeric(tag: str) -> np.ndarray:
+    import numpy as np
     return np.array([[complex(c) for c in row]
                      for row in GENERATOR_MATRICES[tag]])
 
@@ -771,6 +774,7 @@ class ActionMatrix:
         return spans
 
     def dense(self) -> np.ndarray:
+        import numpy as np
         n = len(self.labels)
         out = np.zeros((n, n), dtype=complex)
         spans = self._label_spans()
@@ -829,6 +833,7 @@ class ActionMatrix:
 
 def _entries_text(block: np.ndarray) -> str:
     """The items of json.dumps([[z.real, z.imag] for z in block.flatten()])."""
+    import numpy as np
     flat = block.ravel()
     written = np.flatnonzero((flat != 0) | np.signbit(flat.real)
                              | np.signbit(flat.imag))
@@ -863,6 +868,7 @@ def assemble_matrix(params: SeriesParams, generator: str,
     silently dropped, so structure analysis can tell zeros from window
     artifacts.
     """
+    import numpy as np
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
     if generator not in Y_TAGS and generator not in Z_TAGS:

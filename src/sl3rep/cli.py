@@ -35,6 +35,17 @@ def _parse_scalar(text: str):
     return z
 
 
+def _parse_angle(text: str) -> float:
+    """A finite float: a NaN or an infinite angle has no D-function value."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse number {text!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"number {text!r} is not finite")
+    return x
+
+
 def _parse_lambda(text: str):
     """Two comma-separated components; the third is forced by the zero sum."""
     parts = text.split(",")
@@ -91,8 +102,11 @@ def _pretty_radical(r) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -361,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("l", "m1", "m2"):
         w.add_argument(f"--{name}", type=int, required=True)
     for name in ("alpha", "beta", "gamma"):
-        w.add_argument(f"--{name}", type=float, required=True)
+        w.add_argument(f"--{name}", type=_parse_angle, required=True)
     common(w, ("table", "json"))
     w.set_defaults(func=_cmd_wigner)
 

@@ -7,6 +7,10 @@ The v_{l,m1,m2} basis uses the symmetrized combination
 valid precisely when m1 = d1+d2 mod 2 and, for m1 = 0, when d1+d3+l is
 even.  Wigner functions extend to the group through the Iwasawa
 factorization g = n a k with the character a^(1+l1) b^(l2) c^(-1+l3).
+
+numpy is imported inside the float functions that call it (the Iwasawa
+factorization, GroupElement, parity_check), so the exact engine, which
+reads only the labels and parameters here, never loads it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from .scalars import check_lambda
 from .wigner import EulerAngles, WignerIndex, euler_from_matrix, wigner_D
@@ -87,6 +89,7 @@ def iwasawa(g: np.ndarray, tol: float = 1e-10):
     Rows are orthonormalized from the bottom up, which produces exactly the
     upper-triangular-times-orthogonal arrangement.
     """
+    import numpy as np
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError("need a 3x3 matrix")
@@ -114,6 +117,7 @@ class GroupElement:
     __slots__ = ("g", "n", "a", "k", "angles")
 
     def __init__(self, g: np.ndarray):
+        import numpy as np
         self.g = np.asarray(g, dtype=float)
         self.n, self.a, self.k = iwasawa(self.g)
         self.angles = euler_from_matrix(self.k)
@@ -122,6 +126,7 @@ class GroupElement:
     def from_nak(cls, x: Sequence[float], y: Sequence[float],
                  angles: EulerAngles) -> "GroupElement":
         """Build from coordinates (x1,x2,x3), (y1,y2), Euler angles."""
+        import numpy as np
         from .wigner import matrix_from_euler
 
         x1, x2, x3 = x
@@ -176,6 +181,7 @@ def basis_function(delta: Delta, label: BasisLabel) -> Callable[[EulerAngles], c
 def parity_check(f: Callable[[EulerAngles], complex], delta: Delta,
                  rng=None, samples: int = 100, tol: float = 1e-9) -> bool:
     """Sample the two parity identities a principal-series restriction obeys."""
+    import numpy as np
     rng = np.random.default_rng(rng)
     s1 = -1 if (delta[0] + delta[1]) % 2 else 1
     s2 = -1 if (delta[1] + delta[2]) % 2 else 1

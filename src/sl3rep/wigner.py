@@ -10,6 +10,9 @@ convention above throughout and makes no attempt to detect others.
 The so(3) action of Y1, Y2, Y3 is written once, as the step table read by
 `y_steps`; the float derivatives here and the exact action and matrix
 assembly of `action` all read it.
+
+numpy is imported inside the float functions that call it, so the exact
+engine, which reads only the step table and WignerIndex, never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .ktvector import KTypeVector
 
@@ -46,6 +47,7 @@ LMAX_VALIDATED = 80  # the kernel is checked against 50-digit values up to here
 @lru_cache(maxsize=LMAX_VALIDATED + 1)
 def _jy_eigenbasis(l: int) -> tuple[np.ndarray, np.ndarray]:
     """(mu, V) with J_y = V diag(mu) V^H in the basis m = -l..l."""
+    import numpy as np
     if not 0 <= l <= LMAX_VALIDATED:
         raise ValueError(f"l = {l} is outside the validated 0 <= l <= {LMAX_VALIDATED}")
     j_plus = np.diag(np.sqrt(ladder_coeff_sq(l, np.arange(-l, l), 1.0)), -1)
@@ -58,12 +60,14 @@ def little_d_matrix(l: int, beta: float | np.ndarray) -> np.ndarray:
     """d^l(beta) indexed [..., m1 + l, m2 + l], for a scalar or array beta:
     Re V diag(e^{i beta mu}) V^H, the transpose of exp(-i beta J_y) (Risbo;
     Feng, Wang, Yang & Jin), accurate to 1e-12 for l <= LMAX_VALIDATED."""
+    import numpy as np
     mu, v = _jy_eigenbasis(l)
     phases = np.exp(1j * np.multiply.outer(beta, mu))
     return ((v * phases[..., None, :]) @ v.conj().T).real
 
 
 def _little_d_at(l: int, m1: int, m2: int, beta: float) -> float:
+    import numpy as np
     mu, v = _jy_eigenbasis(l)
     return float(((v[m1 + l] * np.exp(1j * beta * mu)) @ v[m2 + l].conj()).real)
 
@@ -79,6 +83,7 @@ def little_d(l: int, m1: int, m2: int, x: float) -> float:
 
 def wigner_D(idx: WignerIndex, angles: EulerAngles) -> complex:
     """D^l_{m1,m2} evaluated at Euler angles."""
+    import numpy as np
     l, m1, m2 = WignerIndex(*idx).validate()
     a, b, g = angles
     return np.exp(1j * (m1 * a + m2 * g)) * _little_d_at(l, m1, m2, b)
@@ -86,6 +91,7 @@ def wigner_D(idx: WignerIndex, angles: EulerAngles) -> complex:
 
 def wigner_D_matrix(l: int, angles: EulerAngles) -> np.ndarray:
     """The full (2l+1) x (2l+1) matrix [D^l_{m1,m2}], indices running -l..l."""
+    import numpy as np
     a, b, g = angles
     m = np.arange(-l, l + 1)
     return (np.exp(1j * m * a)[:, None] * little_d_matrix(l, b)
@@ -97,11 +103,13 @@ def wigner_D_matrix(l: int, angles: EulerAngles) -> np.ndarray:
 
 
 def _rz(t: float) -> np.ndarray:
+    import numpy as np
     c, s = math.cos(t), math.sin(t)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _rx(t: float) -> np.ndarray:
+    import numpy as np
     c, s = math.cos(t), math.sin(t)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
@@ -116,6 +124,7 @@ def euler_from_matrix(k: np.ndarray, tol: float = 1e-10) -> EulerAngles:
 
     Gimbal-locked cases (beta in {0, pi}) are canonicalized to gamma = 0.
     """
+    import numpy as np
     k = np.asarray(k, dtype=float)
     if k.shape != (3, 3) or np.linalg.norm(k.T @ k - np.eye(3)) > tol * 100 \
             or abs(np.linalg.det(k) - 1.0) > tol * 100:

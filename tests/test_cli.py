@@ -112,6 +112,8 @@ PINNED_OUTPUTS = [
      "17b95892f7e09bb9a17130498359dba9e44508dfd7ac15b60233a1859c83e30e"),
     ("action --lambda 0.3+0.1i,-0.2 --delta 0,1,0 --gen Y3 --lmax 6 --format json",
      "e7a51e343642cb6cc99d7fe8f687cfe7fc79cb1202a4fcd86f49516b7a170813"),
+    ("wigner --l 2 --m1 1 --m2 -1 --alpha 0.3 --beta 1.1 --gamma 2.0",
+     "a19a057f3d735fe1f5d20f8cc672dd29212307474ff8b09fd576d31e8aa3bc0d"),
 ]
 
 
@@ -304,6 +306,26 @@ def test_action_json_at_a_large_lambda_is_json_dumps(capsys):
     assert capsys.readouterr().out == want + "\n"
 
 
+@pytest.mark.parametrize("option", ["--alpha", "--beta", "--gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_wigner_refuses_non_finite_angles(option, value, capsys):
+    argv = {"--alpha": "0", "--beta": "1.0", "--gamma": "0", option: value}
+    assert main(["wigner", "--l", "2", "--m1", "0", "--m2", "0",
+                 *(word for item in argv.items() for word in item),
+                 "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {option}" in err and "not finite" in err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    assert main(["series", "--delta", "1,0,1", "--lmax", "2",
+                 "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_unvalidated_numeric_ranges_exit_2():
     code, _, err = run_cli("wigner", "--l", "81", "--m1", "0", "--m2", "0",
                            "--alpha", "0", "--beta", "1.0", "--gamma", "0")
@@ -325,6 +347,51 @@ def test_imports_stay_clear_of_scipy():
     names, loaded = proc.stdout.splitlines()
     assert "'oracle'" in names and "'cli'" in names
     assert loaded == "[]"
+
+
+def test_exact_engine_runs_without_numpy():
+    # numpy serves only the float side, imported inside the functions that
+    # call it; a None in sys.modules makes any import of it fail
+    code = """
+import sys
+sys.modules["numpy"] = None
+from fractions import Fraction
+from itertools import combinations
+import sl3rep, sl3rep.action, sl3rep.structure
+from sl3rep import VerificationError
+from sl3rep.action import CONVENIENT_BASIS, assemble_matrix, bracket_check
+from sl3rep.series import SeriesParams, iwasawa
+from sl3rep.structure import (SubspaceSpec, _numeric_recheck,
+                              degenerate_series_report, k3_chain_report,
+                              verify_invariant)
+from sl3rep.wigner import EulerAngles, WignerIndex, wigner_D
+
+assert k3_chain_report(6).to_json()["certificates"]
+leaking = SubspaceSpec("m1 = 0", SeriesParams(
+    (Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)), (0, 0, 0)),
+    lambda lab: lab.m1 == 0)
+assert not verify_invariant(leaking, 8).invariant
+try:  # the complex re-evaluation of the leaking span
+    _numeric_recheck(leaking, leaking.labels(6))
+except VerificationError:
+    pass
+else:
+    raise AssertionError("the float recheck missed the leak")
+for s in (Fraction(1, 4), 0.3 + 0.1j):
+    degenerate_series_report(s, 6)
+assert all(bracket_check(a, b, WignerIndex(2, 1, 0))
+           for a, b in combinations(CONVENIENT_BASIS, 2))
+assert sys.modules["numpy"] is None
+del sys.modules["numpy"]
+wigner_D(WignerIndex(1, 0, 0), EulerAngles(0.0, 1.0, 0.0))
+iwasawa([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+assemble_matrix(SeriesParams((0.5j, -0.5j, 0), (0, 0, 0)), "Z1", 2).dense()
+print(sys.modules["numpy"].__name__)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=SUBPROCESS_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "numpy\n"
 
 
 @pytest.mark.parametrize("suite", ["orthogonality", "cg", "theorem-main",
