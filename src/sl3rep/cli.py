@@ -267,7 +267,7 @@ def _cmd_verify(args) -> int:
         report = oracle.orthogonality_report(args.lmax)
         tol = 1e-9
     elif args.suite == "cg":
-        from .clebsch import q
+        from .clebsch import q_float
 
         rule = oracle.QuadratureRule.for_degree(args.lmax + 2)
         rng = np.random.default_rng(args.seed)
@@ -287,7 +287,7 @@ def _cmd_verify(args) -> int:
             got = oracle.product_integral(
                 WignerIndex(2, a, b), WignerIndex(l, m1, m2),
                 WignerIndex(l + j, m1 + a, m2 + b), rule)
-            want = float(q(a, j, l, m1)) * float(q(b, j, l, m2)) \
+            want = q_float(a, j, l, m1) * q_float(b, j, l, m2) \
                 / (2 * (l + j) + 1)
             max_dev = max(max_dev, abs(got - want))
             compared += 1

@@ -10,7 +10,8 @@ Three oracles, sharing no coefficient code with the exact modules:
 * the coordinate differential-operator table on upper-triangular
   representatives, checked against the same finite differences.
 
-A 2x2 specialization provides the analogous checks for SL(2,R).
+The 2x2 checks for SL(2,R) reuse `series.iwasawa` and the same
+central-difference plan.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import GroupElement, character, extend_wigner
+from .series import GroupElement, character, extend_wigner, iwasawa
 from .wigner import EulerAngles, WignerIndex, little_d_matrix, wigner_D
 
 # ---------------------------------------------------------------------------
@@ -48,17 +49,6 @@ class QuadratureRule:
         alphas = 2 * np.pi * np.arange(self.n_alpha) / self.n_alpha
         gammas = 2 * np.pi * np.arange(self.n_gamma) / self.n_gamma
         return alphas, gammas
-
-
-def integrate_K(f, rule: QuadratureRule) -> complex:
-    """Haar integral over SO(3), normalized to total mass 1."""
-    alphas, gammas = rule.angle_nodes()
-    total = 0.0 + 0.0j
-    for xq, wq in zip(rule.beta_nodes, rule.beta_weights):
-        beta = math.acos(float(xq))
-        s = sum(f(EulerAngles(a, beta, g)) for a in alphas for g in gammas)
-        total += wq * s
-    return total / (2 * rule.n_alpha * rule.n_gamma)
 
 
 def _node_values(indices, rule: QuadratureRule) -> np.ndarray:
@@ -157,22 +147,16 @@ def expm(x) -> np.ndarray:
     return out
 
 
-def fd_sample_points(x, h: float):
-    """Evaluation plan for the derivative along a possibly-complex generator.
-
-    Complex generators are split into real and imaginary parts, each
-    differentiated along its own real one-parameter subgroup.
-    """
+def _fd_plan(g: np.ndarray, x, h: float) -> list:
+    """The points g exp(+-h X) of the central difference along X, with their
+    weights, for g of either rank.  A complex X is split into its real and
+    imaginary parts, each differentiated along its own real subgroup."""
     if not 1e-6 <= h <= 1e-3:
         raise ValueError("step must lie in [1e-6, 1e-3]")
     x = np.asarray(x, dtype=complex)
-    plans = []
-    xr, xi = x.real, x.imag
-    if np.abs(xr).max() > 0:
-        plans.append((xr, 1.0))
-    if np.abs(xi).max() > 0:
-        plans.append((xi, 1.0j))
-    return plans
+    return [(g @ expm(sign * h * part), unit * (sign / (2 * h)))
+            for part, unit in ((x.real, 1.0), (x.imag, 1.0j))
+            if np.abs(part).max() > 0 for sign in (1.0, -1.0)]
 
 
 def fd_lie_derivative(lam, idx: WignerIndex, x, g: GroupElement,
@@ -184,8 +168,7 @@ def fd_lie_derivative(lam, idx: WignerIndex, x, g: GroupElement,
 def fd_lie_derivative_many(lam, indices, x, g: GroupElement,
                            h: float = 1e-4) -> list[complex]:
     """Derivatives of many Wigner indices sharing the Iwasawa work."""
-    plan = [(GroupElement(g.g @ expm(sign * h * xr)), unit * (sign / (2 * h)))
-            for xr, unit in fd_sample_points(x, h) for sign in (1.0, -1.0)]
+    plan = [(GroupElement(p), w) for p, w in _fd_plan(g.g, x, h)]
     chars = [character(lam, elem.diag) for elem, _ in plan]
     return [sum(w * (chi * wigner_D(idx, elem.angles))
                 for (elem, w), chi in zip(plan, chars))
@@ -317,41 +300,25 @@ def coordinate_diffops_check(lam, idx: WignerIndex, point,
 # SL(2,R) specialization
 
 
-def sl2_iwasawa(g: np.ndarray):
-    """(x, y, theta) coordinates of a det-1 2x2 matrix."""
-    g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g) - 1.0) > 1e-10:
-        raise ValueError("determinant must be 1")
-    c, d = g[1]
-    r = math.hypot(c, d)
-    if r < 1e-12:
-        raise ValueError("degenerate bottom row")
-    a_val = 1.0 / r
-    theta = math.atan2(c / r, d / r)
-    # n a = g k^{-1}
-    k = np.array([[math.cos(theta), -math.sin(theta)],
-                  [math.sin(theta), math.cos(theta)]])
-    na = g @ k.T
-    x = na[0, 1] / na[1, 1]
-    y = a_val * a_val
-    return x, y, theta
+# the rank-one step: with the Richardson step it meets the 1e-8 ladder tolerance
+SL2_STEP = 1e-4
 
 
 def sl2_extend(nu: complex, l: int, g: np.ndarray) -> complex:
-    """a^(1+2nu) e^(i l theta) through the 2x2 Iwasawa factorization."""
-    x, y, theta = sl2_iwasawa(g)
-    a_val = math.sqrt(y)
-    return complex(a_val) ** (1 + 2 * complex(nu)) * np.exp(1j * l * theta)
+    """a^(1+2nu) e^(i l theta) at g = n a k, a = diag(a, 1/a) and k the
+    rotation by theta, whose bottom row is (sin theta, cos theta)."""
+    _, a, k = iwasawa(g)
+    theta = math.atan2(k[1, 0], k[1, 1])
+    return complex(a[0, 0]) ** (1 + 2 * complex(nu)) * np.exp(1j * l * theta)
 
 
-def sl2_fd_derivative(nu, l: int, x, g: np.ndarray, h: float = 1e-4) -> complex:
-    """Central difference, refined to O(h^4) by Richardson extrapolation."""
+def sl2_fd_derivative(nu, l: int, x, g: np.ndarray) -> complex:
+    """Central difference at step SL2_STEP, refined to O(h^4) by Richardson
+    extrapolation."""
     def central(step: float) -> complex:
-        return sum(unit * (sl2_extend(nu, l, g @ expm(step * xr))
-                           - sl2_extend(nu, l, g @ expm(-step * xr))) / (2 * step)
-                   for xr, unit in fd_sample_points(x, step))
+        return sum(w * sl2_extend(nu, l, p) for p, w in _fd_plan(g, x, step))
 
-    return (4 * central(h / 2) - central(h)) / 3
+    return (4 * central(SL2_STEP / 2) - central(SL2_STEP)) / 3
 
 
 SL2_RAISE = np.array([[1, -1j], [-1j, -1]])
@@ -359,39 +326,37 @@ SL2_LOWER = np.array([[1, 1j], [1j, -1]])
 SL2_WEIGHT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def sl2_ladder_check(nu, l: int, g: np.ndarray, h: float = 1e-4) -> dict:
+def sl2_ladder_check(nu, l: int, g: np.ndarray) -> dict:
     """Ladder coefficients (2nu+1+-l) and the weight il from the oracle."""
     nu = complex(nu)
     devs = {
-        "raise": abs(sl2_fd_derivative(nu, l, SL2_RAISE, g, h)
+        "raise": abs(sl2_fd_derivative(nu, l, SL2_RAISE, g)
                      - (2 * nu + 1 + l) * sl2_extend(nu, l + 2, g)),
-        "lower": abs(sl2_fd_derivative(nu, l, SL2_LOWER, g, h)
+        "lower": abs(sl2_fd_derivative(nu, l, SL2_LOWER, g)
                      - (2 * nu + 1 - l) * sl2_extend(nu, l - 2, g)),
-        "weight": abs(sl2_fd_derivative(nu, l, SL2_WEIGHT, g, h)
+        "weight": abs(sl2_fd_derivative(nu, l, SL2_WEIGHT, g)
                       - 1j * l * sl2_extend(nu, l, g)),
     }
     return {"nu": [nu.real, nu.imag], "l": l, "rows": devs,
             "max_deviation": max(devs.values())}
 
 
-def sl2_maass_check(nu, l: int, x: float, y: float, h: float = 1e-4) -> dict:
+def sl2_maass_check(nu, l: int, x: float, y: float) -> dict:
     """Maass operators +-2iy d/dx + 2y d/dy +- l against the group side."""
     nu = complex(nu)
 
-    def F(xx, yy):
-        n = np.array([[1.0, xx], [0.0, 1.0]])
-        a = np.diag([math.sqrt(yy), 1.0 / math.sqrt(yy)])
-        return sl2_extend(nu, l, n @ a)
+    def na(xx, yy):
+        return np.array([[1.0, xx], [0.0, 1.0]]) @ np.diag(
+            [math.sqrt(yy), 1.0 / math.sqrt(yy)])
 
-    g = np.array([[1.0, x], [0.0, 1.0]]) @ np.diag(
-        [math.sqrt(y), 1.0 / math.sqrt(y)])
-    dx = (F(x + h, y) - F(x - h, y)) / (2 * h)
-    dy = (F(x, y + h) - F(x, y - h)) / (2 * h)
+    F = lambda xx, yy: sl2_extend(nu, l, na(xx, yy))
+    g = na(x, y)
+    dx, dy = (_coord_partial(F, (x, y), var, SL2_STEP) for var in (0, 1))
     devs = {
         "raise": abs((2j * y * dx + 2 * y * dy + l * F(x, y))
-                     - sl2_fd_derivative(nu, l, SL2_RAISE, g, h)),
+                     - sl2_fd_derivative(nu, l, SL2_RAISE, g)),
         "lower": abs((-2j * y * dx + 2 * y * dy - l * F(x, y))
-                     - sl2_fd_derivative(nu, l, SL2_LOWER, g, h)),
+                     - sl2_fd_derivative(nu, l, SL2_LOWER, g)),
     }
     return {"nu": [nu.real, nu.imag], "l": l, "rows": devs,
             "max_deviation": max(devs.values())}

@@ -82,26 +82,26 @@ def multiplicity(delta: Delta, l: int) -> int:
 # Iwasawa decomposition and extension of Wigner functions to the group
 
 
-def iwasawa(g: np.ndarray, tol: float = 1e-10):
-    """Factor det-1 g as (n, a, k): unit upper triangular, positive diagonal
-    with det 1, special orthogonal.
+def iwasawa(g: np.ndarray):
+    """Factor a square det-1 g, of any size, as (n, a, k): unit upper
+    triangular, positive diagonal with det 1, special orthogonal.
 
     Rows are orthonormalized from the bottom up, which produces exactly the
     upper-triangular-times-orthogonal arrangement.
     """
     import numpy as np
     g = np.asarray(g, dtype=float)
-    if g.shape != (3, 3):
-        raise ValueError("need a 3x3 matrix")
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError("need a square matrix")
     if abs(np.linalg.det(g) - 1.0) > 1e-10:
         raise ValueError("determinant must be 1")
-    k_rows = np.zeros((3, 3))
-    for i in (2, 1, 0):
+    k_rows = np.zeros(g.shape)
+    for i in reversed(range(len(g))):
         r = g[i].copy()
-        for j in range(i + 1, 3):
+        for j in range(i + 1, len(g)):
             r -= (g[i] @ k_rows[j]) * k_rows[j]
         nr = np.linalg.norm(r)
-        if nr < tol:
+        if nr < 1e-10:
             raise ValueError("matrix is too close to singular for Iwasawa")
         k_rows[i] = r / nr
     k = k_rows
@@ -179,7 +179,7 @@ def basis_function(delta: Delta, label: BasisLabel) -> Callable[[EulerAngles], c
 
 
 def parity_check(f: Callable[[EulerAngles], complex], delta: Delta,
-                 rng=None, samples: int = 100, tol: float = 1e-9) -> bool:
+                 rng=None, samples: int = 100) -> bool:
     """Sample the two parity identities a principal-series restriction obeys."""
     import numpy as np
     rng = np.random.default_rng(rng)
@@ -190,8 +190,8 @@ def parity_check(f: Callable[[EulerAngles], complex], delta: Delta,
         b = rng.uniform(0, math.pi)
         g = rng.uniform(0, 2 * math.pi)
         v = f(EulerAngles(a, b, g))
-        if abs(v - s1 * f(EulerAngles(a + math.pi, b, g))) > tol:
+        if abs(v - s1 * f(EulerAngles(a + math.pi, b, g))) > 1e-9:
             return False
-        if abs(v - s2 * f(EulerAngles(math.pi - a, math.pi - b, math.pi + g))) > tol:
+        if abs(v - s2 * f(EulerAngles(math.pi - a, math.pi - b, math.pi + g))) > 1e-9:
             return False
     return True

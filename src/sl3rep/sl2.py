@@ -9,7 +9,7 @@ rank-two structure reports use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -92,7 +92,11 @@ class SL2Report:
     k: int | None = None
     sub_weights: str = ""
     quotient: str = ""
-    finite_weights: list[int] = field(default_factory=list)
+
+    @property
+    def finite_weights(self) -> list[int]:
+        """The k - 1 weights 2-k, 4-k, ..., k-2 of the finite block, when read."""
+        return [] if self.k is None else list(range(2 - self.k, self.k - 1, 2))
 
     def lines(self) -> list[str]:
         out = [f"nu = {self.params.nu}, eps = {self.params.eps}"]
@@ -133,12 +137,11 @@ def sl2_composition_report(params: SL2Params) -> SL2Report:
         return SL2Report(
             params, False, "discrete-sub", k=k,
             sub_weights=f"{{..., -{k + 2}, -{k}}} u {{{k}, {k + 2}, ...}}",
-            quotient=f"({k - 1})-dimensional",
-            finite_weights=list(range(2 - k, k - 1, 2)))
-    # nu = -(k-1)/2 with k = 2 - b: finite block {2-k, ..., k-2}
+            quotient=f"({k - 1})-dimensional")
+    # nu = -(k-1)/2 with k = 2 - b: finite block {2-k, ..., k-2}, in full to k = 6
     k = 2 - b
+    shown = range(2 - k, k - 1, 2) if k <= 6 else (2 - k, 4 - k, "...", k - 2)
     return SL2Report(
         params, False, "finite-sub", k=k,
-        sub_weights="{" + ", ".join(str(w) for w in range(2 - k, k - 1, 2)) + "}",
-        quotient="discrete series pair",
-        finite_weights=list(range(2 - k, k - 1, 2)))
+        sub_weights="{" + ", ".join(map(str, shown)) + "}",
+        quotient="discrete series pair")

@@ -119,15 +119,15 @@ def matrix_from_euler(angles: EulerAngles) -> np.ndarray:
     return _rz(a) @ _rx(b) @ _rz(g)
 
 
-def euler_from_matrix(k: np.ndarray, tol: float = 1e-10) -> EulerAngles:
+def euler_from_matrix(k: np.ndarray) -> EulerAngles:
     """Euler angles of a special orthogonal matrix.
 
     Gimbal-locked cases (beta in {0, pi}) are canonicalized to gamma = 0.
     """
     import numpy as np
     k = np.asarray(k, dtype=float)
-    if k.shape != (3, 3) or np.linalg.norm(k.T @ k - np.eye(3)) > tol * 100 \
-            or abs(np.linalg.det(k) - 1.0) > tol * 100:
+    if k.shape != (3, 3) or np.linalg.norm(k.T @ k - np.eye(3)) > 1e-8 \
+            or abs(np.linalg.det(k) - 1.0) > 1e-8:
         raise ValueError("input is not special orthogonal")
     cb = min(1.0, max(-1.0, k[2, 2]))
     beta = math.acos(cb)

@@ -334,6 +334,31 @@ def test_unvalidated_numeric_ranges_exit_2():
     assert code == 2 and "Gram block" in err
 
 
+def test_sl2_compose_at_k_10_to_the_12_stays_small():
+    # both walls at k = 10^12 build no list of the k - 1 finite weights: run
+    # with the address space capped at 1 GB, where such a list cannot fit
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from fractions import Fraction
+from sl3rep.cli import main
+from sl3rep.sl2 import SL2Params, sl2_composition_report
+k = 10 ** 12
+for nu, kind in ((Fraction(k - 1, 2), "discrete-sub"),
+                 (Fraction(1 - k, 2), "finite-sub")):
+    rep = sl2_composition_report(SL2Params(nu, 0))
+    assert rep.kind == kind and rep.k == k, rep
+    texts = rep.lines() + [rep.sub_weights, rep.quotient]
+    assert max(map(len, texts)) < 100, texts
+assert main(["sl2", "compose", "--nu", "-999999999999/2"]) == 0
+"""
+    pytest.importorskip("resource")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=SUBPROCESS_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "{-999999999998, -999999999996, ..., 999999999998}" in proc.stdout
+
+
 def test_imports_stay_clear_of_scipy():
     # scipy.linalg alone takes longer to import than the whole package, and
     # no sl3rep module needs it: the oracle's matrix exponential is numpy's

@@ -16,17 +16,17 @@ from sl3rep.clebsch import q_float
 from sl3rep.oracle import (GRAM_BLOCK_MAX_ENTRIES, QuadratureRule,
                            _gram_blocks, _node_values, _node_weights,
                            coordinate_diffops_check, expm, fd_lie_derivative,
-                           integrate_K, orthogonality_report, product_integral,
+                           orthogonality_report, product_integral,
                            sample_group_point, sl2_extend, sl2_fd_derivative,
-                           sl2_iwasawa, sl2_ladder_check, sl2_maass_check,
+                           sl2_ladder_check, sl2_maass_check,
                            verify_theorem_main)
-from sl3rep.series import GroupElement, extend_wigner
+from sl3rep.series import GroupElement, extend_wigner, iwasawa
 from sl3rep.wigner import EulerAngles, WignerIndex, _rx, _rz
 
 
 def test_quadrature_mass_one():
     rule = QuadratureRule.for_degree(2)
-    assert integrate_K(lambda ang: 1.0, rule) == pytest.approx(1.0, abs=1e-13)
+    assert _node_weights(rule).sum() == pytest.approx(1.0, abs=1e-13)
     with pytest.raises(ValueError):
         QuadratureRule.for_degree(-1)
 
@@ -203,16 +203,19 @@ def test_coordinate_diffops_off_diagonal_vanishes():
 
 
 def test_sl2_iwasawa_round_trip():
+    # the rank-one checks read the same factorization as SL(3,R)
     g = np.array([[1.3, 0.4], [-0.7, 0.554]])
     g = g / math.sqrt(abs(np.linalg.det(g)))
-    x, y, theta = sl2_iwasawa(g)
-    n = np.array([[1.0, x], [0.0, 1.0]])
-    a = np.diag([math.sqrt(y), 1.0 / math.sqrt(y)])
-    k = np.array([[math.cos(theta), -math.sin(theta)],
-                  [math.sin(theta), math.cos(theta)]])
+    n, a, k = iwasawa(g)
     assert np.abs(n @ a @ k - g).max() < 1e-12
+    assert np.abs(n - [[1.0, n[0, 1]], [0.0, 1.0]]).max() < 1e-15
+    assert a[0, 1] == a[1, 0] == 0 and np.diag(a).min() > 0
+    theta = math.atan2(k[1, 0], k[1, 1])
+    rotation = [[math.cos(theta), -math.sin(theta)],
+                [math.sin(theta), math.cos(theta)]]
+    assert np.abs(k - rotation).max() < 1e-12
     with pytest.raises(ValueError):
-        sl2_iwasawa(np.diag([2.0, 1.0]))
+        iwasawa(np.diag([2.0, 1.0]))
 
 
 def test_sl2_extend_equivariance():

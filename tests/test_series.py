@@ -111,6 +111,8 @@ def test_iwasawa_rejects_bad_input():
         iwasawa(np.diag([2.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         iwasawa(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        iwasawa(np.eye(3)[:2])
 
 
 def test_from_nak_coordinates():

@@ -147,3 +147,22 @@ def test_irreducible_cases():
 def test_report_lines():
     lines = sl2_composition_report(SL2Params(1, eps=1)).lines()
     assert any("k = 3" in s for s in lines)
+
+
+@pytest.mark.parametrize("nu, kind, k, read_as, first_line", [
+    (0.25, "irreducible", None, Fraction(1, 4), "nu = 1/4, eps = 0"),
+    (0.1, "irreducible", None, 0.1, "nu = 0.1, eps = 0"),
+    (1.5 + 0j, "discrete-sub", 4, Fraction(3, 2), "nu = 3/2, eps = 0"),
+    (-1.5, "finite-sub", 4, Fraction(-3, 2), "nu = -3/2, eps = 0"),
+    (0.5 + 1e-12j, "irreducible", None, 0.5 + 1e-12j,
+     "nu = (0.5+1e-12j), eps = 0"),
+])
+def test_float_nu_is_read_as_the_rational_it_equals(nu, kind, k, read_as,
+                                                    first_line):
+    # a float nu that is exactly a small-denominator rational is reported as
+    # that rational; any other float, or a nonzero imaginary part, is kept
+    rep = sl2_composition_report(SL2Params(nu))
+    assert rep.kind == kind and rep.k == k
+    assert rep.irreducible == (kind == "irreducible")
+    assert type(rep.params.nu) is type(read_as) and rep.params.nu == read_as
+    assert rep.lines()[0] == first_line
