@@ -20,12 +20,31 @@ import numpy as np
 from .errors import VerificationError
 
 
+# Python's default limit on int-string conversion: a rational with a longer
+# numerator or denominator cannot be printed
+MAX_DIGITS = 4300
+
+
 def _parse_scalar(text: str):
-    """A rational ('1/4', '0.25') or finite complex ('0.3+0.1i') literal."""
+    """A rational ('1/4', '0.25', '1e-3') or finite complex ('0.3+0.1i')
+    literal.  A rational whose numerator or denominator would have more than
+    MAX_DIGITS digits is refused; a literal of more digits, or with an
+    exponent beyond 2 * MAX_DIGITS, is refused before anything is built."""
+    shown = text if len(text) <= 40 else text[:37] + "..."
+    too_long = argparse.ArgumentTypeError(
+        f"number {shown!r} has more than {MAX_DIGITS} digits")
+    exponent = re.search(r"e([-+]?\d+)\s*$", text, re.IGNORECASE)
+    if (sum(c.isdigit() for c in text) > MAX_DIGITS
+            or exponent and abs(int(exponent[1])) > 2 * MAX_DIGITS):
+        raise too_long
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
+    else:
+        if max(abs(x.numerator), x.denominator) >= 10 ** MAX_DIGITS:
+            raise too_long
+        return x
     try:
         z = complex(text.replace("i", "j"))
     except ValueError:

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,32 @@ def test_theorem_main_overflow_names_lambda(capsys):
     assert "overflows" in err and "100000" in err and "diagonal entry" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["sl2", "compose", "--nu", "1e5000"], "--nu"),
+    (["sl2", "ladder", "--nu", "1e-5000"], "--nu"),
+    (["compose", "--preset", "degenerate", "--s", "1e5000"], "--s"),
+    (["action", "--lambda", "1e5000,0", "--delta", "0,0,0", "--gen", "Z0"], "--lambda"),
+    (["sl2", "compose", "--nu", "1" * 4301], "--nu"),
+    (["sl2", "compose", "--nu", "1/" + "3" * 4301], "--nu"),
+])
+def test_a_rational_of_more_than_4300_digits_is_refused(argv, option, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and "more than 4300 digits" in err
+
+
+def test_a_huge_exponent_is_refused_before_the_rational_is_built(capsys):
+    start = time.perf_counter()
+    assert main(["sl2", "compose", "--nu", "1e1000000000"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "argument --nu:" in capsys.readouterr().err
+
+
+def test_a_rational_of_4001_digits_still_reports(capsys):
+    assert main(["sl2", "compose", "--nu", "1e4000"]) == 0
+    assert capsys.readouterr().out.startswith("nu = 1" + "0" * 4000 + ", eps = 0\n")
+
+
 def test_action_json_at_a_large_lambda_is_json_dumps(capsys):
     from sl3rep.action import assemble_matrix
     from sl3rep.series import SeriesParams
@@ -379,6 +406,7 @@ def test_exact_engine_runs_without_numpy():
     # call it; a None in sys.modules makes any import of it fail
     code = """
 import sys
+import time
 sys.modules["numpy"] = None
 from fractions import Fraction
 from itertools import combinations

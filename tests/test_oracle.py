@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 
 from sl3rep.action import generator_matrix_numeric
 from sl3rep.clebsch import q_float
-from sl3rep.oracle import (GRAM_BLOCK_MAX_ENTRIES, QuadratureRule,
+from sl3rep.oracle import (GRAM_BLOCK_MAX_ENTRIES, QuadratureRule, _fd_plan,
                            _gram_blocks, _node_values, _node_weights,
                            coordinate_diffops_check, expm, fd_lie_derivative,
+                           fd_lie_derivative_many,
                            orthogonality_report, product_integral,
                            sample_group_point, sl2_extend, sl2_fd_derivative,
                            sl2_ladder_check, sl2_maass_check,
                            verify_theorem_main)
-from sl3rep.series import GroupElement, extend_wigner, iwasawa
-from sl3rep.wigner import EulerAngles, WignerIndex, _rx, _rz
+from sl3rep.series import GroupElement, character, extend_wigner, iwasawa
+from sl3rep.wigner import EulerAngles, WignerIndex, _rx, _rz, wigner_D
 
 
 def test_quadrature_mass_one():
@@ -169,8 +170,7 @@ def test_theorem_main_small():
 def test_theorem_main_detects_wrong_lambda():
     # the oracle is sensitive: evaluating the expansion at a shifted
     # parameter while differentiating at the true one must fail
-    from sl3rep.action import act_Z, generator_matrix_numeric
-    from sl3rep.oracle import fd_lie_derivative_many
+    from sl3rep.action import act_Z
 
     lam_true = (0.3, 0.2, -0.5)
     lam_wrong = (0.8, -0.3, -0.5)
@@ -181,6 +181,89 @@ def test_theorem_main_detects_wrong_lambda():
     rhs = sum(c * extend_wigner(lam_true, t, g)
               for t, c in act_Z(0, idx, lam_wrong).items())
     assert abs(fd - rhs) > 1e-3
+
+
+def reference_fd_many(lam, indices, x, g, h):
+    """The central difference index by index: one `wigner_D` call per index
+    and difference point, as the D-matrix path replaced."""
+    plan = [(GroupElement(p), w) for p, w in _fd_plan(g.g, x, h)]
+    chars = [character(lam, elem.diag) for elem, _ in plan]
+    return [sum(w * (chi * wigner_D(idx, elem.angles))
+                for (elem, w), chi in zip(plan, chars))
+            for idx in indices]
+
+
+def reference_theorem_main(lam, lmax, samples, seed, h):
+    """(max_deviation, worst) of `verify_theorem_main`, every value read
+    index by index through `extend_wigner` and `reference_fd_many`."""
+    from sl3rep.action import act_Z
+
+    rng = np.random.default_rng(seed)
+    indices = [WignerIndex(l, m1, m2) for l in range(lmax + 1)
+               for m1 in range(-l, l + 1) for m2 in range(-l, l + 1)]
+    max_dev, worst = 0.0, None
+    for _ in range(samples):
+        g = sample_group_point(rng)
+        for n in range(-2, 3):
+            xmat = generator_matrix_numeric(f"Z{n}" if n >= 0 else f"Z-{-n}")
+            fd = reference_fd_many(lam, indices, xmat, g, h)
+            for idx, fd_val in zip(indices, fd):
+                rhs = sum(c * extend_wigner(lam, t, g)
+                          for t, c in act_Z(n, idx, lam).items())
+                if (dev := abs(fd_val - rhs)) > max_dev:
+                    max_dev, worst = dev, (n, tuple(idx))
+    return max_dev, worst
+
+
+ALL_INDICES_L4 = [WignerIndex(l, m1, m2) for l in range(5)
+                  for m1 in range(-l, l + 1) for m2 in range(-l, l + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["Z-2", "Z-1", "Z0", "Z1", "Z2", "X2"]))
+def test_fd_many_matches_the_per_entry_sum(parts, seed, tag):
+    a, b = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+    lam = (a, b, -a - b)
+    g = sample_group_point(np.random.default_rng(seed))
+    x = generator_matrix_numeric(tag)
+    got = fd_lie_derivative_many(lam, ALL_INDICES_L4, x, g, 2e-5)
+    want = reference_fd_many(lam, ALL_INDICES_L4, x, g, 2e-5)
+    for idx, u, v in zip(ALL_INDICES_L4, got, want):
+        assert abs(u - v) <= 1e-8 * (1 + abs(v)), idx
+
+
+@pytest.mark.parametrize("seed", [0, 7, 19])
+def test_theorem_main_matches_the_per_entry_loop(seed):
+    lam = (0.3 + 0.1j, -0.2 + 0.05j, -0.1 - 0.15j)
+    rep = verify_theorem_main(lam, 3, samples=2, seed=seed, h=2e-5)
+    max_dev, worst = reference_theorem_main(lam, 3, 2, seed, 2e-5)
+    assert abs(rep["max_deviation"] - max_dev) <= 1e-9
+    assert rep["worst"] == worst
+
+
+@pytest.mark.parametrize("bad", [(2, -3, 0), (2, 0, 3)])
+def test_fd_refuses_an_index_outside_its_k_type(bad):
+    # a flat read of the D-matrix at (2, -3, 0) would return D^2_{2,0}
+    g = sample_group_point(np.random.default_rng(0))
+    x = generator_matrix_numeric("Z1")
+    with pytest.raises(ValueError):
+        fd_lie_derivative_many((0, 0, 0), [WignerIndex(2, 0, 0), bad], x, g)
+    with pytest.raises(ValueError):
+        fd_lie_derivative((0, 0, 0), bad, x, g)
+
+
+def test_theorem_main_detects_a_transposed_d_matrix(monkeypatch):
+    # reading [m2, m1] for [m1, m2] on both sides must not pass
+    from sl3rep import oracle
+
+    exact = oracle.wigner_D_matrix
+    monkeypatch.setattr(oracle, "wigner_D_matrix",
+                        lambda l, angles: exact(l, angles).T)
+    rep = verify_theorem_main((0.3 + 0.1j, -0.2, -0.1 - 0.1j), 2, samples=1,
+                              seed=3)
+    assert rep["max_deviation"] > 1e-3
 
 
 def test_coordinate_diffops_diagonal_index():
