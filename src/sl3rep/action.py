@@ -42,8 +42,10 @@ factorization in integers alone, never expanding a composition.  The defect
 on D^l_{m1,m2} is one sum of the U products U_js D^l_{m1,.} (js = (), (j,)
 or (j, j'); integer vectors of degree <= 2 in lam), each weighted by the
 integer monomials of a lam-free, m1-free sum W_js(l, m2; s) of coupling and
-Y-step products, tabled per (pair, l, m2).  `_int_terms` converts each
-coupling, Y step and bracket coordinate once; no LambdaForm is read.
+Y-step products, tabled per (pair, l, m2) from the integer steps of each tag
+on m2 (a coupling's `q_core`, a Y step's `_int_terms`), tabled per (tag, l,
+m2).  Each sum's denominator, the lcm of its products' denominators, is
+fixed before the sum starts, so nothing is rescaled; no LambdaForm is read.
 
 numpy is imported inside the functions that build float arrays (matrix
 assembly, `ActionMatrix.dense`, `generator_matrix_numeric`), so the exact
@@ -55,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, sqrt
+from math import gcd, lcm, sqrt
 from typing import Sequence, Union
 
 from .clebsch import q, q_core, q_float
@@ -113,7 +115,8 @@ def generator_matrix_numeric(tag: str) -> np.ndarray:
 
 
 def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(3)), ZERO)
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(3)
+                            if a[i][k] and b[k][j]), ZERO)
                        for j in range(3)) for i in range(3))
 
 
@@ -418,7 +421,7 @@ def pwqu_exceptional(lmax: int) -> set[tuple[int, int]]:
 
 @lru_cache(maxsize=None)  # keyed by a generator tag: finite
 def standard_basis_coords(tag: str) -> tuple:
-    """(Y, Z)-coordinates of a standard generator, solved exactly."""
+    """(Y, Z)-coordinates of a generator, solved exactly."""
     coords = decompose_matrix(GENERATOR_MATRICES[tag])
     if reassemble(coords) != GENERATOR_MATRICES[tag]:
         raise AssertionError(f"change of basis failed for {tag}")
@@ -533,24 +536,22 @@ def _apply_flat(tag: str, idx: WignerIndex) -> tuple:
 
 class _DegreeTwoSum:
     """An exact sum of products of two degree-<=1 coefficients: `entries`
-    maps (target, rad, im) to the integer coefficients of 1, lam1, lam2,
-    lam1^2, lam1 lam2, lam2^2, all over the one denominator `den`."""
+    maps a key to the integer coefficients of 1, lam1, lam2, lam1^2,
+    lam1 lam2, lam2^2 over `den`, fixed before the sum starts: a term over a
+    denominator that does not divide it raises ValueError, none is rescaled."""
 
-    def __init__(self):
+    def __init__(self, den: int):
         self.entries: dict[tuple, list[int]] = {}
-        self.den = 1
+        self.den = den
 
     def _factor(self, d: int) -> int:
-        """den // d, after putting every entry over a multiple of d."""
-        if self.den % d:
-            scale = d // gcd(self.den, d)
-            for e in self.entries.values():
-                e[:] = [x * scale for x in e]
-            self.den *= scale
-        return self.den // d
+        f, r = divmod(self.den, d)
+        if r:
+            raise ValueError(f"denominator {d} does not divide the sum's {self.den}")
+        return f
 
-    def add(self, target: tuple, a: tuple, b: tuple, sign: int) -> None:
-        """Add sign * a * b at `target`."""
+    def add(self, target, a: tuple, b: tuple, sign: int) -> None:
+        """Add sign * a * b at the keys (target, rad, im)."""
         entries = self.entries
         for ra, ia, a0, a1, a2, da in a:
             for rb, ib, b0, b1, b2, db in b:
@@ -569,8 +570,8 @@ class _DegreeTwoSum:
                 e[5] += fa2 * b2
 
     def add_scaled(self, w: tuple, amps: tuple, at: tuple) -> None:
-        """Add w = (rad, im, num) times the degree-2 amplitudes (den, ((K, rad,
-        im, coeffs), ...)) of `_u_product` at (L, m1 + K, m2), at = (L, m1, m2)."""
+        """Add w = (rad, im, num) times the amplitudes (den, ((K, rad, im, coeffs),
+        ...)) of `_u_product` at the keys (L, m1 + K, m2, rad, im), at = (L, m1, m2)."""
         entries = self.entries
         rw, iw, num = w
         den, polys = amps
@@ -579,7 +580,7 @@ class _DegreeTwoSum:
         for K, rad, im, (c0, c1, c2, c3, c4, c5) in polys:
             g = gcd(rad, rw)
             f = -fw * g if im and iw else fw * g
-            e = entries.setdefault(((L, m1 + K, m2), rad // g * (rw // g), im ^ iw),
+            e = entries.setdefault((L, m1 + K, m2, rad // g * (rw // g), im ^ iw),
                                    [0] * 6)
             e[0] += f * c0
             e[1] += f * c1
@@ -613,14 +614,26 @@ def _bracket_coords_flat(tag_a: str, tag_b: str) -> tuple:
 # paths on the m2 index that take m2 to s through js.
 
 
-def _m2_steps(tag: str, js: tuple, l: int, m: int) -> list:
-    """A (Y, Z) tag on the m2 index of D^l_{.,m}, after the U steps js:
-    ((js', l', m', `_int_terms` of the coefficient), ...), Z_n adding j to js."""
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _m2_steps(tag: str, l: int, m: int) -> tuple:
+    """A (Y, Z) tag on the m2 index of D^l_{.,m}: ((step, l', m', terms), ...), the U
+    step () of Y_i or (j,) of Z_n appended to js; terms as `_int_terms` gives them."""
     if tag in Y_TAGS:
-        return [(js, l, t, _int_terms(c)) for t, c in _y_row(Y_TAGS[tag], l, m)]
+        return tuple(((), l, t, _int_terms(c)) for t, c in _y_row(Y_TAGS[tag], l, m))
     n = Z_TAGS[tag]
-    return [(js + (j,), l + j, m + n, _int_terms(qn))
-            for j, qn in _couplings(n, l, m, "exact")]
+    cores = ((j, q_core(n, j, l, m)) for j in range(-2, 3))
+    return tuple(((j,), l + j, m + n, ((rad, 0, num, 0, 0, den),))
+                 for j, (num, rad, den) in cores if num)
+
+
+def _summed(products: list) -> _DegreeTwoSum:
+    """The (target, a, b, sign) products added into one sum over the lcm of
+    the denominators of every pair of their terms."""
+    acc = _DegreeTwoSum(lcm(*{ta[5] * tb[5] for _, a, b, _ in products
+                              for ta in a for tb in b}))
+    for product in products:
+        acc.add(*product)
+    return acc
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
@@ -629,17 +642,15 @@ def _defect_weights(tag_a: str, tag_b: str, coords: tuple, l: int, m2: int) -> t
     as nonzero monomials ((js, s, (rad, im, num)), ...), with (t, c_t) the
     `coords` as _bracket_coords_flat gives them (part of the key, so a table
     is never reused for other coordinates)."""
-    acc = _DegreeTwoSum()
-    for first, second, sign in ((tag_b, tag_a, 1), (tag_a, tag_b, -1)):
-        for js1, lt, t, c1 in _m2_steps(first, (), l, m2):
-            for js, _, s, c2 in _m2_steps(second, js1, lt, t):
-                acc.add((js, s), c2, c1, sign)
-    for t, c in coords:
-        for js, _, s, ct in _m2_steps(t, (), l, m2):
-            acc.add((js, s), ct, _int_terms(c), -1)
-    # the whole defect on D^l_{m1,m2} is over acc.den > 0: the zero test drops it
+    products = [((js1 + js2, s), c2, c1, sign)
+                for first, second, sign in ((tag_b, tag_a, 1), (tag_a, tag_b, -1))
+                for js1, lt, t, c1 in _m2_steps(first, l, m2)
+                for js2, _, s, c2 in _m2_steps(second, lt, t)]
+    products += [((js, s), ct, _int_terms(c), -1)
+                 for t, c in coords for js, _, s, ct in _m2_steps(t, l, m2)]
+    # the whole defect on D^l_{m1,m2} is over den > 0: the zero test drops it
     return tuple((js, s, (rad, im, e[0]))
-                 for ((js, s), rad, im), e in acc.entries.items() if e[0])
+                 for ((js, s), rad, im), e in _summed(products).entries.items() if e[0])
 
 
 # the identity as _u_terms gives amplitudes: the integer terms of 1 at k = 0
@@ -652,11 +663,10 @@ def _u_product(js: tuple, l: int, m1: int) -> tuple:
     im, coefficients), ...)): the integer coefficients of 1, lam1, lam2,
     lam1^2, lam1 lam2, lam2^2 over den of each part D^{l+sum(js)}_{m1+K,.},
     zero parts left out."""
-    acc = _DegreeTwoSum()
-    for k, inner in _u_terms(js[0], l, m1) if js else _UNIT_TERMS:
-        outers = _u_terms(js[1], l + js[0], m1 + k) if len(js) == 2 else _UNIT_TERMS
-        for kp, outer in outers:
-            acc.add(k + kp, outer, inner, 1)
+    acc = _summed([(k + kp, outer, inner, 1)
+                   for k, inner in (_u_terms(js[0], l, m1) if js else _UNIT_TERMS)
+                   for kp, outer in (_u_terms(js[1], l + js[0], m1 + k)
+                                     if len(js) == 2 else _UNIT_TERMS)])
     return acc.den, tuple((K, rad, im, tuple(e))
                           for (K, rad, im), e in acc.entries.items() if any(e))
 
@@ -666,18 +676,15 @@ def _bracket_defect_zero(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     tags in either order: the one sum of the U products weighted by
     _defect_weights."""
     l, m1, m2 = idx
-    acc = _DegreeTwoSum()
-    for js, s, w in _defect_weights(tag_a, tag_b, _bracket_coords_flat(tag_a, tag_b),
-                                    l, m2):
-        acc.add_scaled(w, _u_product(js, l, m1), (l + sum(js), m1, s))
+    terms = [(w, _u_product(js, l, m1), (l + sum(js), m1, s)) for js, s, w in
+             _defect_weights(tag_a, tag_b, _bracket_coords_flat(tag_a, tag_b), l, m2)]
+    acc = _DegreeTwoSum(lcm(*{amps[0] for _, amps, _ in terms}))
+    for term in terms:
+        acc.add_scaled(*term)
     return acc.is_zero()
 
 
 _pair_defect_zero = lru_cache(maxsize=200_000)(_bracket_defect_zero)
-
-
-def _coords_of(tag: str) -> tuple:
-    return ((tag, ONE),) if tag in CONVENIENT_BASIS else standard_basis_coords(tag)
 
 
 @lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite
@@ -690,22 +697,19 @@ def _bilinear_bracket_verified(tag_a: str, tag_b: str) -> tuple:
     convenient-pair defects, because the action of a standard generator is
     defined as exactly that linear combination.
     """
-    ca, cb = _coords_of(tag_a), _coords_of(tag_b)
-    total = tuple(tuple(ZERO for _ in range(3)) for _ in range(3))
+    total = [[ZERO] * 3 for _ in range(3)]
     pairs = []
-    for c, wa in ca:
-        for d, wb in cb:
-            if c == d:
-                continue  # [C, C] = 0
+    for c, wa in standard_basis_coords(tag_a):
+        for d, wb in standard_basis_coords(tag_b):
             w = wa * wb
-            if w.is_zero():
+            if c == d or not w:  # [C, C] = 0
                 continue
             pairs.append((c, d))
-            br = _generator_bracket(c, d)
-            total = tuple(tuple(total[i][j] + br[i][j] * w for j in range(3))
-                          for i in range(3))
-    want = _generator_bracket(tag_a, tag_b)
-    if any(total[i][j] != want[i][j] for i in range(3) for j in range(3)):
+            for i, row in enumerate(_generator_bracket(c, d)):
+                for j, x in enumerate(row):
+                    if x:
+                        total[i][j] += x * w
+    if total != [list(row) for row in _generator_bracket(tag_a, tag_b)]:
         raise AssertionError(f"bilinear bracket mismatch for {tag_a}, {tag_b}")
     return tuple(sorted({tuple(sorted(p)) for p in pairs}))
 
@@ -713,29 +717,19 @@ def _bilinear_bracket_verified(tag_a: str, tag_b: str) -> tuple:
 def bracket_check(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     """Exact check of [pi(A), pi(B)] = pi([A, B]) on one Wigner index.
 
-    Pairs of convenient-basis generators (Y, Z) are checked in the factored
-    form q (x) U: the defect is one sum of the cached U products
-    U_js D^l_{m1,.}, each weighted by a lam-free, m1-free sum of coupling
-    and Y-step products over both orders and pi([A, B]).  For
-    standard-basis generators, whose action is by
-    construction a fixed linear combination of convenient ones, the check
-    verifies the matrix-level bilinear expansion of the bracket exactly
-    and then certifies every contributing convenient-pair defect; the
-    standard-pair defect is that exact bilinear combination, so it
-    vanishes if the certified ones do.  A False verdict for a standard
-    pair says only that some contributing convenient-pair defect is
-    nonzero; their combination could still cancel.  Raises ValueError for
-    a tag that is no generator and for an index outside |m1|, |m2| <= l.
+    The bilinear expansion of [A, B] in the (Y, Z) basis is verified on 3x3
+    matrices, and each convenient pair in it (for (Y, Z) tags, the pair
+    itself) is checked in the factored form q (x) U (`_bracket_defect_zero`).
+    A standard generator acts as its fixed (Y, Z) combination, so a
+    standard-pair defect vanishes if the certified ones do; a False verdict
+    says only that some convenient-pair defect is nonzero.  Raises
+    ValueError for a tag that is no generator and for an index outside
+    |m1|, |m2| <= l.
     """
     for tag in (tag_a, tag_b):
         if tag not in GENERATOR_MATRICES:
             raise ValueError(f"unknown generator tag {tag!r}")
     idx = WignerIndex(*idx).validate()
-    convenient = (tag_a in Z_TAGS or tag_a in Y_TAGS) and \
-        (tag_b in Z_TAGS or tag_b in Y_TAGS)
-    if convenient:
-        a, b = sorted((tag_a, tag_b))
-        return _pair_defect_zero(a, b, idx)
     return all(_pair_defect_zero(c, d, idx)
                for c, d in _bilinear_bracket_verified(tag_a, tag_b))
 

@@ -216,8 +216,14 @@ def _cmd_action(args) -> int:
     from .action import assemble_matrix
     from .series import SeriesParams
 
-    params = SeriesParams(args.lam, args.delta)
-    mat = assemble_matrix(params, args.gen, args.lmax)
+    try:
+        finite = all(cmath.isfinite(complex(x)) for x in args.lam)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("--lambda: numeric assembly needs every component "
+                         "to fit a finite float")
+    mat = assemble_matrix(SeriesParams(args.lam, args.delta), args.gen, args.lmax)
     _emit(_csv_text(mat) if args.format == "csv" else mat.json_text(), args.out)
     return 0
 

@@ -735,25 +735,24 @@ def wigner_indices(draw, lmax):
     return WignerIndex(l, draw(st.integers(-l, l)), draw(st.integers(-l, l)))
 
 
-def compose_flat(acc, outer: str, inner: tuple, sign: int) -> None:
-    """Add sign * pi(outer) applied to the flat vector `inner` to `acc`."""
-    for mid, b in inner:
-        for target, a in action._apply_flat(outer, mid):
-            acc.add(target, a, b, sign)
+def compose_flat(outer: str, inner: tuple, sign: int) -> list:
+    """The products (target, a, b, sign) of sign * pi(outer) applied to the
+    flat vector `inner`."""
+    return [(target, a, b, sign) for mid, b in inner
+            for target, a in action._apply_flat(outer, mid)]
 
 
 def reference_bracket_defect(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     """Whether [pi(A), pi(B)] - pi([A, B]) vanishes on D_idx, both
-    compositions expanded in full: the direct path that the factored
-    verifier is checked against."""
-    acc = action._DegreeTwoSum()
-    compose_flat(acc, tag_a, action._apply_flat(tag_b, idx), 1)
-    compose_flat(acc, tag_b, action._apply_flat(tag_a, idx), -1)
+    compositions expanded in full and summed over the lcm of their
+    denominators: the direct path that the factored verifier is checked
+    against."""
+    products = compose_flat(tag_a, action._apply_flat(tag_b, idx), 1)
+    products += compose_flat(tag_b, action._apply_flat(tag_a, idx), -1)
     for t, c in action._bracket_coords_flat(tag_a, tag_b):
         terms = action._int_terms(c)
-        for target, p in action._apply_flat(t, idx):
-            acc.add(target, p, terms, -1)
-    return acc.is_zero()
+        products += [(target, p, terms, -1) for target, p in action._apply_flat(t, idx)]
+    return action._summed(products).is_zero()
 
 
 @given(wigner_indices(5), st.sampled_from(CONVENIENT_BASIS),
@@ -763,16 +762,66 @@ def reference_bracket_defect(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
 def test_integer_composition_matches_compose_poly(idx, a, b):
     # pi(A) pi(B) D on integer vectors equals the LambdaPoly reference,
     # monomial by monomial, radicand by radicand and i-power by i-power
-    acc = action._DegreeTwoSum()
-    compose_flat(acc, a, action._apply_flat(b, idx), 1)
+    acc = action._summed(compose_flat(a, action._apply_flat(b, idx), 1))
     want = compose_poly(a, compose_poly(b, KTypeVector({idx: LambdaPoly.constant(1)})))
     assert rationals_of_accumulator(acc) == rationals_of_poly_vector(want)
 
 
+SQUAREFREE = (1, 2, 3, 5, 6, 7, 10, 15, 30)
+DIVISORS_OF_12 = (1, 2, 3, 4, 6, 12)
+
+
+@st.composite
+def integer_terms(draw):
+    """Up to three integer terms (rad, im, p0, p1, p2, den), den | 12."""
+    return tuple((draw(st.sampled_from(SQUAREFREE)), draw(st.integers(0, 1)),
+                  *draw(st.tuples(*[st.integers(-40, 40)] * 3)),
+                  draw(st.sampled_from(DIVISORS_OF_12)))
+                 for _ in range(draw(st.integers(0, 3))))
+
+
+def reference_products_sum(products: list) -> dict:
+    """(target, monomial slot, radicand, i-power) -> nonzero Fraction of the
+    products, with sqrt(ra) sqrt(rb) reduced by trial division."""
+    out = collections.defaultdict(Fraction)
+    for target, a, b, sign in products:
+        for (ra, ia, *pa, da), (rb, ib, *pb, db) in itertools.product(a, b):
+            rad, root = ra * rb, 1
+            for p in range(2, 31):
+                while rad % (p * p) == 0:
+                    rad, root = rad // (p * p), root * p
+            f = Fraction(sign * root * (-1 if ia and ib else 1), da * db)
+            for (ea, x), (eb, y) in itertools.product(enumerate(pa), enumerate(pb)):
+                mono = tuple(u + v for u, v in zip(((0, 0), (1, 0), (0, 1))[ea],
+                                                   ((0, 0), (1, 0), (0, 1))[eb]))
+                out[(target, MONOMIAL_SLOTS[mono], rad, ia ^ ib)] += f * x * y
+    return {key: x for key, x in out.items() if x}
+
+
+@given(st.lists(st.tuples(st.tuples(st.integers(-2, 2)), integer_terms(),
+                          integer_terms(), st.sampled_from((1, -1))), max_size=6),
+       st.integers(1, 6), st.integers(2, 7))
+@settings(max_examples=150, deadline=None)
+def test_fixed_denominator_sum_is_the_fraction_sum(products, multiple, off):
+    # every term denominator divides 12, so each product's divides 144 and
+    # so den; a term over a denominator that does not divide den raises
+    den = 144 * multiple
+    acc = action._DegreeTwoSum(den)
+    for product in products:
+        acc.add(*product)
+    assert acc.den == den
+    assert rationals_of_accumulator(acc) == reference_products_sum(products)
+    bad = den * off
+    with pytest.raises(ValueError):
+        acc.add((0,), ((1, 0, 1, 0, 0, bad),), ((1, 0, 1, 0, 0, 1),), 1)
+    with pytest.raises(ValueError):
+        acc.add_scaled((1, 0, 1), (bad, ((0, 1, 0, (1, 0, 0, 0, 0, 0)),)), (0, 0, 0))
+
+
 # every cache that holds exact action data of the bracket verifier; _u_terms
 # is left out, as the perturbations below replace it
-BRACKET_CACHES = ("_apply_poly_cached", "_y_row", "_apply_flat", "_u_product",
-                  "_defect_weights", "_pair_defect_zero")
+BRACKET_CACHES = ("_apply_poly_cached", "_y_row", "_apply_flat", "_m2_steps",
+                  "_u_product", "_defect_weights", "_pair_defect_zero")
 
 
 def clear_bracket_caches():
@@ -1073,6 +1122,17 @@ def test_bracket_check_reads_no_composed_action(fresh_bracket_caches, monkeypatc
             for m2 in range(-l, l + 1):
                 for pair in pairs:
                     assert bracket_check(*pair, WignerIndex(l, m1, m2)), (pair, l, m1, m2)
+
+
+def test_all_56_pairs_hold_on_every_index_up_to_l_8():
+    # the 28 convenient and 28 standard pairs on all 969 indices with l <= 8
+    pairs = CONVENIENT_PAIRS + list(itertools.combinations(STANDARD_BASIS, 2))
+    indices = [WignerIndex(l, m1, m2) for l in range(9)
+               for m1 in range(-l, l + 1) for m2 in range(-l, l + 1)]
+    assert len(pairs) * len(indices) == 54_264
+    failed = [(pair, idx) for idx in indices for pair in pairs
+              if not bracket_check(*pair, idx)]
+    assert failed == []
 
 
 def test_bracket_caches_are_bounded():

@@ -320,6 +320,16 @@ def test_a_rational_of_4001_digits_still_reports(capsys):
     assert capsys.readouterr().out.startswith("nu = 1" + "0" * 4000 + ", eps = 0\n")
 
 
+@pytest.mark.parametrize("lam", ["1e400,0", "1e308,1e308", "1e308+0i,1e308"])
+def test_action_at_a_lambda_beyond_a_float_names_lambda(lam, capsys):
+    # a rational that overflows a float, or finite components whose zero
+    # sum does, is refused before assembly
+    assert main(["action", "--lambda", lam, "--delta", "0,0,0", "--gen", "Z0",
+                 "--lmax", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--lambda" in err and "every component to fit a finite float" in err
+
+
 def test_action_json_at_a_large_lambda_is_json_dumps(capsys):
     from sl3rep.action import assemble_matrix
     from sl3rep.series import SeriesParams
