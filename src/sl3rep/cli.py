@@ -71,10 +71,22 @@ def _parse_lambda(text: str):
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated values")
     a, b = (_parse_scalar(p) for p in parts)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return (a, b, -a - b)
-    a, b = complex(a), complex(b)
+    if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+        a, b = complex(a), complex(b)
     return (a, b, -a - b)
+
+
+def _parse_float_lambda(text: str):
+    """A --lambda of the numeric engine: each component, the third too, fits
+    a finite float."""
+    lam = _parse_lambda(text)
+    try:
+        if all(cmath.isfinite(complex(x)) for x in lam):
+            return lam
+    except OverflowError:
+        pass
+    raise argparse.ArgumentTypeError("the numeric engine needs every "
+                                     "component to fit a finite float")
 
 
 def _parse_delta(text: str):
@@ -200,14 +212,9 @@ def _cmd_series(args) -> int:
     if args.lmax < 0:
         raise ValueError("--lmax must be nonnegative")
     params = SeriesParams(args.lam, args.delta)
-    lines = ["l,m1,m2"]
-    for l in range(args.lmax + 1):
-        for lab in basis(params, l):
-            lines.append(f"{lab.l},{lab.m1},{lab.m2}")
-    lines.append("")
-    lines.append("l,multiplicity")
-    for l in range(args.lmax + 1):
-        lines.append(f"{l},{multiplicity(args.delta, l)}")
+    ls = range(args.lmax + 1)
+    lines = ["l,m1,m2", *(",".join(map(str, lab)) for l in ls for lab in basis(params, l)),
+             "", "l,multiplicity", *(f"{l},{multiplicity(args.delta, l)}" for l in ls)]
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -216,13 +223,6 @@ def _cmd_action(args) -> int:
     from .action import assemble_matrix
     from .series import SeriesParams
 
-    try:
-        finite = all(cmath.isfinite(complex(x)) for x in args.lam)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError("--lambda: numeric assembly needs every component "
-                         "to fit a finite float")
     mat = assemble_matrix(SeriesParams(args.lam, args.delta), args.gen, args.lmax)
     _emit(_csv_text(mat) if args.format == "csv" else mat.json_text(), args.out)
     return 0
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.set_defaults(func=_cmd_series)
 
     a = sub.add_parser("action", help="generator matrix on the truncated module")
-    a.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
+    a.add_argument("--lambda", dest="lam", type=_parse_float_lambda, required=True)
     a.add_argument("--delta", type=_parse_delta, required=True)
     a.add_argument("--gen", required=True)
     a.add_argument("--lmax", type=int, default=8)
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the options the suite reads and refuses the others
     v.add_argument("--lmax", type=int, default=None)
     v.add_argument("--samples", type=int, default=None)
-    v.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
+    v.add_argument("--lambda", dest="lam", type=_parse_float_lambda, default=None)
     v.add_argument("--seed", type=int, default=None)
     common(v)
     v.set_defaults(func=_cmd_verify)

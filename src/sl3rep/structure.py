@@ -1,50 +1,67 @@
 """Invariant-subspace detection and composition-series reports.
 
-A subspace here is a span of symmetrized basis vectors selected by a
-predicate on labels.  Invariance is decided in exact arithmetic on the
-skeleton: by pi(Z_n) v_{l,m1,m2} = sum_j q(n,j,l,m2) U_j v_{l,m1,.}, the
-coefficient of v_{l+j,t,m2+n} is q(n,j,l,m2) times a folded amplitude
-A(j, l, m1 -> t) free of n and m2, and the skeleton is the directed graph
-on (l, m1) rows with an edge (l, m1) -> (l+j, t) wherever A != 0.  Leakage
-is the edges into labels outside the span, under a nonzero q; connectivity
-is reachability along the edges; and each boundary transition that is no
+A subspace here is a span of whole (l, m1) rows of symmetrized basis
+vectors, selected by a predicate on `Row(l, m1)`: the Y generators act on
+m2 alone.  Invariance is decided in exact arithmetic on the skeleton: by
+pi(Z_n) v_{l,m1,m2} = sum_j q(n,j,l,m2) U_j v_{l,m1,.}, the coefficient
+of v_{l+j,t,m2+n} is q(n,j,l,m2) times a folded amplitude A(j, l, m1 -> t)
+free of n and m2, and the skeleton is the directed graph on (l, m1) rows
+with an edge (l, m1) -> (l+j, t) wherever A != 0.  Leakage is the edges
+into rows outside the span, under a nonzero q; connectivity is
+reachability along the edges; and each boundary transition that is no
 edge gets a certificate naming the exact factor that vanishes: a Lambda
 factor, a coupling coefficient, or a radical cancellation between the two
 Wigner components of a folded basis vector.
 
 The reports never claim irreducibility; they state invariance plus
-reachability-connectedness of the label graph up to the window, and take
+reachability-connectedness of the row graph up to the window, and take
 composition length as input metadata when echoing known chains.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from itertools import accumulate
+from typing import Callable, NamedTuple
 
-from .action import (_couplings, _folded_amplitudes, act_U, act_Z_on_basis,
-                     label_components, lambda_factor)
+from .action import (_couplings, _folded_amplitudes, act_U, label_components,
+                     lambda_factor)
 from .clebsch import q
 from .errors import VerificationError
-from .scalars import RadicalScalar
-from .series import BasisLabel, SeriesParams, basis, label_valid, multiplicity
+from .scalars import RadicalScalar, check_lambda
+from .series import BasisLabel, SeriesParams, label_valid, multiplicity
 from .wigner import WignerIndex
+
+
+class Row(NamedTuple):
+    """The labels v_{l,m1,m2}, |m2| <= l, of one m1 in V_l."""
+
+    l: int
+    m1: int
+
+
+def _rows(params: SeriesParams, l: int, keep: Callable[[Row], bool]) -> list[Row]:
+    """The rows of V_l that `keep` admits, by m1; parity and the fold sign
+    do not depend on m2."""
+    return [Row(l, m1) for m1 in range(l + 1)
+            if label_valid(params.delta, BasisLabel(l, m1, 0)) and keep(Row(l, m1))]
 
 
 @dataclass(frozen=True)
 class SubspaceSpec:
-    """A predicate-defined span of basis vectors inside V_{lam,delta}."""
+    """The span inside V_{lam,delta} of the valid rows `predicate` admits;
+    `predicate` is called with one `Row`."""
 
     name: str
     params: SeriesParams
-    predicate: Callable[[BasisLabel], bool]
+    predicate: Callable[[Row], bool]
 
-    def labels(self, lmax: int) -> list[BasisLabel]:
-        out = []
-        for l in range(lmax + 1):
-            out.extend(lab for lab in basis(self.params, l) if self.predicate(lab))
-        return out
+    def rows(self, lmax: int) -> list[Row]:
+        """The admitted valid rows with l <= lmax, by l and then m1."""
+        return [row for l in range(lmax + 1)
+                for row in _rows(self.params, l, self.predicate)]
 
 
 @dataclass
@@ -90,16 +107,16 @@ def _boundary_reason(params: SeriesParams, l: int, m1: int, j: int,
 def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
     """Exact closure check of a span under all Z and Y generators.
 
-    Interior labels (l <= lmax - 2) are checked so no conclusion rests on
-    window truncation.  One pass over the interior (l, m1) rows reads each
-    row's exact folded U_j amplitudes once per j: its skeleton edges.  An
-    edge into a label outside the span under a nonzero q(n,j,l,m2) is
-    leakage, with coefficient q * amplitude; a boundary transition is
-    certified as "leakage" if it is an edge and by `_boundary_reason`
-    otherwise; connectivity is read from the same edges.  A row none of
-    whose edges leaves the span in any m2 cannot leak, and its labels are
-    not expanded.  Invariant spans are re-evaluated on the float path as an
-    independent soundness check.
+    The Y generators keep every row, so the Z generators decide.  Interior
+    rows (l <= lmax - 2) are checked so no conclusion rests on window
+    truncation; one pass over them reads each row's exact folded U_j
+    amplitudes once per j: its skeleton edges.  An edge into a row outside
+    the span under a nonzero q(n,j,l,m2) is leakage, listed label by label
+    with coefficient q * amplitude; only the labels of a row with such an
+    edge are expanded.  A boundary transition is certified as "leakage" if
+    it is an edge and by `_boundary_reason` otherwise; connectivity is read
+    from the same edges.  Invariant spans are re-evaluated on the float
+    path as an independent soundness check.
     """
     if lmax < 2:
         raise ValueError("lmax must be at least 2")
@@ -108,51 +125,32 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
         raise ValueError("invariance certification needs a rational "
                          "spectral parameter")
     result = InvarianceResult(invariant=True)
-    span = spec.labels(lmax)
-    interior = [lab for lab in span if lab.l <= lmax - 2]  # labels() walks l upward
-    result.checked_labels = len(interior)
-    # The Y generators act within a fixed (l, m1) pair, so any predicate on
-    # labels that admits one m2 admits the whole row; still verify that the
-    # predicate is m2-saturated rather than assuming it.
-    for lab in interior:
-        for m2 in (lab.m2 - 1, lab.m2 + 1):
-            if abs(m2) <= lab.l and not spec.predicate(BasisLabel(lab.l, lab.m1, m2)):
-                result.invariant = False
-                result.leakage.append({"label": list(lab), "generator": "Y",
-                                       "target": [lab.l, lab.m1, m2],
-                                       "coefficient": "ladder"})
-    rows: dict[tuple, list[BasisLabel]] = {}
-    for lab in interior:
-        rows.setdefault(lab[:2], []).append(lab)
+    span = spec.rows(lmax)
+    interior = [row for row in span if row.l <= lmax - 2]  # rows() walks l upward
+    result.checked_labels = sum(2 * l + 1 for l, _ in interior)
     delta, lam = tuple(params.delta), tuple(params.lam)
-    edges: dict[tuple, set[tuple]] = {}
-    for (l, m1), labs in rows.items():
+    edges: dict[Row, set[Row]] = {}
+    for row in interior:
+        l, m1 = row
         folds = {j: dict(_folded_amplitudes(delta, j, l, m1, "exact", lam))
                  for j in range(-2, 3) if l + j >= 0}
-        edges[(l, m1)] = {(l + j, t) for j, fold in folds.items() for t in fold}
-        closed = all(spec.predicate(BasisLabel(lt, t, m2))
-                     for lt, t in edges[(l, m1)] for m2 in range(-lt, lt + 1))
-        for lab in [] if closed else labs:
+        edges[row] = {Row(l + j, t) for j, fold in folds.items() for t in fold}
+        leaving = {target for target in edges[row] if not spec.predicate(target)}
+        for m2 in range(-l, l + 1) if leaving else ():
             for n in range(-2, 3):
-                for j, qn in _couplings(n, l, lab.m2, "exact"):
+                for j, qn in _couplings(n, l, m2, "exact"):
                     for t, amp in folds[j].items():
-                        target = BasisLabel(l + j, t, lab.m2 + n)
-                        if spec.predicate(target):
-                            continue
-                        result.invariant = False
-                        result.leakage.append({
-                            "label": list(lab), "generator": f"Z{n}",
-                            "target": list(target), "coefficient": repr(amp * qn)})
-        # boundary transitions are probed at the row's minimal m2: the first
-        # label of the row, as interior is sorted by (l, m1, m2)
-        m2 = labs[0].m2
+                        if (l + j, t) in leaving:
+                            result.invariant = False
+                            result.leakage.append({
+                                "label": [l, m1, m2], "generator": f"Z{n}",
+                                "target": [l + j, t, m2 + n],
+                                "coefficient": repr(amp * qn)})
         for j, fold in folds.items():
             lt = l + j
             for target_m1 in {abs(m1 - 2), m1, abs(m1 + 2)}:
-                if target_m1 > lt:
-                    continue
-                probe = BasisLabel(lt, target_m1, min(lt, max(-lt, m2)))
-                if spec.predicate(probe) or not label_valid(delta, probe):
+                if target_m1 > lt or spec.predicate(Row(lt, target_m1)) \
+                        or not label_valid(delta, BasisLabel(lt, target_m1, max(-lt, -l))):
                     continue
                 entry = {"from": [l, m1], "to": [lt, target_m1], "j": j}
                 if target_m1 in fold:
@@ -161,24 +159,30 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
                 else:
                     entry.update(_boundary_reason(params, l, m1, j, target_m1))
                 result.certificates.append(entry)
-    result.connected = _connected({lab[:2] for lab in span}, edges)
+    result.connected = _connected(set(span), edges)
     if result.invariant:
         _numeric_recheck(spec, interior)
     return result
 
 
-def _numeric_recheck(spec: SubspaceSpec, labels: list[BasisLabel]) -> None:
-    """Float re-evaluation of sampled labels, independent of the skeleton."""
-    lam_num = tuple(complex(x) for x in spec.params.lam)
-    stride = max(1, len(labels) // 60)
+def _numeric_recheck(spec: SubspaceSpec, rows: list[Row]) -> None:
+    """Float re-evaluation of 3 x 20 labels of the rows, in (l, m1, m2) order
+    at a stride of 1/60 of their number, independent of the exact skeleton."""
+    delta = tuple(spec.params.delta)
+    lam = check_lambda(complex(x) for x in spec.params.lam)
+    starts = list(accumulate((2 * l + 1 for l, _ in rows), initial=0))
+    stride = max(1, starts[-1] // 60)
     for r in range(3):
-        for lab in labels[r::stride][:20]:
+        for i in range(r, min(starts[-1], r + 20 * stride), stride):
+            k = bisect_right(starts, i) - 1
+            (l, m1), m2 = rows[k], i - starts[k] - rows[k].l
             for n in range(-2, 3):
-                out = act_Z_on_basis(n, lab, spec.params, lam_num)
-                for target, c in out.items():
-                    if not spec.predicate(BasisLabel(*target)) and abs(c) > 1e-10:
-                        raise VerificationError(
-                            f"numeric recheck found leakage {lab} -> {target}")
+                for j, qn in _couplings(n, l, m2, "numeric"):
+                    for t, amp in _folded_amplitudes(delta, j, l, m1, "numeric", lam):
+                        if abs(amp * qn) > 1e-10 and not spec.predicate(Row(l + j, t)):
+                            raise VerificationError(
+                                "numeric recheck found leakage "
+                                f"{BasisLabel(l, m1, m2)} -> {BasisLabel(l + j, t, m2 + n)}")
 
 
 def _connected(nodes: set[tuple], edges: dict) -> bool:
@@ -252,11 +256,6 @@ def _chain_report(title: str, lmax: int, members: list[tuple],
                            metadata=metadata), results
 
 
-def _rows(params: SeriesParams, l: int, keep: Callable[[BasisLabel], bool]) -> int:
-    """The number of m1 rows of V_l that `keep` admits."""
-    return len({lab.m1 for lab in basis(params, l) if keep(lab)})
-
-
 # ---------------------------------------------------------------------------
 # Even-k pairs
 
@@ -275,9 +274,9 @@ def even_k_report(k: int, lmax: int = 12) -> StructureReport:
     half = Fraction(k - 1, 2)
     delta = (0, 0, 0)
     members = [(f"V_A (m1 >= {k})", SeriesParams((half, -half, Fraction(0)), delta),
-                lambda lab: lab.m1 >= k),
+                lambda row: row.m1 >= k),
                (f"V_B (m1 < {k})", SeriesParams((-half, half, Fraction(0)), delta),
-                lambda lab: lab.m1 < k)]
+                lambda row: row.m1 < k)]
     mult = {}
     mismatches = []
     for l in range(lmax + 1):
@@ -285,7 +284,7 @@ def even_k_report(k: int, lmax: int = 12) -> StructureReport:
         m_b = min(l // 2, (k - 2) // 2) if l % 2 else min(1 + l // 2, k // 2)
         total = multiplicity(delta, l)
         mult[l] = [m_a, m_b, total]
-        rows = [_rows(params, l, keep) for _, params, keep in members]
+        rows = [len(_rows(params, l, keep)) for _, params, keep in members]
         if rows != [m_a, m_b] or m_a + m_b != total:
             mismatches.append(l)
     report, _ = _chain_report(
@@ -346,7 +345,7 @@ def degenerate_series_report(s, lmax: int = 12) -> StructureReport:
                 if got != want:
                     raise VerificationError(f"rung mismatch at l={l}, j={j}")
     members = [("m1 = 0 (even l)", SeriesParams(lam, (0, 0, 0)),
-                lambda lab: lab.m1 == 0)] if exact else []
+                lambda row: row.m1 == 0)] if exact else []
     quarter = exact and (4 * sv).denominator == 1
     report, _ = _chain_report(
         f"induced-from-parabolic ladder, s = {s}", lmax, members,
@@ -394,9 +393,9 @@ def k3_chain_report(lmax: int = 12) -> StructureReport:
     report, (res_odd, _, _) = _chain_report(
         "length-3 chain at spectral parameter (-1, 1, 0)", lmax,
         [("V1_odd (m1 = 1, l odd)", params,
-          lambda lab: lab.m1 == 1 and lab.l % 2 == 1),
-         ("V1 (m1 = 1)", params, lambda lab: lab.m1 == 1),
-         ("dual Sym^2 span (m1 >= 3)", dual, lambda lab: lab.m1 >= 3)],
+          lambda row: row.m1 == 1 and row.l % 2 == 1),
+         ("V1 (m1 = 1)", params, lambda row: row.m1 == 1),
+         ("dual Sym^2 span (m1 >= 3)", dual, lambda row: row.m1 >= 3)],
         mult,
         {"lmax": lmax, "composition_length": 3,
          "multiplicity_columns": ["m_V1_odd", "m_V1", "total"],
@@ -425,8 +424,8 @@ def k23_subspace_report(lmax: int = 31) -> StructureReport:
     delta = (1, 0, 1)
     span = ("Sym^2 span (m1 >= 23)",
             SeriesParams((Fraction(11), Fraction(-11), Fraction(0)), delta),
-            lambda lab: lab.m1 >= 23)
-    mult = {l: [_rows(span[1], l, span[2]), multiplicity(delta, l)]
+            lambda row: row.m1 >= 23)
+    mult = {l: [len(_rows(span[1], l, span[2])), multiplicity(delta, l)]
             for l in range(20, lmax + 1)}
     report, _ = _chain_report(
         "symmetric-square subspace at spectral parameter (11, -11, 0)", lmax,

@@ -103,6 +103,16 @@ PINNED_OUTPUTS = [
      "b827306f53ad6562532c86348611ee6ee0ca6f986cf8b01f7aab62933c03c61b"),
     ("compose --preset degenerate --s 0.3+0.1i --format json",
      "506d135a19c829796fabcf2b2b632137905e737ea9da99b2792717f5f43ed2c1"),
+    ("compose --preset k3 --lmax 8 --format json",
+     "cc6d8e12493551efa47641f20c1d95af066e59e9826f7410efed9a6e5f0bc140"),
+    ("compose --preset k3 --lmax 80 --format json",
+     "a95550cea1fa16eda0048cbf09b2ce0a28359010828d84821978a70b820b440e"),
+    ("compose --preset k23 --lmax 61 --format json",
+     "b05886a25a53b36a3c139bbb6738cd09c73bfd80b7cca9d45a73400d6426a15d"),
+    ("compose --preset even-k --k 2 --format json",
+     "9d9c25721209ba2ca101757a60f149647ff4f95eb8dfaff4aca4189053b999d9"),
+    ("compose --preset even-k --k 6 --format json",
+     "5f4b1d54fb7a328a96b6fc0baba00f57197f7e0da870bab9eb877b8dcba2dcba"),
     ("compose --preset k3 --format table",
      "dd61e79dfe474a092be1a13f14c62dad3191533a1593dc36894d2dca5ccdef5d"),
     ("compose --preset degenerate --s 0.3+0.1i --format table",
@@ -330,6 +340,17 @@ def test_action_at_a_lambda_beyond_a_float_names_lambda(lam, capsys):
     assert "--lambda" in err and "every component to fit a finite float" in err
 
 
+@pytest.mark.parametrize("suite", ["theorem-main", "diffops"])
+@pytest.mark.parametrize("lam", ["1e400,0", "1e308,1e308", "1e308+0i,1e308"])
+def test_numeric_suites_at_a_lambda_beyond_a_float_name_lambda(suite, lam, capsys):
+    # the check action makes, at the parser: no suite reaches the oracle
+    assert main(["verify", "--suite", suite, "--lambda", lam, "--lmax", "1",
+                 "--samples", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --lambda:" in err
+    assert "every component to fit a finite float" in err
+
+
 def test_action_json_at_a_large_lambda_is_json_dumps(capsys):
     from sl3rep.action import assemble_matrix
     from sl3rep.series import SeriesParams
@@ -432,10 +453,10 @@ from sl3rep.wigner import EulerAngles, WignerIndex, wigner_D
 assert k3_chain_report(6).to_json()["certificates"]
 leaking = SubspaceSpec("m1 = 0", SeriesParams(
     (Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)), (0, 0, 0)),
-    lambda lab: lab.m1 == 0)
+    lambda row: row.m1 == 0)
 assert not verify_invariant(leaking, 8).invariant
 try:  # the complex re-evaluation of the leaking span
-    _numeric_recheck(leaking, leaking.labels(6))
+    _numeric_recheck(leaking, leaking.rows(6))
 except VerificationError:
     pass
 else:

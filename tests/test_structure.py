@@ -14,7 +14,7 @@ from sl3rep.clebsch import q
 from sl3rep.scalars import ZERO, RadicalScalar
 from sl3rep.series import (BasisLabel, SeriesParams, basis, label_valid,
                            multiplicity)
-from sl3rep.structure import (InvarianceResult, SubspaceSpec,
+from sl3rep.structure import (InvarianceResult, Row, SubspaceSpec,
                               degenerate_series_report, even_k_report,
                               k3_chain_report, k23_subspace_report,
                               verify_invariant)
@@ -24,7 +24,7 @@ from sl3rep.wigner import WignerIndex
 def test_whole_module_is_invariant():
     params = SeriesParams((Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)),
                           (0, 0, 0))
-    spec = SubspaceSpec("everything", params, lambda lab: True)
+    spec = SubspaceSpec("everything", params, lambda row: True)
     res = verify_invariant(spec, 8)
     assert res.invariant
     assert res.connected
@@ -36,29 +36,34 @@ def test_generic_parameter_has_no_proper_invariant_span():
     # at a generic rational parameter the m1 = 0 span leaks
     params = SeriesParams((Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)),
                           (0, 0, 0))
-    spec = SubspaceSpec("m1 = 0", params, lambda lab: lab.m1 == 0)
+    spec = SubspaceSpec("m1 = 0", params, lambda row: row.m1 == 0)
     res = verify_invariant(spec, 8)
     assert not res.invariant
     assert res.leakage
 
 
-def test_m2_saturation_required():
-    # a predicate that cuts a K-type row in half cannot be invariant
-    params = SeriesParams((Fraction(0), Fraction(0), Fraction(0)), (0, 0, 0))
-    spec = SubspaceSpec("half rows", params, lambda lab: lab.m2 >= 0)
-    res = verify_invariant(spec, 6)
-    assert not res.invariant
-    assert any(e["generator"] == "Y" for e in res.leakage)
+def test_predicate_is_called_with_rows_only():
+    # a span is a union of (l, m1) rows: the predicate never sees an m2,
+    # and row[1] is m1, as for the predicates that index their argument;
+    # the span leaks at the first lambda and is invariant at the second
+    seen = []
+    for lam in [(Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)),
+                (Fraction(11), Fraction(-11), Fraction(0))]:
+        spec = SubspaceSpec("m1 >= 23", SeriesParams(lam, (1, 0, 1)),
+                            lambda row: seen.append(row) or row[1] >= 23)
+        assert verify_invariant(spec, 27).invariant == (lam[0] == 11)
+    assert seen
+    assert all(type(row) is Row and row[1] == row.m1 for row in seen)
 
 
 def test_verify_invariant_needs_exact_parameter():
     params = SeriesParams((0.5j, -0.5j, 0), (0, 0, 0))
     with pytest.raises(ValueError):
-        verify_invariant(SubspaceSpec("x", params, lambda lab: True), 6)
+        verify_invariant(SubspaceSpec("x", params, lambda row: True), 6)
     with pytest.raises(ValueError):
         verify_invariant(
             SubspaceSpec("x", SeriesParams((0, 0, 0), (0, 0, 0)),
-                         lambda lab: True), 1)
+                         lambda row: True), 1)
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -233,8 +238,14 @@ def reference_boundary_reason(params, l, m1, j, target_m1):
     return None
 
 
+def reference_labels(spec, lmax):
+    """The labels of the span with l <= lmax, from the basis listing."""
+    return [lab for l in range(lmax + 1) for lab in basis(spec.params, l)
+            if spec.predicate(Row(lab.l, lab.m1))]
+
+
 def reference_connected(spec, lmax):
-    nodes = sorted({(lab.l, lab.m1) for lab in spec.labels(lmax)})
+    nodes = sorted({(lab.l, lab.m1) for lab in reference_labels(spec, lmax)})
     if not nodes:
         return True
     node_set = set(nodes)
@@ -265,19 +276,12 @@ def reference_verify_invariant(spec, lmax):
     certificates and connectivity from reference_boundary_reason.  It does
     not run the numeric recheck."""
     result = InvarianceResult(invariant=True)
-    interior = spec.labels(lmax - 2)
+    interior = reference_labels(spec, lmax - 2)
     result.checked_labels = len(interior)
-    for lab in interior:
-        for m2 in (lab.m2 - 1, lab.m2 + 1):
-            if abs(m2) <= lab.l and not spec.predicate(BasisLabel(lab.l, lab.m1, m2)):
-                result.invariant = False
-                result.leakage.append({"label": list(lab), "generator": "Y",
-                                       "target": [lab.l, lab.m1, m2],
-                                       "coefficient": "ladder"})
     for lab in interior:
         for n in range(-2, 3):
             for target, c in act_Z_on_basis(n, lab, spec.params).items():
-                if spec.predicate(BasisLabel(*target)):
+                if spec.predicate(Row(target.l, target.m1)):
                     continue
                 result.invariant = False
                 result.leakage.append({
@@ -297,7 +301,8 @@ def reference_verify_invariant(spec, lmax):
                 if target_m1 > lt:
                     continue
                 probe = BasisLabel(lt, target_m1, min(lt, max(-lt, lab.m2)))
-                if spec.predicate(probe) or not label_valid(spec.params.delta, probe):
+                if spec.predicate(Row(lt, target_m1)) \
+                        or not label_valid(spec.params.delta, probe):
                     continue
                 reason = reference_boundary_reason(spec.params, l, m1, j, target_m1)
                 entry = {"from": [l, m1], "to": [lt, target_m1], "j": j}
@@ -311,16 +316,16 @@ def reference_verify_invariant(spec, lmax):
 DELTAS = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1),
           (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 
-# predicates on a label and a cut c; the last two are not m2-saturated
+# predicates on a row and a cut c
 PREDICATES = {
-    "all": lambda lab, c: True,
-    "m1 >= c": lambda lab, c: lab.m1 >= c,
-    "m1 < c": lambda lab, c: lab.m1 < c,
-    "m1 = c": lambda lab, c: lab.m1 == c,
-    "m1 = c, l odd": lambda lab, c: lab.m1 == c and lab.l % 2 == 1,
-    "l <= c": lambda lab, c: lab.l <= c,
-    "m2 >= c - 4": lambda lab, c: lab.m2 >= c - 4,
-    "m1 >= c or m2 = 0": lambda lab, c: lab.m1 >= c or lab.m2 == 0,
+    "all": lambda row, c: True,
+    "m1 >= c": lambda row, c: row.m1 >= c,
+    "m1 < c": lambda row, c: row.m1 < c,
+    "m1 = c": lambda row, c: row.m1 == c,
+    "m1 = c, l odd": lambda row, c: row.m1 == c and row.l % 2 == 1,
+    "l <= c": lambda row, c: row.l <= c,
+    "m1 >= l - c": lambda row, c: row.m1 >= row.l - c,
+    "m1 >= c or l even": lambda row, c: row.m1 >= c or row.l % 2 == 0,
 }
 
 
@@ -351,25 +356,41 @@ def assert_same_result(got, want):
 # the invariant V_A of the even-k pair at k = 2, and its leaking complement
 @example((0, 0, 0), (Fraction(1, 2), Fraction(-1, 2), Fraction(0)), 8, "m1 >= c", 2)
 @example((0, 0, 0), (Fraction(1, 2), Fraction(-1, 2), Fraction(0)), 8, "m1 < c", 2)
-# a span that is not m2-saturated
-@example((1, 1, 1), (Fraction(1, 3), Fraction(0), Fraction(-1, 3)), 5, "m2 >= c - 4", 4)
+# a staircase of rows along m1 = l
+@example((1, 1, 1), (Fraction(1, 3), Fraction(0), Fraction(-1, 3)), 5, "m1 >= l - c", 2)
 def test_skeleton_pass_matches_per_label_reference(delta, lam, lmax, kind, cut):
     pred = PREDICATES[kind]
-    spec = SubspaceSpec(kind, SeriesParams(lam, delta), lambda lab: pred(lab, cut))
+    spec = SubspaceSpec(kind, SeriesParams(lam, delta), lambda row: pred(row, cut))
+    assert_same_result(verify_invariant(spec, lmax),
+                       reference_verify_invariant(spec, lmax))
+
+
+@st.composite
+def row_spans(draw):
+    """A parity, a window lmax in 3..9 and any set of its valid rows."""
+    delta = draw(st.sampled_from(DELTAS))
+    lmax = draw(st.integers(3, 9))
+    valid = [Row(l, m1) for l in range(lmax + 1) for m1 in range(l + 1)
+             if label_valid(delta, BasisLabel(l, m1, 0))]
+    return delta, lmax, draw(st.frozensets(st.sampled_from(valid)))
+
+
+@given(row_spans(), spectral_parameters())
+@settings(max_examples=40, deadline=None)
+def test_any_row_span_matches_per_label_reference(span, lam):
+    delta, lmax, rows = span
+    spec = SubspaceSpec("rows", SeriesParams(lam, delta), lambda row: row in rows)
+    assert spec.rows(lmax) == sorted(rows)
     assert_same_result(verify_invariant(spec, lmax),
                        reference_verify_invariant(spec, lmax))
 
 
 def test_verify_invariant_reads_only_the_skeleton_at_exact_lambda(monkeypatch):
-    # no act_Z_on_basis call at an exact lambda (the numeric recheck makes
-    # float ones), and _boundary_reason only for transitions with no edge
-    real_act, real_reason = structure.act_Z_on_basis, structure._boundary_reason
-    reasons = []
-
-    def float_only(n, label, params, lam="from-params"):
-        if lam == "from-params" or not isinstance(lam[0], complex):
-            raise AssertionError("act_Z_on_basis called at an exact lambda")
-        return real_act(n, label, params, lam)
+    # no act_Z_on_basis call (the numeric recheck reads the float couplings
+    # and folded amplitudes), and _boundary_reason only for transitions
+    # with no edge
+    real_reason = structure._boundary_reason
+    reasons, act_calls = [], []
 
     def recording_reason(params, l, m1, j, target_m1):
         fold = action._folded_amplitudes(tuple(params.delta), j, l, m1, "exact",
@@ -378,21 +399,41 @@ def test_verify_invariant_reads_only_the_skeleton_at_exact_lambda(monkeypatch):
         reasons.append((l, m1, j, target_m1))
         return real_reason(params, l, m1, j, target_m1)
 
-    monkeypatch.setattr(structure, "act_Z_on_basis", float_only)
-    monkeypatch.setattr(action, "act_Z_on_basis", float_only)
+    monkeypatch.setattr(action, "act_Z_on_basis", lambda *a, **k: act_calls.append(a))
     monkeypatch.setattr(structure, "_boundary_reason", recording_reason)
     params = SeriesParams((Fraction(-1), Fraction(1), Fraction(0)), (1, 0, 1))
-    spec = SubspaceSpec("V1_odd", params, lambda lab: lab.m1 == 1 and lab.l % 2)
+    spec = SubspaceSpec("V1_odd", params, lambda row: row.m1 == 1 and row.l % 2)
     res = verify_invariant(spec, 8)
     assert res.invariant and res.connected
     assert len(reasons) == len(res.certificates) > 0
     leaking = SubspaceSpec("m1 >= 23", SeriesParams(
-        (Fraction(9), Fraction(-9), Fraction(0)), (1, 0, 1)), lambda lab: lab.m1 >= 23)
+        (Fraction(9), Fraction(-9), Fraction(0)), (1, 0, 1)), lambda row: row.m1 >= 23)
     reasons.clear()
     res = verify_invariant(leaking, 25)
     assert not res.invariant
     assert len(reasons) == sum(c["reason"] != "leakage" for c in res.certificates)
     assert any(c["reason"] == "leakage" for c in res.certificates)
+    assert act_calls == []
+
+
+def test_numeric_recheck_samples_a_sixtieth_stride_from_three_offsets(monkeypatch):
+    # the labels of the interior rows in (l, m1, m2) order: from each offset
+    # 0, 1, 2, 20 labels at a stride of 1/60 of their number; one row per l
+    # here, so (l, m2) names a label
+    real, sampled = structure._couplings, []
+
+    def recording(n, l, m2, mode):
+        if mode == "numeric" and n == -2:
+            sampled.append((l, m2))
+        return real(n, l, m2, mode)
+
+    monkeypatch.setattr(structure, "_couplings", recording)
+    params = SeriesParams((Fraction(-1), Fraction(1), Fraction(0)), (1, 0, 1))
+    assert verify_invariant(SubspaceSpec("V1", params, lambda row: row.m1 == 1), 30).invariant
+    labels = [lab for l in range(29) for lab in basis(params, l) if lab.m1 == 1]
+    stride = len(labels) // 60
+    assert stride > 1
+    assert sampled == [(lab.l, lab.m2) for r in range(3) for lab in labels[r::stride][:20]]
 
 
 def test_numeric_recheck_catches_a_skeleton_with_dropped_edges(monkeypatch):
@@ -408,7 +449,7 @@ def test_numeric_recheck_catches_a_skeleton_with_dropped_edges(monkeypatch):
 
     monkeypatch.setattr(structure, "_folded_amplitudes", drop_downward)
     params = SeriesParams((Fraction(9), Fraction(-9), Fraction(0)), (1, 0, 1))
-    spec = SubspaceSpec("m1 >= 23", params, lambda lab: lab.m1 >= 23)
+    spec = SubspaceSpec("m1 >= 23", params, lambda row: row.m1 >= 23)
     with pytest.raises(VerificationError,
                        match=r"l=23, m1=23, m2=-23\) -> BasisLabel\(l=25, m1=21, m2=-25"):
         verify_invariant(spec, 25)
