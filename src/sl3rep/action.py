@@ -23,19 +23,18 @@ q(n,j,l,m2) in m2.  Both caches are keyed on the coefficient mode as well
 as on lam, because 11, Fraction(11) and 11+0j hash and compare alike but
 give exact and complex coefficients.
 
-The coefficient mode follows the type of lam: `lambda_factor`, the one
-formula for Lambda, is evaluated at lam itself (at lam = None, at the unit
-forms lam_1, lam_2, lam_3), times c_k q(k,j,l,m1) from one integer core
-(`_ckq_core`).  The coefficients are symbolic LambdaForms for lam = None,
-the only answers that carry one; exact RadicalScalars at a rational triple,
-for invariant-subspace certificates; and complex at any other triple, c_k q
-and q(n,j,l,m2) read as floats, for matrix export and oracle comparison.
-`_lam_key` checks lam once per call.
+Every entry point takes a lam, checked once per call (`_lam_key`), and the
+coefficient mode follows its type: `lambda_factor`, the one formula for
+Lambda, is evaluated at lam itself, times c_k q(k,j,l,m1) from one integer
+core (`_ckq_core`).  The coefficients are exact RadicalScalars at a
+rational triple, for invariant-subspace certificates, and complex at any
+other triple, c_k q and q(n,j,l,m2) read as floats, for matrix export and
+oracle comparison.
 
 The factor i of the complexified generators is the RadicalScalar I, so
-every generator, its 3x3 matrix and its exact action on Wigner functions
-(symbolic LambdaForm coefficients, the Y action read from the so(3) step
-table `wigner.y_steps`) live in the one scalar type.
+every generator, its 3x3 matrix and its exact action live in the one scalar
+type.  With Lambda left symbolic (`_apply_poly_cached`), the action reads
+the integer terms of the bracket verifier below as LambdaForms.
 
 The bracket verifier checks [pi(A), pi(B)] = pi([A, B]) through the same
 factorization in integers alone, never expanding a composition.  The defect
@@ -58,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, sqrt
-from typing import Sequence, Union
+from typing import Sequence
 
 from .clebsch import q, q_core, q_float
 from .errors import VerificationError
@@ -162,16 +161,12 @@ def reassemble(coords: dict[str, RadicalScalar]) -> Matrix:
 
 C_FACTORS = {-2: ONE, 0: _SQ23, 2: ONE}
 
-LamArg = Union[None, Sequence]
 
-# lam_1, lam_2, lam_3 as forms: lambda_factor at these is the symbolic Lambda
-_LAMBDA_UNITS = (LambdaForm(c1=ONE), LambdaForm(c2=ONE), LambdaForm(c3=ONE))
-
-
-def lambda_factor(k: int, j: int, l: int, m1: int, lam: LamArg = None):
-    """Lam^(k)_j(lam, l, m1): a LambdaForm for lam = None, a rational at a
-    rational triple, complex at a complex one, summed as LambdaForm.eval sums."""
-    l1, l2, l3 = _LAMBDA_UNITS if lam is None else lam
+def lambda_factor(k: int, j: int, l: int, m1: int, lam: Sequence):
+    """Lam^(k)_j(lam, l, m1) in the ring of lam's components (unchecked): a
+    rational at a rational triple, complex at a complex one, as
+    LambdaForm.eval sums, and a LambdaForm at the unit forms."""
+    l1, l2, l3 = lam
     if k == -2:
         return 1 - m1 + l1 - l2
     if k == 0:
@@ -186,12 +181,10 @@ def lambda_factor(k: int, j: int, l: int, m1: int, lam: LamArg = None):
 _AMPLITUDE_CACHE_SIZE = 1 << 14
 
 
-def _lam_key(lam: LamArg) -> tuple[str, tuple | None]:
+def _lam_key(lam: Sequence) -> tuple[str, tuple]:
     """The mode and the components of a spectral parameter, as a cache key
     (see the module docstring), made complex in numeric mode; ValueError
-    unless lam is None or a triple summing to zero (`check_lambda`)."""
-    if lam is None:
-        return "symbolic", None
+    unless lam is a triple summing to zero (`check_lambda`)."""
     lam = check_lambda(lam)
     return "numeric" if isinstance(lam[0], complex) else "exact", lam
 
@@ -237,12 +230,11 @@ def _couplings(n: int, l: int, m2: int, mode: str) -> tuple:
     return tuple((j, x) for j in range(-2, 3) if (x := coupling(n, j, l, m2)))
 
 
-def act_Z(n: int, idx: WignerIndex, lam: LamArg = None) -> KTypeVector:
+def act_Z(n: int, idx: WignerIndex, lam: Sequence) -> KTypeVector:
     """pi(Z_n) on a Wigner function, as sum_j q(n,j,l,m2) U_j D^l_{m1,m2}.
 
-    lam = None gives symbolic LambdaForm coefficients; a rational triple
-    gives exact RadicalScalar coefficients; any other triple gives complex
-    ones.  Raises ValueError for a lam that is no triple summing to zero.
+    A rational triple lam gives exact RadicalScalar coefficients, any other
+    triple complex ones; ValueError for a lam that is no zero-sum triple.
     The U_j amplitudes come from a bounded cache keyed on (j, l, m1), the
     mode and lam, so only the coupling factor is computed per call.
     """
@@ -257,8 +249,9 @@ def act_Z(n: int, idx: WignerIndex, lam: LamArg = None) -> KTypeVector:
     return out
 
 
-def act_U(j: int, idx: WignerIndex, lam: LamArg = None) -> KTypeVector:
-    """The ladder-like operator U_j; shifts l by j and leaves m2 fixed."""
+def act_U(j: int, idx: WignerIndex, lam: Sequence) -> KTypeVector:
+    """The ladder-like operator U_j at lam, in the mode of act_Z; shifts l
+    by j and leaves m2 fixed."""
     if abs(j) > 2:
         raise ValueError("j must be in -2..2")
     l, m1, m2 = WignerIndex(*idx).validate()
@@ -328,9 +321,8 @@ def _coeffs_match(c_neg, c_pos, sign: int) -> bool:
     return (c_neg - c_pos * sign).is_zero()
 
 
-def act_Z_on_basis(n: int, label: BasisLabel, params: SeriesParams,
-                   lam: LamArg = "from-params") -> KTypeVector:
-    """pi(Z_n) on v_{l,m1,m2}, re-folded into the m1 >= 0 label basis.
+def act_Z_on_basis(n: int, label: BasisLabel, params: SeriesParams) -> KTypeVector:
+    """pi(Z_n) on v_{l,m1,m2} at params.lam, re-folded into the m1 >= 0 labels.
 
     Computed as sum_j q(n,j,l,m2) (U_j v_{l,m1,.}) with the folded U_j
     amplitudes read from a bounded cache keyed on (delta, j, l, m1), the
@@ -339,11 +331,9 @@ def act_Z_on_basis(n: int, label: BasisLabel, params: SeriesParams,
     """
     if not label_valid(params.delta, label):
         raise ValueError(f"label {label} invalid for parity {params.delta}")
-    if lam == "from-params":
-        lam = params.lam
     l, m1, m2 = label
     delta = tuple(params.delta)
-    mode, key = _lam_key(lam)
+    mode, key = _lam_key(params.lam)
     out = KTypeVector()
     for j, qn in _couplings(n, l, m2, mode):
         for t, amp in _folded_amplitudes(delta, j, l, m1, mode, key):
@@ -371,9 +361,8 @@ def project_P(l: int, j: int, v: KTypeVector) -> KTypeVector:
 # The compositions W and the normalized ladder steps
 
 
-def act_W(n: int, L: int, m2: int, v: KTypeVector,
-          lam: LamArg = None) -> KTypeVector:
-    """W^L_{n,m2} applied to a vector supported on D^._{., m2}: pi(Z_n), then
+def act_W(n: int, L: int, m2: int, v: KTypeVector, lam: Sequence) -> KTypeVector:
+    """W^L_{n,m2} on a vector supported on D^._{., m2}: pi(Z_n) at lam, then
     the |n| steps of `_w_step` back to m2, the step from m normalized by
     1/sqrt(ladder_coeff_sq(L, m, step)) for the target K-type L.  Raises
     before pi(Z_n) when a normalization square is not positive."""
@@ -437,16 +426,24 @@ def _y_row(i: int, l: int, m: int) -> tuple:
                  for t, unit, square in y_steps(i, l, m))
 
 
+def _form(terms: tuple) -> LambdaForm:
+    """The LambdaForm of integer terms (rad, im, p0, p1, p2, den): the sum
+    of (p0 + p1 lam1 + p2 lam2) / den * sqrt(rad) * i^im, lam3 eliminated."""
+    c = [ZERO, ZERO, ZERO]
+    for rad, im, *p, den in terms:
+        for slot, x in enumerate(p):
+            c[slot] += RadicalScalar({-rad if im else rad: Fraction(x, den)})
+    return LambdaForm(*c)
+
+
 @lru_cache(maxsize=200_000)
 def _apply_poly_cached(tag: str, idx: WignerIndex) -> KTypeVector:
-    """Action of any generator with exact LambdaForm coefficients: Y_i from
-    the `y_steps` table, each unit read as the exact value it is."""
-    if tag in Z_TAGS:
-        return act_Z(Z_TAGS[tag], idx)
-    if tag in Y_TAGS:
-        l, m1, m2 = WignerIndex(*idx).validate()
-        return KTypeVector({WignerIndex(l, m1, t): LambdaForm.constant(c)
-                            for t, c in _y_row(Y_TAGS[tag], l, m2)})
+    """Action of any generator with exact LambdaForm coefficients: a (Y, Z)
+    tag's integer terms of `_apply_flat` as forms, a standard generator's
+    exact combination of those.  Raises ValueError for an invalid index."""
+    idx = WignerIndex(*idx).validate()
+    if tag in Z_TAGS or tag in Y_TAGS:
+        return KTypeVector({target: _form(terms) for target, terms in _apply_flat(tag, idx)})
     # standard generator: exact linear combination of the above
     out = KTypeVector()
     for t, c in standard_basis_coords(tag):
@@ -456,14 +453,15 @@ def _apply_poly_cached(tag: str, idx: WignerIndex) -> KTypeVector:
 
 
 def decompose_standard_basis(tag: str, idx: WignerIndex,
-                             lam: LamArg = None) -> KTypeVector:
-    """Action of X_i / H_i (or any tag) via the exact change of basis, at
-    lam if one is given: RadicalScalars at a rational triple, complex at any
-    other (the mode follows lam); a new vector, never the cached one."""
-    mode, lam = _lam_key(lam)
+                             lam: Sequence | None = None) -> KTypeVector:
+    """Action of X_i / H_i (or any tag) via the exact change of basis:
+    LambdaForms without lam, RadicalScalars at a rational triple, complex at
+    any other (the mode follows lam); a new vector, never the cached one."""
     vec = _apply_poly_cached(tag, WignerIndex(*idx))
-    return KTypeVector(vec.terms) if lam is None else vec.map_coeff(
-        lambda form: form.eval_exact(lam) if mode == "exact" else form.eval(lam))
+    if lam is None:
+        return KTypeVector(vec.terms)
+    mode, lam = _lam_key(lam)
+    return vec.map_coeff(lambda c: c.eval_exact(lam) if mode == "exact" else c.eval(lam))
 
 
 def compose_poly(tag: str, v: KTypeVector) -> KTypeVector:

@@ -12,10 +12,11 @@ Python's numeric tower.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, sqrt
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 RationalLike = Union[int, Fraction]
 
@@ -259,9 +260,9 @@ I = RadicalScalar({-1: 1})
 
 
 def check_lambda(lam: Iterable) -> tuple:
-    """lam as a rational or else complex triple; ValueError unless its sum is
-    zero, exactly if rational and within 1e-12 otherwise (a NaN sum fails)."""
-    lam = tuple(lam)
+    """lam as a rational or else complex triple; ValueError for anything but a
+    triple summing to zero (exactly if rational, else within 1e-12; not NaN)."""
+    lam = tuple(lam) if isinstance(lam, Iterable) else ()
     if len(lam) == 3:
         a, b, c = lam
         rational = (int, Fraction)
@@ -344,7 +345,7 @@ class LambdaForm:
 
     def eval_exact(self, lam: Iterable[RationalLike]) -> RadicalScalar:
         """Exact evaluation at a rational triple with l1+l2+l3 = 0."""
-        l1, l2, l3 = check_lambda(Fraction(x) for x in lam)
+        l1, l2, l3 = check_lambda(map(Fraction, lam) if isinstance(lam, Iterable) else lam)
         return self.const + self.c1 * l1 + self.c2 * l2 + self.c3 * l3
 
     def __repr__(self):

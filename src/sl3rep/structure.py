@@ -328,9 +328,9 @@ def degenerate_series_report(s, lmax: int = 12) -> StructureReport:
     vanishing = [(l, j) for l in ls for j, r in rungs_at(sv, l)
                  if exact and l + j >= 0 and r == 0]
     # Each U_j amplitude on m1 = 0 is affine in lam, so affine in s: the
-    # exact checks at two points decide U_{+-1} and the rungs at every s.
+    # exact checks at s = 0 and 1 decide U_{+-1} and the rungs at every s.
     u1_zero = True
-    for t in [sv] if exact else [Fraction(0), Fraction(1)]:
+    for t in (Fraction(0), Fraction(1)):
         lam_t = lam_at(t)
         for l in ls:
             u1_zero &= not any(act_U(j, WignerIndex(l, 0, m2), lam_t)

@@ -26,7 +26,7 @@ from sl3rep.clebsch import q
 from sl3rep.ktvector import KTypeVector
 from sl3rep.scalars import ONE, ZERO, LambdaForm, RadicalScalar
 from sl3rep.series import BasisLabel, SeriesParams, basis, label_valid
-from sl3rep.wigner import WignerIndex, right_derivative_Y
+from sl3rep.wigner import WignerIndex, right_derivative_Y, y_steps
 
 ALL_TAGS = CONVENIENT_BASIS + STANDARD_BASIS
 
@@ -85,8 +85,13 @@ def test_standard_coords_known_values():
 # the main expansion
 
 
-def reference_act_Z(n, idx, lam=None):
-    """The unfactorized five-term sum over (j, k), one Lambda per term."""
+# lam_1, lam_2, lam_3 as forms: Lambda at these is the symbolic Lambda
+UNITS = (LambdaForm(c1=ONE), LambdaForm(c2=ONE), LambdaForm(c3=ONE))
+
+
+def reference_act_Z(n, idx, lam=UNITS):
+    """The unfactorized five-term sum over (j, k), one Lambda per term: a
+    LambdaForm at the unit forms, else the form evaluated at lam."""
     l, m1, m2 = idx
     out = KTypeVector()
     for j in range(-2, 3):
@@ -103,8 +108,8 @@ def reference_act_Z(n, idx, lam=None):
             if qk.is_zero():
                 continue
             scalar = C_FACTORS[k] * qk * qn
-            form = lambda_factor(k, j, l, m1)
-            if lam is None:
+            form = lambda_factor(k, j, l, m1, UNITS)
+            if lam is UNITS:
                 c = form * scalar
             elif all(isinstance(x, (int, Fraction)) for x in lam):
                 c = form.eval_exact(lam) * scalar
@@ -120,11 +125,8 @@ def _small_fractions():
 
 @st.composite
 def spectral_parameters(draw):
-    """None (symbolic), a rational triple (exact) or a complex one (numeric)."""
-    mode = draw(st.sampled_from(("symbolic", "exact", "numeric")))
-    if mode == "symbolic":
-        return None
-    if mode == "exact":
+    """A rational triple (exact) or a complex one (numeric)."""
+    if draw(st.booleans()):
         a, b = draw(_small_fractions()), draw(_small_fractions())
         return (a, b, -a - b)
     part = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
@@ -134,11 +136,10 @@ def spectral_parameters(draw):
 
 
 def assert_same_vector(got, want, lam):
-    """Exact equality in the exact modes, 1e-13 relative in numeric mode."""
+    """Exact equality in exact mode, 1e-13 relative in numeric mode."""
     assert set(got.terms) == set(want.terms)
     for t, c in want.items():
-        if lam is not None and not all(isinstance(x, (int, Fraction))
-                                       for x in lam):
+        if not all(isinstance(x, (int, Fraction)) for x in lam):
             assert isinstance(got[t], complex)
             assert abs(got[t] - c) <= 1e-13 * abs(c), t
         else:
@@ -160,15 +161,15 @@ def test_amplitude_cache_key_includes_mode():
     idx = WignerIndex(23, 23, 0)
     exact = (11, -11, 0)
     numeric = (11 + 0j, -11 + 0j, 0j)
-    params = SeriesParams((Fraction(11), Fraction(-11), Fraction(0)), (1, 0, 1))
     label = BasisLabel(23, 23, 0)
     for first, second, kind in ((exact, numeric, complex),
                                 (numeric, exact, RadicalScalar)):
         action._u_amplitudes.cache_clear()
         action._folded_amplitudes.cache_clear()
         act_Z(1, idx, first)
-        act_Z_on_basis(1, label, params, first)
-        for vec in (act_Z(1, idx, second), act_Z_on_basis(1, label, params, second)):
+        act_Z_on_basis(1, label, SeriesParams(first, (1, 0, 1)))
+        for vec in (act_Z(1, idx, second),
+                    act_Z_on_basis(1, label, SeriesParams(second, (1, 0, 1)))):
             assert vec and all(isinstance(c, kind) for _, c in vec.items())
 
 
@@ -177,7 +178,7 @@ def test_act_z_modes_agree():
     lamf = tuple(complex(x) for x in lam)
     for n in range(-2, 3):
         for idx in [WignerIndex(2, 1, -1), WignerIndex(3, 0, 2)]:
-            sym = act_Z(n, idx)
+            sym = reference_act_Z(n, idx)
             exact = act_Z(n, idx, lam)
             num = act_Z(n, idx, lamf)
             for t, form in sym.items():
@@ -187,12 +188,13 @@ def test_act_z_modes_agree():
 
 
 def test_act_z_index_shifts():
-    for t in act_Z(1, WignerIndex(3, 1, 0)):
+    lam = (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6))
+    for t in act_Z(1, WignerIndex(3, 1, 0), lam):
         assert t.m2 == 1
         assert t.m1 in (-1, 1, 3)
         assert 1 <= t.l <= 5
     with pytest.raises(ValueError):
-        act_Z(3, WignerIndex(1, 0, 0))
+        act_Z(3, WignerIndex(1, 0, 0), lam)
 
 
 def test_act_u_is_single_column_of_act_z():
@@ -208,28 +210,29 @@ def test_act_u_is_single_column_of_act_z():
 
 
 def test_lambda_factor_values():
-    f = lambda_factor(-2, 1, 4, 2)  # l1 - l2 + 1 - m1
+    f = lambda_factor(-2, 1, 4, 2, UNITS)  # l1 - l2 + 1 - m1
     assert f.eval((2.0, 0.5, -2.5)) == pytest.approx(2.0 - 0.5 + 1 - 2)
-    f = lambda_factor(2, 1, 4, 2)
+    f = lambda_factor(2, 1, 4, 2, UNITS)
     assert f.eval((2.0, 0.5, -2.5)) == pytest.approx(2.0 - 0.5 + 1 + 2)
-    f = lambda_factor(0, 2, 3, 1)  # l1 + l2 - 2 l3 + jl + (j + j^2)/2
+    f = lambda_factor(0, 2, 3, 1, UNITS)  # l1 + l2 - 2 l3 + jl + (j + j^2)/2
     assert f.eval((2.0, 0.5, -2.5)) == pytest.approx(2.0 + 0.5 + 5.0 + 6 + 3)
     with pytest.raises(ValueError):
-        lambda_factor(1, 0, 2, 0)
+        lambda_factor(1, 0, 2, 0, UNITS)
 
 
-@given(st.integers(0, 12), st.data(), spectral_parameters())
+@given(st.integers(0, 12), st.data(), st.one_of(st.just(UNITS), spectral_parameters()))
 @settings(max_examples=150, deadline=None)
 def test_lambda_factor_at_lam_is_the_form_evaluated(l, data, lam):
-    # one formula: at a rational lam the exact value of the form, at a
-    # complex one its complex value, as LambdaForm.eval computes it
+    # one formula: at the unit forms the symbolic form, at a rational lam
+    # its exact value, at a complex one its complex value, as
+    # LambdaForm.eval computes it
     m1 = data.draw(st.integers(-l, l))
     for k in (-2, 0, 2):
         for j in range(-2, 3):
-            form = lambda_factor(k, j, l, m1)
+            form = lambda_factor(k, j, l, m1, UNITS)
             assert isinstance(form, LambdaForm)
             got = lambda_factor(k, j, l, m1, lam)
-            if lam is None:
+            if lam is UNITS:
                 assert got == form
             elif all(isinstance(x, Fraction) for x in lam):
                 assert got == form.eval_exact(lam)
@@ -240,20 +243,23 @@ def test_lambda_factor_at_lam_is_the_form_evaluated(l, data, lam):
 BAD_LAMBDAS = [
     (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), (1, -1), (1, -1, 0, 0),
     (0.3 + 0.1j, -0.2, 0.5), (0.3j, -0.3j), (1j, -1j, 0, 0), (float("nan"), 0.0, 0.0),
+    None, 5,
 ]
 
 
 @pytest.mark.parametrize("lam", BAD_LAMBDAS)
 def test_entry_points_reject_a_lam_that_is_no_zero_sum_triple(lam):
-    params = SeriesParams((0, 0, 0), (0, 0, 0))
     calls = [
         lambda: act_Z(1, WignerIndex(2, 1, 0), lam),
         lambda: act_U(1, WignerIndex(2, 1, 0), lam),
         # U_-2 of an l = 0 index is no vector: no Lambda is ever evaluated
         lambda: act_U(-2, WignerIndex(0, 0, 0), lam),
-        lambda: act_Z_on_basis(1, BasisLabel(2, 0, 0), params, lam),
-        lambda: decompose_standard_basis("X1", WignerIndex(2, 1, 0), lam),
+        lambda: act_W(0, 2, 0, KTypeVector({WignerIndex(2, 1, 0): 1}), lam),
+        # act_Z_on_basis reads lam from its SeriesParams, which checks it
+        lambda: act_Z_on_basis(1, BasisLabel(2, 0, 0), SeriesParams(lam, (0, 0, 0))),
     ]
+    if lam is not None:  # without lam, the action with symbolic Lambda
+        calls.append(lambda: decompose_standard_basis("X1", WignerIndex(2, 1, 0), lam))
     for call in calls:
         with pytest.raises(ValueError, match="triple summing to zero"):
             call()
@@ -324,7 +330,7 @@ def test_u_terms_are_the_integer_terms_of_the_symbolic_amplitudes():
         for m1, j in itertools.product(range(-l, l + 1), range(-2, 3)):
             want = []
             for k in (-2, 0, 2):
-                form = lambda_factor(k, j, l, m1) * (C_FACTORS[k] * q(k, j, l, m1))
+                form = lambda_factor(k, j, l, m1, UNITS) * (C_FACTORS[k] * q(k, j, l, m1))
                 if form:
                     want.append((k, reference_int_terms(form)))
             assert action._u_terms.__wrapped__(j, l, m1) == tuple(want), (j, l, m1)
@@ -352,15 +358,14 @@ def test_ckq_core_is_c_k_q(k, j, index):
     assert (num / den * math.sqrt(rad)).hex() == complex(exact).real.hex()
 
 
-@pytest.mark.parametrize("lam", [None, (Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6)),
+@pytest.mark.parametrize("lam", [(1, -1, 0), (Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6)),
                                  (0.5 + 0.1j, -0.2j, -0.5 + 0.1j)])
 @pytest.mark.parametrize("n", [-3, 3, 5])
 def test_z_entry_points_reject_n_outside_the_five(n, lam):
-    params = SeriesParams((Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6)), (0, 0, 0))
     with pytest.raises(ValueError, match="n must be in"):
         act_Z(n, WignerIndex(3, 1, 0), lam)
     with pytest.raises(ValueError, match="n must be in"):
-        act_Z_on_basis(n, BasisLabel(3, 2, 0), params, lam)
+        act_Z_on_basis(n, BasisLabel(3, 2, 0), SeriesParams(lam, (0, 0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +390,11 @@ def expand_label(delta, label: BasisLabel) -> list[tuple[WignerIndex, int]]:
 def test_fold_consistency_and_unfolding(delta, data, lam):
     # act_Z_on_basis must give valid labels only, and agree with the
     # unfactorized expansion acting on the unfolded Wigner sum
-    params = SeriesParams(lam or (0, 0, 0), delta)
+    params = SeriesParams(lam, delta)
     labels = [lab for l in range(9) for lab in basis(params, l)]
     label = data.draw(st.sampled_from(labels))
     n = data.draw(st.integers(-2, 2))
-    folded = act_Z_on_basis(n, label, params, lam)
+    folded = act_Z_on_basis(n, label, params)
     assert all(label_valid(delta, lab) for lab in folded)
     raw = KTypeVector()
     for idx, w in expand_label(delta, label):
@@ -399,7 +404,7 @@ def test_fold_consistency_and_unfolding(delta, data, lam):
         for idx, w in expand_label(delta, lab):
             rebuilt.add_term(idx, c * w)
     diff = raw - rebuilt
-    if lam is not None and isinstance(lam[0], complex):
+    if isinstance(lam[0], complex):
         scale = max((abs(c) for c in raw.terms.values()), default=1.0)
         assert all(abs(c) <= 1e-12 * scale for c in diff.terms.values())
     else:
@@ -515,7 +520,7 @@ def test_w_normalization_guard():
     # L = 0 target forces a zero normalization argument for n != 0
     v = KTypeVector({WignerIndex(2, 0, 0): 1})
     with pytest.raises(ValueError):
-        act_W(2, 0, 0, v)
+        act_W(2, 0, 0, v, (1, -1, 0))
 
 
 def test_undefined_w_raises_before_computing_pi_z(monkeypatch):
@@ -530,7 +535,7 @@ def test_undefined_w_raises_before_computing_pi_z(monkeypatch):
     monkeypatch.setattr(action, "act_Z", no_act_z)
     for n, L, m2 in [(1, 0, 0), (2, 1, 0), (-2, 0, 0), (-1, 3, -3)]:
         with pytest.raises(ValueError, match="undefined"):
-            act_W(n, L, m2, v)
+            act_W(n, L, m2, v, (1, -1, 0))
 
 
 def reference_ladder_m2(v: KTypeVector, step: int) -> KTypeVector:
@@ -573,7 +578,10 @@ def w_outcome(fn, *args):
         return f"ValueError: {exc}"
 
 
-W_LAMS = [None, (Fraction(2, 3), Fraction(-1, 6), Fraction(-1, 2))]
+# both sides are affine in lam on the plane lam1 + lam2 + lam3 = 0, so
+# three affinely independent rational points decide the symbolic identity
+W_LAMS = [((0, 0, 0), (1, 0, -1), (0, 1, -1)),
+          ((Fraction(2, 3), Fraction(-1, 6), Fraction(-1, 2)),)]
 
 
 def reference_w_outcomes(l, lam):
@@ -591,11 +599,12 @@ def reference_w_outcomes(l, lam):
                 lambda: stepped.scaled(reference_w_norm(n, L, m2)))
 
 
-@pytest.mark.parametrize("lam", W_LAMS, ids=["symbolic", "rational"])
+@pytest.mark.parametrize("lams", W_LAMS, ids=["symbolic", "rational"])
 @pytest.mark.parametrize("l", range(6))
-def test_w_steps_from_the_step_table_match_the_hand_written_ladder(l, lam):
-    for n, L, m2, v, want in reference_w_outcomes(l, lam):
-        assert w_outcome(act_W, n, L, m2, v, lam) == want, (n, L, m2, v)
+def test_w_steps_from_the_step_table_match_the_hand_written_ladder(l, lams):
+    for lam in lams:
+        for n, L, m2, v, want in reference_w_outcomes(l, lam):
+            assert w_outcome(act_W, n, L, m2, v, lam) == want, (n, L, m2, v, lam)
 
 
 def test_w_with_the_y2_sign_flipped_differs(monkeypatch):
@@ -604,7 +613,7 @@ def test_w_with_the_y2_sign_flipped_differs(monkeypatch):
     step_row = action._w_step
     monkeypatch.setattr(action, "_w_step",
                         lambda step, l, m: step_row(-step, l, m))
-    lam = W_LAMS[1]
+    (lam,) = W_LAMS[1]
     defined = [(n, L, m2, v, want) for n, L, m2, v, want in reference_w_outcomes(3, lam)
                if n and not want.startswith("ValueError")]
     assert len(defined) == 672
@@ -765,6 +774,28 @@ def test_integer_composition_matches_compose_poly(idx, a, b):
     acc = action._summed(compose_flat(a, action._apply_flat(b, idx), 1))
     want = compose_poly(a, compose_poly(b, KTypeVector({idx: LambdaPoly.constant(1)})))
     assert rationals_of_accumulator(acc) == rationals_of_poly_vector(want)
+
+
+def test_symbolic_action_is_the_unfactorized_reference_at_the_unit_forms():
+    # the forms that _apply_poly_cached builds from the integer terms of
+    # _apply_flat, against references that read neither: the five-term sum
+    # at the unit forms, and each y_steps row as a constant form
+    cases = 0
+    for tag in CONVENIENT_BASIS:
+        for l in range(7):
+            for m1, m2 in itertools.product(range(-l, l + 1), repeat=2):
+                idx = WignerIndex(l, m1, m2)
+                if tag in Z_TAGS:
+                    want = reference_act_Z(Z_TAGS[tag], idx)
+                else:
+                    want = KTypeVector({
+                        WignerIndex(l, m1, t): LambdaForm.constant(
+                            RadicalScalar({1: unit.real, -1: unit.imag})
+                            * RadicalScalar.sqrt_rational(square))
+                        for t, unit, square in y_steps(Y_TAGS[tag], l, m2)})
+                assert action._apply_poly_cached(tag, idx).terms == want.terms, (tag, idx)
+                cases += 1
+    assert cases == 3640
 
 
 SQUAREFREE = (1, 2, 3, 5, 6, 7, 10, 15, 30)
@@ -1213,7 +1244,7 @@ def test_assemble_matrix_consistency():
     pos = mat.label_index()
     dense = mat.dense()
     lab = BasisLabel(2, 2, 0)
-    vec = act_Z_on_basis(1, lab, params, params.lam)
+    vec = act_Z_on_basis(1, lab, params)
     col = dense[:, pos[lab]]
     for target, c in vec.items():
         if target.l <= 4:
@@ -1263,7 +1294,7 @@ def reference_assemble_matrix(params, generator, lmax):
         if generator in Y_TAGS:
             vec = right_derivative_Y(Y_TAGS[generator], WignerIndex(*lab))
         else:
-            vec = act_Z_on_basis(Z_TAGS[generator], lab, params, lam)
+            vec = act_Z_on_basis(Z_TAGS[generator], lab, SeriesParams(lam, params.delta))
         col = index_within[lab.l][lab]
         for target, c in vec.items():
             if target.l > lmax:

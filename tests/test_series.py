@@ -33,9 +33,9 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("lam", [(0.1, -0.1), (Fraction(1, 2), Fraction(-1, 2)),
-                                 (0.1, -0.1, 0.0, 0.0), (1, -1, 0, 0)],
+                                 (0.1, -0.1, 0.0, 0.0), (1, -1, 0, 0), None, 5],
                          ids=["float-pair", "rational-pair", "float-quadruple",
-                              "int-quadruple"])
+                              "int-quadruple", "none", "int"])
 def test_one_lambda_check_refuses_pairs_and_quadruples(lam):
     # every entry point reads the one check of sl3rep.scalars, message and all
     calls = [
@@ -43,7 +43,7 @@ def test_one_lambda_check_refuses_pairs_and_quadruples(lam):
         lambda: SeriesParams(lam, (0, 0, 0)),
         lambda: character(lam, (1.2, 0.9, 1 / (1.2 * 0.9))),
         lambda: LambdaForm(c1=1).eval(lam),
-        lambda: LambdaForm(c1=1).eval_exact(Fraction(x) for x in lam),
+        lambda: LambdaForm(c1=1).eval_exact(lam),
         lambda: act_Z(1, WignerIndex(2, 1, 0), lam),
     ]
     for call in calls:

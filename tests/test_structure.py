@@ -11,7 +11,7 @@ from sl3rep import VerificationError, action, structure
 from sl3rep.action import (C_FACTORS, act_U, act_Z_on_basis, label_components,
                            lambda_factor)
 from sl3rep.clebsch import q
-from sl3rep.scalars import ZERO, RadicalScalar
+from sl3rep.scalars import ONE, ZERO, LambdaForm, RadicalScalar
 from sl3rep.series import (BasisLabel, SeriesParams, basis, label_valid,
                            multiplicity)
 from sl3rep.structure import (InvarianceResult, Row, SubspaceSpec,
@@ -143,8 +143,8 @@ def test_degenerate_series_u_pm1_vanishes_at_complex_s(re, im):
 
 
 def test_degenerate_series_rung_mismatch_is_caught(monkeypatch):
-    # a wrong closed form of the rungs is refused at a rational s, and at a
-    # complex s through the exact checks at s = 0 and 1
+    # a wrong closed form of the rungs is refused at a rational and at a
+    # complex s, both through the exact checks at s = 0 and 1
     monkeypatch.setattr(structure, "q", lambda *idx: 2 * q(*idx))
     for s in (Fraction(1, 3), 0.3 + 0.2j):
         with pytest.raises(VerificationError, match="rung mismatch"):
@@ -153,10 +153,10 @@ def test_degenerate_series_rung_mismatch_is_caught(monkeypatch):
 
 def test_degenerate_series_reports_a_u_pm1_amplitude_above_rounding(monkeypatch):
     # 1e-6 added to every amplitude of U_{+-1}: the exact check, made at
-    # s = 0 and 1 for a complex s, reports any amplitude the engine returns
+    # s = 0 and 1 for every s, reports any amplitude the engine returns
     exact = structure.act_U
 
-    def offset(j, idx, lam=None):
+    def offset(j, idx, lam):
         out = exact(j, idx, lam)
         if j in (-1, 1):
             l, m1, m2 = idx
@@ -204,6 +204,10 @@ def test_certificates_name_reasons():
 # The per-(label, n) decision, kept as the reference for verify_invariant
 
 
+# lam_1, lam_2, lam_3 as forms: Lambda at these is the symbolic Lambda
+UNITS = (LambdaForm(c1=ONE), LambdaForm(c2=ONE), LambdaForm(c3=ONE))
+
+
 def reference_boundary_reason(params, l, m1, j, target_m1):
     """Classify the folded transition (l, m1) -> (l+j, target_m1) from its
     own sum of c_k q Lam over the Wigner components; None if it is nonzero."""
@@ -214,7 +218,7 @@ def reference_boundary_reason(params, l, m1, j, target_m1):
             if src + k != target_m1 or target_m1 > l + j:
                 continue
             qk = q(k, j, l, src)
-            lamval = lambda_factor(k, j, l, src).eval_exact(lam)
+            lamval = lambda_factor(k, j, l, src, UNITS).eval_exact(lam)
             contributions.append((src, k, w, qk, lamval))
     if not contributions:
         return {"reason": "out-of-range", "detail": "no coupling path"}
