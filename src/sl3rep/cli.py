@@ -238,7 +238,10 @@ def _cmd_compose(args) -> int:
                     "k23": (structure.k23_subspace_report, ("lmax",))}[args.preset]
     defaults = {"k": 2, "s": Fraction(1, 4), "lmax": 31 if args.preset == "k23" else 12}
     _read_options(args, reads, defaults, f"the {args.preset} preset")
-    report = build(*(getattr(args, name) for name in reads))
+    try:
+        report = build(*(getattr(args, name) for name in reads))
+    except ValueError as exc:  # only the float recheck chains one: lambda(s) overflows
+        raise ValueError(f"argument --s: {exc}") if exc.__cause__ else exc
     if args.format == "json":
         _emit(json.dumps(report.to_json(), sort_keys=True, default=str),
               args.out)

@@ -20,17 +20,16 @@ composition length as input metadata when echoing known chains.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
+from math import gcd
 from typing import Callable, NamedTuple
 
-from .action import (_couplings, _folded_amplitudes, act_U, label_components,
-                     lambda_factor)
-from .clebsch import q
+from .action import _folded_amplitudes, act_U, label_components, lambda_factor
+from .clebsch import q, q_core, q_float
 from .errors import VerificationError
-from .scalars import RadicalScalar, check_lambda
+from .scalars import RadicalScalar, _canonical, check_lambda
 from .series import BasisLabel, SeriesParams, label_valid, multiplicity
 from .wigner import WignerIndex
 
@@ -104,6 +103,14 @@ def _boundary_reason(params: SeriesParams, l: int, m1: int, j: int,
     return {"reason": "q-zero", "detail": f"q({k}, {j}, {l}, {src}) = 0"}
 
 
+def _times_core(amp: RadicalScalar, num: int, rad: int, den: int) -> RadicalScalar:
+    """amp * num sqrt(rad) / den, rad > 0 squarefree: a term c sqrt(a) goes to
+    c g num / den sqrt(a rad / g^2), g = gcd(a, rad), which no other reaches."""
+    return _canonical({a // (g := gcd(a, rad)) * (rad // g):
+                       Fraction(c.numerator * num * g, c.denominator * den)
+                       for a, c in amp.terms.items()})
+
+
 def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
     """Exact closure check of a span under all Z and Y generators.
 
@@ -115,8 +122,8 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
     with coefficient q * amplitude; only the labels of a row with such an
     edge are expanded.  A boundary transition is certified as "leakage" if
     it is an edge and by `_boundary_reason` otherwise; connectivity is read
-    from the same edges.  Invariant spans are re-evaluated on the float
-    path as an independent soundness check.
+    from the same edges.  The float recheck of an invariant span samples 60
+    labels over the whole interior, with couplings where a fold leaves it.
     """
     if lmax < 2:
         raise ValueError("lmax must be at least 2")
@@ -135,17 +142,16 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
         folds = {j: dict(_folded_amplitudes(delta, j, l, m1, "exact", lam))
                  for j in range(-2, 3) if l + j >= 0}
         edges[row] = {Row(l + j, t) for j, fold in folds.items() for t in fold}
-        leaving = {target for target in edges[row] if not spec.predicate(target)}
-        for m2 in range(-l, l + 1) if leaving else ():
-            for n in range(-2, 3):
-                for j, qn in _couplings(n, l, m2, "exact"):
-                    for t, amp in folds[j].items():
-                        if (l + j, t) in leaving:
-                            result.invariant = False
-                            result.leakage.append({
-                                "label": [l, m1, m2], "generator": f"Z{n}",
-                                "target": [l + j, t, m2 + n],
-                                "coefficient": repr(amp * qn)})
+        out = [(j, t, amp) for j, fold in folds.items() for t, amp in fold.items()
+               if not spec.predicate(Row(l + j, t))]
+        for m2, n, (j, t, amp) in product(range(-l, l + 1), range(-2, 3), out):
+            num, rad, den = q_core(n, j, l, m2)
+            if num:
+                result.invariant = False
+                result.leakage.append({
+                    "label": [l, m1, m2], "generator": f"Z{n}",
+                    "target": [l + j, t, m2 + n],
+                    "coefficient": repr(_times_core(amp, num, rad, den))})
         for j, fold in folds.items():
             lt = l + j
             for target_m1 in {abs(m1 - 2), m1, abs(m1 + 2)}:
@@ -166,23 +172,28 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
 
 
 def _numeric_recheck(spec: SubspaceSpec, rows: list[Row]) -> None:
-    """Float re-evaluation of 3 x 20 labels of the rows, in (l, m1, m2) order
-    at a stride of 1/60 of their number, independent of the exact skeleton."""
+    """Float re-evaluation, independent of the exact skeleton, of 60 labels of
+    the rows, in (l, m1, m2) order at a stride of 1/60 of their number from the
+    first; q(n, j, l, m2) is read only where a float fold leaves the span."""
     delta = tuple(spec.params.delta)
-    lam = check_lambda(complex(x) for x in spec.params.lam)
+    try:
+        lam = check_lambda(complex(x) for x in spec.params.lam)
+    except OverflowError as exc:
+        raise ValueError("the float recheck needs every lambda component "
+                         "to fit a finite float") from exc
     starts = list(accumulate((2 * l + 1 for l, _ in rows), initial=0))
     stride = max(1, starts[-1] // 60)
-    for r in range(3):
-        for i in range(r, min(starts[-1], r + 20 * stride), stride):
-            k = bisect_right(starts, i) - 1
-            (l, m1), m2 = rows[k], i - starts[k] - rows[k].l
-            for n in range(-2, 3):
-                for j, qn in _couplings(n, l, m2, "numeric"):
-                    for t, amp in _folded_amplitudes(delta, j, l, m1, "numeric", lam):
-                        if abs(amp * qn) > 1e-10 and not spec.predicate(Row(l + j, t)):
-                            raise VerificationError(
-                                "numeric recheck found leakage "
-                                f"{BasisLabel(l, m1, m2)} -> {BasisLabel(l + j, t, m2 + n)}")
+    sampled = range(0, starts[-1], stride)[:60]
+    for (l, m1), lo, hi in zip(rows, starts, starts[1:]):  # sampled[k] = k * stride
+        m2s = [i - lo - l for i in sampled[-(-lo // stride):-(-hi // stride)]]
+        out = [(j, t, amp) for j in range(-2, 3) if m2s and l + j >= 0
+               for t, amp in _folded_amplitudes(delta, j, l, m1, "numeric", lam)
+               if not spec.predicate(Row(l + j, t))]
+        for m2, n, (j, t, amp) in product(m2s, range(-2, 3), out):
+            if abs(amp * q_float(n, j, l, m2)) > 1e-10:
+                raise VerificationError(
+                    "numeric recheck found leakage "
+                    f"{BasisLabel(l, m1, m2)} -> {BasisLabel(l + j, t, m2 + n)}")
 
 
 def _connected(nodes: set[tuple], edges: dict) -> bool:

@@ -351,6 +351,17 @@ def test_numeric_suites_at_a_lambda_beyond_a_float_name_lambda(suite, lam, capsy
     assert "every component to fit a finite float" in err
 
 
+def test_compose_at_an_s_whose_lambda_is_beyond_a_float_names_s(capsys):
+    # lambda(s) is exact, but the float recheck of the invariant m1 = 0 span
+    # needs its components as floats: 1e400 is refused, 1e300 reports
+    assert main(["compose", "--preset", "degenerate", "--s", "1e400", "--lmax", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --s:" in err
+    assert "the float recheck needs every lambda component to fit a finite float" in err
+    assert main(["compose", "--preset", "degenerate", "--s", "1e300", "--lmax", "4"]) == 0
+    assert "m1 = 0 (even l): invariant" in capsys.readouterr().out
+
+
 def test_action_json_at_a_large_lambda_is_json_dumps(capsys):
     from sl3rep.action import assemble_matrix
     from sl3rep.series import SeriesParams

@@ -1,7 +1,9 @@
 """Tests for invariant-subspace certification and the structure reports."""
 
 import cmath
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from sl3rep import VerificationError, action, structure
 from sl3rep.action import (C_FACTORS, act_U, act_Z_on_basis, label_components,
                            lambda_factor)
-from sl3rep.clebsch import q
-from sl3rep.scalars import ONE, ZERO, LambdaForm, RadicalScalar
+from sl3rep.clebsch import in_range, q, q_core
+from sl3rep.scalars import ONE, ZERO, LambdaForm, RadicalScalar, check_lambda
 from sl3rep.series import (BasisLabel, SeriesParams, basis, label_valid,
                            multiplicity)
 from sl3rep.structure import (InvarianceResult, Row, SubspaceSpec,
@@ -420,24 +422,32 @@ def test_verify_invariant_reads_only_the_skeleton_at_exact_lambda(monkeypatch):
     assert act_calls == []
 
 
-def test_numeric_recheck_samples_a_sixtieth_stride_from_three_offsets(monkeypatch):
-    # the labels of the interior rows in (l, m1, m2) order: from each offset
-    # 0, 1, 2, 20 labels at a stride of 1/60 of their number; one row per l
-    # here, so (l, m2) names a label
-    real, sampled = structure._couplings, []
+def test_numeric_recheck_samples_a_sixtieth_stride_from_label_0(monkeypatch):
+    # the labels of the interior rows in (l, m1, m2) order: 60 of them at a
+    # stride of 1/60 of their number from the first, so the samples reach
+    # the top of the window.  A zero amplitude outside the span on every
+    # row makes the recheck read q(n, 0, l, m2) at each sampled label; one
+    # row per l here, so (l, m2) names a label
+    real_fold, real_q, sampled = structure._folded_amplitudes, structure.q_float, []
 
-    def recording(n, l, m2, mode):
-        if mode == "numeric" and n == -2:
+    def with_a_zero_outside(delta, j, l, m1, mode, lam):
+        out = real_fold(delta, j, l, m1, mode, lam)
+        return out + ((0, 0j),) if mode == "numeric" and j == 0 else out
+
+    def recording(n, j, l, m2):
+        if n == -2 and j == 0:
             sampled.append((l, m2))
-        return real(n, l, m2, mode)
+        return real_q(n, j, l, m2)
 
-    monkeypatch.setattr(structure, "_couplings", recording)
+    monkeypatch.setattr(structure, "_folded_amplitudes", with_a_zero_outside)
+    monkeypatch.setattr(structure, "q_float", recording)
     params = SeriesParams((Fraction(-1), Fraction(1), Fraction(0)), (1, 0, 1))
     assert verify_invariant(SubspaceSpec("V1", params, lambda row: row.m1 == 1), 30).invariant
     labels = [lab for l in range(29) for lab in basis(params, l) if lab.m1 == 1]
     stride = len(labels) // 60
     assert stride > 1
-    assert sampled == [(lab.l, lab.m2) for r in range(3) for lab in labels[r::stride][:20]]
+    assert sampled == [(lab.l, lab.m2) for lab in labels[::stride][:60]]
+    assert len(sampled) == 60 and sampled[-1][0] == 28
 
 
 def test_numeric_recheck_catches_a_skeleton_with_dropped_edges(monkeypatch):
@@ -457,3 +467,173 @@ def test_numeric_recheck_catches_a_skeleton_with_dropped_edges(monkeypatch):
     with pytest.raises(VerificationError,
                        match=r"l=23, m1=23, m2=-23\) -> BasisLabel\(l=25, m1=21, m2=-25"):
         verify_invariant(spec, 25)
+
+
+def test_numeric_recheck_catches_dropped_edges_past_the_first_third(monkeypatch):
+    # the span l <= 12 leaks upward from its rows at l = 11 and 12 only,
+    # whose labels start past 3/5 of the interior's; an exact skeleton
+    # missing those edges reports it invariant, and the float recheck must
+    # refuse it from a sample in the top rows
+    real = structure._folded_amplitudes
+
+    def drop_upward(delta, j, l, m1, mode, lam):
+        out = real(delta, j, l, m1, mode, lam)
+        return () if mode == "exact" and l + j > 12 else out
+
+    monkeypatch.setattr(structure, "_folded_amplitudes", drop_upward)
+    params = SeriesParams((Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)), (0, 0, 0))
+    spec = SubspaceSpec("l <= 12", params, lambda row: row.l <= 12)
+    with pytest.raises(VerificationError,
+                       match=r"l=11, m1=2, m2=-6\) -> BasisLabel\(l=13, m1=2, m2=-8"):
+        verify_invariant(spec, 14)
+
+
+# ---------------------------------------------------------------------------
+# The float recheck label by label, kept as the reference for _numeric_recheck
+
+
+def reference_numeric_recheck(spec, rows):
+    """_numeric_recheck label by label: every nonzero float coupling of each
+    of 60 labels of the rows, at a stride of 1/60 of their number from the
+    first, times every float folded amplitude, tested against the span."""
+    delta = tuple(spec.params.delta)
+    lam = check_lambda(complex(x) for x in spec.params.lam)
+    labels = [BasisLabel(l, m1, m2) for l, m1 in rows for m2 in range(-l, l + 1)]
+    for l, m1, m2 in labels[::max(1, len(labels) // 60)][:60]:
+        for n in range(-2, 3):
+            for j, qn in action._couplings(n, l, m2, "numeric"):
+                for t, amp in structure._folded_amplitudes(delta, j, l, m1, "numeric", lam):
+                    if abs(amp * qn) > 1e-10 and not spec.predicate(Row(l + j, t)):
+                        raise VerificationError(
+                            "numeric recheck found leakage "
+                            f"{BasisLabel(l, m1, m2)} -> {BasisLabel(l + j, t, m2 + n)}")
+
+
+def recheck_outcome(check, spec, rows):
+    """None if `check` passes, else the message it raises."""
+    try:
+        check(spec, rows)
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.sampled_from(DELTAS), spectral_parameters(), st.integers(3, 14),
+       st.sampled_from(sorted(PREDICATES)), st.integers(0, 9), st.integers(0, 10 ** 6),
+       st.sampled_from([1.0, 0.5j, 2e-10, 1e-10, 1e-12]))
+@settings(max_examples=60, deadline=None)
+# leaking at a stride above 1, and invariant with folded cancellations
+@example((0, 0, 0), (Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)), 14,
+         "m1 >= c", 2, 0, 1.0)
+@example((1, 0, 1), (Fraction(-1), Fraction(1), Fraction(0)), 14,
+         "m1 = c, l odd", 1, 12345, 0.5j)
+# an invariant span, and an amplitude whose products with the couplings
+# q(n, 0, 3, m2) lie between 1e-11 and the 1e-10 threshold
+@example((1, 0, 1), (Fraction(-1), Fraction(1), Fraction(0)), 8,
+         "m1 = c, l odd", 1, 12, 1e-10)
+def test_numeric_recheck_matches_the_per_label_loop(delta, lam, lmax, kind, cut,
+                                                    pick, amp):
+    # as the folds are, and with the float amplitude amp injected into the
+    # fold of one row toward a row outside the span (the pick-th such
+    # transition): both pass, or both raise the same message
+    pred = PREDICATES[kind]
+    spec = SubspaceSpec(kind, SeriesParams(lam, delta), lambda row: pred(row, cut))
+    rows = [row for row in spec.rows(lmax) if row.l <= lmax - 2]
+    checks = (structure._numeric_recheck, reference_numeric_recheck)
+    outcome = recheck_outcome(checks[0], spec, rows)
+    assert outcome == recheck_outcome(checks[1], spec, rows)
+    outside = [(row, j, t) for row in rows for j in range(-2, 3)
+               for t in range(row.l + j + 1) if not spec.predicate(Row(row.l + j, t))]
+    if not outside:
+        return
+    (l, m1), j, t = outside[pick % len(outside)]
+    real = structure._folded_amplitudes
+
+    def injected(delta, j_, l_, m1_, mode, lam):
+        out = real(delta, j_, l_, m1_, mode, lam)
+        return out + ((t, amp),) if (mode, j_, l_, m1_) == ("numeric", j, l, m1) else out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_folded_amplitudes", injected)
+        outcome = recheck_outcome(checks[0], spec, rows)
+        assert outcome == recheck_outcome(checks[1], spec, rows)
+
+
+# ---------------------------------------------------------------------------
+# Leakage coefficients from integer coupling cores
+
+
+# every in-range index with l <= 6 whose coupling is nonzero
+NONZERO_INDICES = [idx for idx in product(range(-2, 3), range(-2, 3), range(7), range(-6, 7))
+                   if in_range(*idx) and q_core(*idx)[0]]
+
+
+@st.composite
+def amplitudes(draw):
+    """Up to four terms over signed radicands, imaginary ones included."""
+    radicands = st.integers(-210, 210).filter(bool)
+    return RadicalScalar({draw(radicands): draw(st.fractions(max_denominator=60))
+                          for _ in range(draw(st.integers(0, 4)))})
+
+
+@st.composite
+def coupling_indices(draw):
+    l = draw(st.integers(0, 60))
+    return (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), l, draw(st.integers(-l, l)))
+
+
+@given(amplitudes(), coupling_indices())
+@settings(max_examples=40, deadline=None)
+def test_times_core_is_the_general_product_with_q(amp, idx):
+    # on every in-range index with l <= 6 and one drawn up to l = 60: the
+    # same value, the same printed coefficient, and canonical terms
+    for n, j, l, m2 in NONZERO_INDICES + [idx]:
+        num, rad, den = q_core(n, j, l, m2)
+        if not num:
+            continue
+        got, want = structure._times_core(amp, num, rad, den), amp * q(n, j, l, m2)
+        assert got == want and repr(got) == repr(want)
+        assert got.terms == RadicalScalar(got.terms).terms
+
+
+# sha256 of repr(vars(result)) of the certify workload's leaking controls,
+# taken when each coefficient was the general product amp * q
+PINNED_LEAKAGE = [
+    ("m1 >= 23", 9, "8e62103f7cd0cf9adce5d0a66faea49999410db3ca098025d4ab013793756735"),
+    ("m1 >= 23", 10, "28fffd46a4b47cc3cf280cf0a7319dcce178263996b5c353d16f526b097f31a7"),
+    ("m1 >= 23", 12, "10db9443d22b443db7a0db45491cc16f98705069be6d276e49df4fed7898c1e6"),
+    ("m1 >= 23", 13, "dc7f275ec506801c3057047a93913119097cea414a836f3b1e6fa5d7c3506c25"),
+    ("m1 = 1", Fraction(1, 2), "f4229c91bf4f4f89a6875210737ebcd5d6e65a4f861f61710b9768f5c6e349e6"),
+    ("m1 = 1", Fraction(1), "90fbb20ad88accfd2d097d9371ea315d9ff8329636429ccdbe03cbbdf223a53f"),
+    ("m1 = 1", Fraction(3, 2), "7129187c57f56ccfaf92dd3cde198b4bd308e3243ed4b6096dc34293741d2eae"),
+    ("m1 = 1", Fraction(2), "3f86b13a7498b5c4cb03457bacc7664162daf03c9345982ffe2fbffa8145ff3d"),
+]
+
+
+@pytest.mark.parametrize("kind, value, digest", PINNED_LEAKAGE,
+                         ids=[f"{kind} at {value}" for kind, value, _ in PINNED_LEAKAGE])
+def test_leaking_control_results_are_pinned(kind, value, digest):
+    # m1 >= 23 at (a, -a, 0) to lmax 25, and m1 = 1 at (t - 1, 1 - t, 0) to
+    # lmax 5, as the certify benchmark runs them
+    if kind == "m1 >= 23":
+        lam, lmax, pred = (Fraction(value), Fraction(-value), Fraction(0)), 25, \
+            lambda row: row.m1 >= 23
+    else:
+        lam, lmax, pred = (value - 1, 1 - value, Fraction(0)), 5, lambda row: row.m1 == 1
+    res = verify_invariant(SubspaceSpec(kind, SeriesParams(lam, (1, 0, 1)), pred), lmax)
+    assert not res.invariant
+    assert hashlib.sha256(repr(vars(res)).encode()).hexdigest() == digest
+
+
+def test_float_recheck_needs_lambda_to_fit_a_float():
+    big = Fraction(10) ** 400
+    # the m1 = 0 span of the ladder is invariant, so it is rechecked
+    with pytest.raises(ValueError, match="the float recheck needs every lambda "
+                                         "component to fit a finite float"):
+        degenerate_series_report(big, 4)
+    # a leaking span is still reported: no recheck runs
+    leaking = SubspaceSpec("m1 >= 23", SeriesParams((big, -big, Fraction(0)), (1, 0, 1)),
+                           lambda row: row.m1 >= 23)
+    res = verify_invariant(leaking, 25)
+    assert not res.invariant and res.leakage
+    assert degenerate_series_report(Fraction(10) ** 300, 4).chain[0]["invariant"]
