@@ -223,9 +223,13 @@ def _u_amplitudes(j: int, l: int, m1: int, mode: str, lam) -> tuple:
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _couplings(n: int, l: int, m2: int, mode: str) -> tuple:
-    """The nonzero q(n, j, l, m2) as (j, q) pairs, q_float in numeric mode."""
+    """The nonzero q(n, j, l, m2) as (j, q) pairs, q_float in numeric mode;
+    for n < 0, and n = 0 with m2 < 0, negated exactly from the cached mirror
+    q(n,j,l,m2) = (-1)^j q(-n,j,l,-m2), so Z_-n reuses the couplings of Z_n."""
     if n not in (-2, -1, 0, 1, 2):
         raise ValueError("n must be in -2..2")
+    if n < 0 or (n == 0 and m2 < 0):
+        return tuple((j, -x if j % 2 else x) for j, x in _couplings(-n, l, -m2, mode))
     coupling = q_float if mode == "numeric" else q
     return tuple((j, x) for j in range(-2, 3) if (x := coupling(n, j, l, m2)))
 
@@ -743,8 +747,8 @@ class ActionMatrix:
     The labels of one l are contiguous and ordered m1-major, then m2, as
     `series.basis` lists them, so the block (ls, lt) maps the ls labels to
     the lt labels.  `to_json` gives the document as Python objects;
-    `json_text` writes the same document without a Python object per zero
-    entry.
+    `json_text` writes the same document with each l's label list written
+    once and each run of zero entries as one repeated string.
     """
 
     params: SeriesParams
@@ -775,19 +779,8 @@ class ActionMatrix:
                 out[spans[lt], spans[ls]] = block
         return out
 
-    def _document(self, entries) -> dict:
-        """The JSON document, with `entries(block)` as each block's entries."""
-        spans = self._label_spans()
-        by_l = {l: [list(lab) for lab in self.labels[sl]]
-                for l, sl in spans.items()}
-        blocks = []
-        for (ls, lt), block in sorted(self.blocks.items()):
-            blocks.append({
-                "j": lt - ls,
-                "rows": by_l.get(lt, []),
-                "cols": by_l.get(ls, []),
-                "entries": entries(block),
-            })
+    def _head(self) -> dict:
+        """The document without its blocks: metadata and labels."""
         lam = [[complex(x).real, complex(x).imag] for x in self.params.lam]
         return {
             "metadata": {
@@ -798,33 +791,39 @@ class ActionMatrix:
                 "truncated": [[list(lab), lt] for lab, lt in self.truncated],
             },
             "labels": [list(lab) for lab in self.labels],
-            "blocks": blocks,
         }
 
     def to_json(self) -> dict:
-        return self._document(
-            lambda block: [[z.real, z.imag] for z in block.flatten()])
+        by_l = {l: [list(lab) for lab in self.labels[sl]]
+                for l, sl in self._label_spans().items()}
+        blocks = [{"j": lt - ls, "rows": by_l.get(lt, []), "cols": by_l.get(ls, []),
+                   "entries": [[z.real, z.imag] for z in block.flatten()]}
+                  for (ls, lt), block in sorted(self.blocks.items())]
+        return {**self._head(), "blocks": blocks}
 
     def json_text(self) -> str:
         """Exactly json.dumps(self.to_json(), sort_keys=True).
 
-        Each block's entries array is written apart and spliced into a
-        json.dumps of the rest of the document.  An entry that is +0 in
-        both parts is the shared string "[0.0, 0.0]"; only the others are
-        formatted, with float.__repr__ as json formats a finite float.  A
-        block holding a NaN or an infinity is written by json itself.
+        Each l's label list is written once, by json.dumps, and each block
+        is written in sorted key order from those texts and its entries
+        (`_entries_text`); one json.dumps writes the labels and metadata.
         """
         import json
 
-        head, *tails = json.dumps(self._document(lambda block: []),
-                                  sort_keys=True).split('"entries": []')
-        texts = [_entries_text(block) for _, block in sorted(self.blocks.items())]
-        return head + "".join(f'"entries": [{text}]{tail}'
-                              for text, tail in zip(texts, tails))
+        by_l = {l: json.dumps([list(lab) for lab in self.labels[sl]])
+                for l, sl in self._label_spans().items()}
+        blocks = ", ".join(
+            f'{{"cols": {by_l.get(ls, "[]")}, "entries": [{_entries_text(block)}], '
+            f'"j": {lt - ls}, "rows": {by_l.get(lt, "[]")}}}'
+            for (ls, lt), block in sorted(self.blocks.items()))
+        return f'{{"blocks": [{blocks}], {json.dumps(self._head(), sort_keys=True)[1:]}'
 
 
 def _entries_text(block: np.ndarray) -> str:
-    """The items of json.dumps([[z.real, z.imag] for z in block.flatten()])."""
+    """The items of json.dumps([[z.real, z.imag] for z in block.flatten()]):
+    float.__repr__ of each entry that is not +0 in both parts, as json formats
+    a finite float, and each run of +0 entries between them one repeated
+    "[0.0, 0.0], ".  A block holding a NaN or an infinity is written by json."""
     import numpy as np
     flat = block.ravel()
     written = np.flatnonzero((flat != 0) | np.signbit(flat.real)
@@ -834,10 +833,17 @@ def _entries_text(block: np.ndarray) -> str:
         import json
 
         return json.dumps([[z.real, z.imag] for z in flat])[1:-1]
-    items = ["[0.0, 0.0]"] * flat.size
+    zero, items, end = "[0.0, 0.0], ", [], 0
     for i, re, im in zip(written.tolist(), vals.real.tolist(), vals.imag.tolist()):
-        items[i] = f"[{re!r}, {im!r}]"
-    return ", ".join(items)
+        items.append(f"{zero * (i - end)}[{re!r}, {im!r}], ")
+        end = i + 1
+    return ("".join(items) + zero * (flat.size - end))[:-2]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) + 0.0 of two matrices, by broadcasting: the same products."""
+    (p, r), (s, t) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * s, r * t) + 0.0
 
 
 def assemble_matrix(params: SeriesParams, generator: str,
@@ -877,7 +883,7 @@ def assemble_matrix(params: SeriesParams, generator: str,
                 for t, unit, square in y_steps(Y_TAGS[generator], l, m2):
                     y[t + l, m2 + l] = unit * sqrt(square)
             if m1s[l] and y.any():
-                blocks[(l, l)] = np.kron(np.eye(len(m1s[l])), y) + 0.0
+                blocks[(l, l)] = _kron(np.eye(len(m1s[l])), y)
         return ActionMatrix(params, generator, lmax, labels, blocks, truncated)
 
     n = Z_TAGS[generator]
@@ -907,7 +913,7 @@ def assemble_matrix(params: SeriesParams, generator: str,
             for col, folded in enumerate(amps[j]):
                 for t, amp in folded:
                     a[rows[t], col] = amp
-            blocks[(l, lt)] = np.kron(a, shifts[j]) + 0.0
+            blocks[(l, lt)] = _kron(a, shifts[j])
         if l + 2 > lmax:
             for col, m1 in enumerate(m1s[l]):
                 for m2, pairs in enumerate(couplings, start=-l):

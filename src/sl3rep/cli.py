@@ -223,6 +223,8 @@ def _cmd_action(args) -> int:
     from .action import assemble_matrix
     from .series import SeriesParams
 
+    if args.lmax < 0:
+        raise ValueError("--lmax must be nonnegative")
     mat = assemble_matrix(SeriesParams(args.lam, args.delta), args.gen, args.lmax)
     _emit(_csv_text(mat) if args.format == "csv" else mat.json_text(), args.out)
     return 0

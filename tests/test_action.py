@@ -267,14 +267,42 @@ def test_entry_points_reject_a_lam_that_is_no_zero_sum_triple(lam):
 
 def test_float_couplings_are_bitwise_the_floats_of_q():
     # the one coupling table: q itself in the exact modes, its float,
-    # to the bit, in numeric mode
-    for n, l in itertools.product(range(-2, 3), range(13)):
+    # to the bit, in numeric mode; for n < 0, and n = 0 with m2 < 0, both
+    # are read from the mirror (-1)^j q(-n, j, l, -m2)
+    for n, l in itertools.product(range(-2, 3), range(41)):
         for m2 in range(-l, l + 1):
             exact = [(j, q(n, j, l, m2)) for j in range(-2, 3) if q(n, j, l, m2)]
-            assert list(action._couplings(n, l, m2, "exact")) == exact, (n, l, m2)
+            got = action._couplings(n, l, m2, "exact")
+            assert list(got) == exact, (n, l, m2)
+            assert [(j, repr(x)) for j, x in got] == [(j, repr(x)) for j, x in exact]
             want = [(j, float(x).hex()) for j, x in exact]
             got = [(j, x.hex()) for j, x in action._couplings(n, l, m2, "numeric")]
             assert got == want, (n, l, m2)
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_mirrored_couplings_make_no_coupling_call(mode, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(action, "q", counted("q", q))
+    monkeypatch.setattr(action, "q_float", counted("q_float", action.q_float))
+    action._couplings.cache_clear()
+    indices = [(n, l, m2) for n in (-2, -1, 0) for l in range(7)
+               for m2 in range(-l, l + 1) if n or m2 < 0]
+    for n, l, m2 in indices:
+        action._couplings(-n, l, -m2, mode)
+    assert calls
+    calls.clear()
+    for n, l, m2 in indices:
+        got = action._couplings(n, l, m2, mode)
+        assert [j for j, _ in got] == [j for j in range(-2, 3) if q(n, j, l, m2)]
+    assert not calls
 
 
 def complex_parameters():
@@ -1387,6 +1415,58 @@ def test_assemble_matrix_rejects_unknown_generator():
     # odd parity has no label at l = 0: the tag is refused even with no block to build
     with pytest.raises(ValueError, match="unsupported generator"):
         assemble_matrix(SeriesParams((0, 0, 0), (1, 0, 0)), "X1", 0)
+
+
+_ENTRY_PARTS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -2.5e-310, 1e307, -1e307)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sparse_blocks(draw):
+    """A complex block, mostly +0, with signed zeros, subnormals, +-1e307
+    and in some draws a NaN or an infinity between zero runs."""
+    shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    block = np.zeros(shape, dtype=complex)
+    size = block.size
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=size, unique=True)):
+        block.flat[i] = complex(draw(_ENTRY_PARTS), draw(_ENTRY_PARTS))
+    if size > 2 and draw(st.booleans()):
+        bad = draw(st.sampled_from((float("nan"), float("inf"), float("-inf"))))
+        part = draw(_ENTRY_PARTS)
+        block.flat[draw(st.integers(1, size - 2))] = (
+            complex(bad, part) if draw(st.booleans()) else complex(part, bad))
+    return block
+
+
+def _one_row(*entries):
+    return np.array([entries], dtype=complex)
+
+
+@given(sparse_blocks())
+@settings(max_examples=300, deadline=None)
+@example(_one_row(0j))
+@example(_one_row(complex(-0.0, 0.0)))
+@example(_one_row(complex(0.0, 5e-324)))
+@example(_one_row(1e307 + 0j, 0j, 0j, complex(-0.0, -1e307)))
+@example(_one_row(0j, 0j, 0j))
+@example(_one_row(2.5 - 1j, 0j, complex(float("nan"), 0.0), 0j, 0j, 1j))
+def test_entries_text_is_the_json_of_every_entry(block):
+    want = json.dumps([[z.real, z.imag] for z in block.flatten()])[1:-1]
+    assert action._entries_text(block) == want
+
+
+@pytest.mark.parametrize("delta, lmax", [((1, 0, 0), 0), ((0, 1, 1), 3)],
+                         ids=["no-label", "labels-from-l-1"])
+def test_json_text_of_windows_without_l_0(delta, lmax):
+    params = SeriesParams((0.3 + 0.1j, -0.2, -0.1 - 0.1j), delta)
+    for gen in ("Z-2", "Z1", "Y2"):
+        mat = assemble_matrix(params, gen, lmax)
+        if lmax == 0:
+            assert mat.labels == [] and mat.blocks == {}
+        else:
+            assert mat.labels[0].l == 1 and mat.blocks
+        assert mat.json_text() == json.dumps(mat.to_json(), sort_keys=True)
 
 
 def test_json_text_writes_signed_zeros_and_non_finite_entries_as_json_does():

@@ -123,6 +123,11 @@ PINNED_OUTPUTS = [
      "17b95892f7e09bb9a17130498359dba9e44508dfd7ac15b60233a1859c83e30e"),
     ("action --lambda 0.3+0.1i,-0.2 --delta 0,1,0 --gen Y3 --lmax 6 --format json",
      "e7a51e343642cb6cc99d7fe8f687cfe7fc79cb1202a4fcd86f49516b7a170813"),
+    # blocks that span many m1 rows
+    ("action --lambda 0.3+0.1i,-0.2 --delta 1,0,1 --gen Z1 --lmax 12 --format json",
+     "5a1992039076ed4f80d883435664adb7b8ddc0cb8084e17d6d3a5e9c19acdf36"),
+    ("action --lambda 1/3,1/5 --delta 0,0,0 --gen Y2 --lmax 12 --format json",
+     "bea110b6f26e7f9edf3ca74b398cd8281332ac88eed987411672bfe55bb1742d"),
     ("wigner --l 2 --m1 1 --m2 -1 --alpha 0.3 --beta 1.1 --gamma 2.0",
      "a19a057f3d735fe1f5d20f8cc672dd29212307474ff8b09fd576d31e8aa3bc0d"),
 ]
@@ -594,6 +599,17 @@ def test_series_without_labels_exits_2(capsys):
     assert main(["series", "--delta", "0,0,0", "--lmax", "-1"]) == 2
     captured = capsys.readouterr()
     assert "--lmax" in captured.err and not captured.out
+
+
+def test_action_with_a_negative_lmax_names_the_option(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("assemble_matrix called with a negative lmax")
+
+    monkeypatch.setattr(action, "assemble_matrix", refuse)
+    assert main(["action", "--lambda", "0,0", "--delta", "0,0,0", "--gen", "Z1",
+                 "--lmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --lmax must be nonnegative" in captured.err and not captured.out
 
 
 def test_verify_cg_compares_every_sample(monkeypatch, capsys):
