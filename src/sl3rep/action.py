@@ -456,14 +456,11 @@ def _apply_poly_cached(tag: str, idx: WignerIndex) -> KTypeVector:
     return out
 
 
-def decompose_standard_basis(tag: str, idx: WignerIndex,
-                             lam: Sequence | None = None) -> KTypeVector:
-    """Action of X_i / H_i (or any tag) via the exact change of basis:
-    LambdaForms without lam, RadicalScalars at a rational triple, complex at
-    any other (the mode follows lam); a new vector, never the cached one."""
+def decompose_standard_basis(tag: str, idx: WignerIndex, lam: Sequence) -> KTypeVector:
+    """Action of X_i / H_i (or any tag) via the exact change of basis at lam:
+    RadicalScalars at a rational triple, complex at any other (the mode
+    follows lam); a new vector, never the cached one."""
     vec = _apply_poly_cached(tag, WignerIndex(*idx))
-    if lam is None:
-        return KTypeVector(vec.terms)
     mode, lam = _lam_key(lam)
     return vec.map_coeff(lambda c: c.eval_exact(lam) if mode == "exact" else c.eval(lam))
 
@@ -757,9 +754,6 @@ class ActionMatrix:
     labels: list[BasisLabel]
     blocks: dict[tuple[int, int], np.ndarray]
     truncated: list[tuple[BasisLabel, int]] = field(default_factory=list)
-
-    def label_index(self) -> dict[BasisLabel, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
     def _label_spans(self) -> dict[int, slice]:
         """The slice of `labels` that each l occupies."""

@@ -17,7 +17,7 @@ from math import factorial, gcd, prod, sqrt
 
 from .ktvector import KTypeVector
 from .scalars import RadicalScalar, ZERO, _canonical, _square_extract
-from .wigner import WignerIndex, ladder_coeff_sq
+from .wigner import WignerIndex
 
 
 def in_range(k: int, j: int, l: int, m: int) -> bool:
@@ -94,17 +94,3 @@ def cg_product(idx2: WignerIndex, idx: WignerIndex) -> KTypeVector:
         if c:
             out.add_term(WignerIndex(lt, m1 + a, m2 + b), c)
     return out
-
-
-def verify_recurrence_CG4(l: int, m: int, j: int) -> bool:
-    """Exact check of the three-term coupling recurrence at (l, m, j)."""
-    lhs = (RadicalScalar.sqrt_rational(Fraction(2, 3))
-           * Fraction(2 * l * j + j * (j + 1) - 6, 2) * q(0, j, l, m))
-    rhs = (RadicalScalar.sqrt_rational(ladder_coeff_sq(l, m, 1)) * q(-1, j, l, m + 1)
-           + RadicalScalar.sqrt_rational(ladder_coeff_sq(l, m, -1)) * q(1, j, l, m - 1))
-    return lhs == rhs
-
-
-def verify_symmetry(k: int, j: int, l: int, m: int) -> bool:
-    """Exact check of q(k,j,l,m) = (-1)^j q(-k,j,l,-m)."""
-    return q(k, j, l, m) == (-1 if j % 2 else 1) * q(-k, j, l, -m)

@@ -48,13 +48,9 @@ class KTypeVector:
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "KTypeVector":
-        if coeff_is_zero(c):
-            return KTypeVector()
-        if c == 1:
-            return self
         out = KTypeVector()
-        out.terms = {idx: c * v for idx, v in self.terms.items()}
-        out.terms = {i: v for i, v in out.terms.items() if not coeff_is_zero(v)}
+        out.terms = {idx: cv for idx, v in self.terms.items()
+                     if not coeff_is_zero(cv := c * v)}
         return out
 
     def map_coeff(self, fn: Callable) -> "KTypeVector":

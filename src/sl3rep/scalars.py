@@ -219,10 +219,6 @@ class RadicalScalar:
         return {"terms": [[n, f"{c.numerator}/{c.denominator}"]
                           for n, c in sorted(self.terms.items())]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RadicalScalar":
-        return cls({int(n): Fraction(c) for n, c in data["terms"]})
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -290,10 +286,6 @@ class LambdaForm:
         self.c1 = _as_radical(c1)
         self.c2 = _as_radical(c2)
         self.c3 = _as_radical(c3)
-
-    @classmethod
-    def constant(cls, c) -> "LambdaForm":
-        return cls(const=_as_radical(c))
 
     def canonical(self) -> tuple[RadicalScalar, RadicalScalar, RadicalScalar]:
         return (self.const, self.c1 - self.c3, self.c2 - self.c3)

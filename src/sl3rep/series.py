@@ -9,16 +9,15 @@ even.  Wigner functions extend to the group through the Iwasawa
 factorization g = n a k with the character a^(1+l1) b^(l2) c^(-1+l3).
 
 numpy is imported inside the float functions that call it (the Iwasawa
-factorization, GroupElement, parity_check), so the exact engine, which
-reads only the labels and parameters here, never loads it.
+factorization, GroupElement), so the exact engine, which reads only the
+labels and parameters here, never loads it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .scalars import check_lambda
 from .wigner import EulerAngles, WignerIndex, euler_from_matrix, wigner_D
@@ -33,8 +32,8 @@ class SeriesParams:
 
     def __post_init__(self):
         check_lambda(self.lam)
-        if not all(d in (0, 1) for d in self.delta):
-            raise ValueError("parities must be 0 or 1")
+        if len(self.delta) != 3 or not all(d in (0, 1) for d in self.delta):
+            raise ValueError("parities must be three entries, each 0 or 1")
 
     @property
     def exact(self) -> bool:
@@ -164,34 +163,3 @@ def extend_wigner(lam: Sequence[complex], idx: WignerIndex,
                   g: GroupElement) -> complex:
     """Value of the line-bundle extension of D^l_{m1,m2} at g."""
     return character(lam, g.diag) * wigner_D(idx, g.angles)
-
-
-def basis_function(delta: Delta, label: BasisLabel) -> Callable[[EulerAngles], complex]:
-    """The function on K associated with a basis label."""
-    l, m1, m2 = label
-    sign = label_sign(delta, l)
-
-    def f(angles: EulerAngles) -> complex:
-        return (wigner_D(WignerIndex(l, m1, m2), angles)
-                + sign * wigner_D(WignerIndex(l, -m1, m2), angles))
-
-    return f
-
-
-def parity_check(f: Callable[[EulerAngles], complex], delta: Delta,
-                 rng=None, samples: int = 100) -> bool:
-    """Sample the two parity identities a principal-series restriction obeys."""
-    import numpy as np
-    rng = np.random.default_rng(rng)
-    s1 = -1 if (delta[0] + delta[1]) % 2 else 1
-    s2 = -1 if (delta[1] + delta[2]) % 2 else 1
-    for _ in range(samples):
-        a = rng.uniform(0, 2 * math.pi)
-        b = rng.uniform(0, math.pi)
-        g = rng.uniform(0, 2 * math.pi)
-        v = f(EulerAngles(a, b, g))
-        if abs(v - s1 * f(EulerAngles(a + math.pi, b, g))) > 1e-9:
-            return False
-        if abs(v - s2 * f(EulerAngles(math.pi - a, math.pi - b, math.pi + g))) > 1e-9:
-            return False
-    return True

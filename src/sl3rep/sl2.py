@@ -66,10 +66,6 @@ def weight(params: SL2Params, v: KTypeVector) -> KTypeVector:
     return out
 
 
-def basis_vector(l: int) -> KTypeVector:
-    return KTypeVector({l: 1})
-
-
 def sl2_standard_basis_action(params: SL2Params, generator: str,
                               v: KTypeVector) -> KTypeVector:
     """Action of E, H, F (upper, diagonal, lower nilpotent) on weight vectors:
@@ -92,11 +88,6 @@ class SL2Report:
     k: int | None = None
     sub_weights: str = ""
     quotient: str = ""
-
-    @property
-    def finite_weights(self) -> list[int]:
-        """The k - 1 weights 2-k, 4-k, ..., k-2 of the finite block, when read."""
-        return [] if self.k is None else list(range(2 - self.k, self.k - 1, 2))
 
     def lines(self) -> list[str]:
         out = [f"nu = {self.params.nu}, eps = {self.params.eps}"]

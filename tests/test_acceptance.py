@@ -12,18 +12,18 @@ import pytest
 
 from sl3rep.action import (STANDARD_BASIS, act_U, act_W, act_Z,
                            bracket_check, project_P, pwqu_exceptional)
-from sl3rep.clebsch import (cg_product, q, verify_recurrence_CG4,
-                            verify_symmetry)
+from sl3rep.clebsch import cg_product, q
 from sl3rep.ktvector import KTypeVector
 from sl3rep.oracle import (coordinate_diffops_check, orthogonality_report,
                            sl2_ladder_check, sl2_maass_check,
                            verify_theorem_main)
-from sl3rep.sl2 import SL2Params, basis_vector, lower, raise_, \
-    sl2_composition_report
+from sl3rep.sl2 import SL2Params, lower, raise_, sl2_composition_report
 from sl3rep.series import SeriesParams, basis, multiplicity
 from sl3rep.structure import (degenerate_series_report, even_k_report,
                               k3_chain_report, k23_subspace_report)
 from sl3rep.wigner import EulerAngles, WignerIndex, wigner_D
+
+from cg_identities import recurrence_holds, symmetry_holds
 
 
 def report(name: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -53,10 +53,10 @@ def test_coupling_recurrence_and_symmetry_exact():
     for l in range(1, 9):
         for j in range(-2, 3):
             for m in range(-l, l + 1):
-                ok = ok and verify_recurrence_CG4(l, m, j)
+                ok = ok and recurrence_holds(l, m, j)
                 checked += 1
                 for k in range(-2, 3):
-                    ok = ok and verify_symmetry(k, j, l, m)
+                    ok = ok and symmetry_holds(k, j, l, m)
                     checked += 1
     report("coupling recurrence + symmetry (exact, l <= 8)", ok,
            f"{checked} identities verified in exact arithmetic",
@@ -146,14 +146,14 @@ def test_rank_one_ladder_and_composition_series():
         rp, rn = sl2_composition_report(pos), sl2_composition_report(neg)
         structural_ok = structural_ok and rp.kind == "discrete-sub" \
             and rp.k == k and rn.kind == "finite-sub" and rn.k == k \
-            and rp.finite_weights == rn.finite_weights \
-            == list(range(2 - k, k - 1, 2))
+            and rn.sub_weights == "{" + ", ".join(
+                map(str, range(2 - k, k - 1, 2))) + "}"
         # exact vanishing at the walls
         structural_ok = structural_ok \
-            and not lower(pos, basis_vector(k)) \
-            and not raise_(pos, basis_vector(-k)) \
-            and not raise_(neg, basis_vector(k - 2)) \
-            and not lower(neg, basis_vector(2 - k))
+            and not lower(pos, KTypeVector({k: 1})) \
+            and not raise_(pos, KTypeVector({-k: 1})) \
+            and not raise_(neg, KTypeVector({k - 2: 1})) \
+            and not lower(neg, KTypeVector({2 - k: 1}))
     report("rank-one ladder (tol 1e-8) + composition series k = 2..6 (exact)",
            max_dev < 1e-8 and structural_ok,
            f"ladder max deviation {max_dev:.3e}, weight sets exact",

@@ -396,6 +396,66 @@ def test_z_entry_points_reject_n_outside_the_five(n, lam):
         act_Z_on_basis(n, BasisLabel(3, 2, 0), SeriesParams(lam, (0, 0, 0)))
 
 
+def duality_failures(lam, lmax, act=act_Z):
+    """(failures, relations read) of the pairing of pi_lam with pi_-lam,
+    the integral over K of f g: for Z_n, every index x = (l, m1, m2) and
+    every target y = (l', m1', m2') of act(n, x, lam), both with l <= lmax,
+
+        coef_lam(x -> y) (-1)^(m1'-m2') / (2l'+1)
+            = -coef_-lam(ybar -> xbar) (-1)^(m1-m2) / (2l+1),
+
+    with xbar = (l, -m1, -m2); each failure is (n, x, y)."""
+    neg = tuple(-x for x in lam)
+    failures, read = [], 0
+    for n in range(-2, 3):
+        for l in range(lmax + 1):
+            for m1, m2 in itertools.product(range(-l, l + 1), repeat=2):
+                x, xbar = WignerIndex(l, m1, m2), WignerIndex(l, -m1, -m2)
+                for y, c in act(n, x, lam).items():
+                    if y.l > lmax:
+                        continue
+                    ybar = WignerIndex(y.l, -y.m1, -y.m2)
+                    lhs = c * Fraction(1 - 2 * ((y.m1 - y.m2) % 2), 2 * y.l + 1)
+                    rhs = -act(n, ybar, neg).get(xbar, ZERO) * Fraction(
+                        1 - 2 * ((m1 - m2) % 2), 2 * l + 1)
+                    read += 1
+                    if lhs != rhs:
+                        failures.append((n, x, y))
+    return failures, read
+
+
+DUALITY_LAMS = [(Fraction(7, 5), Fraction(-2, 3), Fraction(-11, 15)),
+                (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6))]
+
+
+# each relation is affine in (lam1, lam2), and these three lam are affinely
+# independent; at lam and at -lam every relation with a nonzero side is
+# read, so this proves the identity for every lam on l <= 4
+@pytest.mark.parametrize("lam", [*DUALITY_LAMS, (0, 0, 0),
+                                 *(tuple(-x for x in lam) for lam in DUALITY_LAMS)])
+def test_pi_lambda_is_dual_to_pi_minus_lambda(lam):
+    failures, read = duality_failures(lam, 4)
+    assert read == (4382 if any(lam) else 3170)
+    assert not failures, failures[:5]
+
+
+def rescaled_act_Z(c):
+    """act_Z in the basis c(x) D_x: a conjugation by an operator that
+    commutes with K, so no bracket changes."""
+    def act(n, x, lam):
+        return KTypeVector({y: v * Fraction(c(x), c(y)) for y, v in act_Z(n, x, lam).items()})
+    return act
+
+
+@pytest.mark.parametrize("c, broken", [(lambda x: x.l + 1, 2826),
+                                       (lambda x: x.l + abs(x.m1) + 2, 3486)],
+                         ids=["per-K-type", "per-l-m1"])
+def test_duality_pins_the_normalization(c, broken):
+    # a rescaling the bracket verifier cannot see breaks the pairing
+    failures, read = duality_failures(DUALITY_LAMS[0], 4, rescaled_act_Z(c))
+    assert (len(failures), read) == (broken, 4382)
+
+
 # ---------------------------------------------------------------------------
 # folded basis action
 
@@ -502,7 +562,7 @@ def test_exact_y_matches_float_y(i, lmm):
     floats = right_derivative_Y(i, idx)
     assert set(exact) == set(floats)
     for target, form in exact.items():
-        assert form == LambdaForm.constant(form.const)
+        assert form == LambdaForm(const=form.const)
         got, want = complex(form.const), floats[target]
         for a, b in ((got.real, want.real), (got.imag, want.imag)):
             assert abs(a - b) <= 4 * math.ulp(b), (target, got, want)
@@ -817,8 +877,8 @@ def test_symbolic_action_is_the_unfactorized_reference_at_the_unit_forms():
                     want = reference_act_Z(Z_TAGS[tag], idx)
                 else:
                     want = KTypeVector({
-                        WignerIndex(l, m1, t): LambdaForm.constant(
-                            RadicalScalar({1: unit.real, -1: unit.imag})
+                        WignerIndex(l, m1, t): LambdaForm(
+                            const=RadicalScalar({1: unit.real, -1: unit.imag})
                             * RadicalScalar.sqrt_rational(square))
                         for t, unit, square in y_steps(Y_TAGS[tag], l, m2)})
                 assert action._apply_poly_cached(tag, idx).terms == want.terms, (tag, idx)
@@ -1214,14 +1274,18 @@ def test_decompose_standard_basis_rejects_bad_lambda(lam):
 
 @pytest.mark.parametrize("tag", ["Z1", "X1"])
 def test_decompose_standard_basis_returns_a_new_vector(tag, fresh_bracket_caches):
-    # a term added to the symbolic result reaches neither a later call nor
-    # compose_poly, which read the same cache
+    # a term added to either result, at lam or symbolic, reaches no later
+    # call of either: both read the one cached symbolic action
     idx = WignerIndex(2, 1, 0)
-    first = decompose_standard_basis(tag, idx)
+    lam = (Fraction(1, 3), Fraction(-1, 2), Fraction(1, 6))
+    first = decompose_standard_basis(tag, idx, lam)
     want = dict(first.terms)
-    first.add_term(WignerIndex(7, 0, 0), LambdaForm.constant(ONE))
-    assert decompose_standard_basis(tag, idx).terms == want
-    assert compose_poly(tag, KTypeVector({idx: ONE})).terms == want
+    first.add_term(WignerIndex(7, 0, 0), ONE)
+    forms = compose_poly(tag, KTypeVector({idx: ONE}))
+    want_forms = dict(forms.terms)
+    forms.add_term(WignerIndex(7, 0, 0), LambdaForm(const=ONE))
+    assert decompose_standard_basis(tag, idx, lam).terms == want
+    assert compose_poly(tag, KTypeVector({idx: ONE})).terms == want_forms
 
 
 def test_decompose_standard_basis_numeric():
@@ -1269,7 +1333,7 @@ def test_decompose_standard_basis_is_exact_at_a_rational_lambda(lam):
 def test_assemble_matrix_consistency():
     params = SeriesParams((0.5j, -0.5j, 0), (0, 0, 0))
     mat = assemble_matrix(params, "Z1", 4)
-    pos = mat.label_index()
+    pos = {lab: i for i, lab in enumerate(mat.labels)}
     dense = mat.dense()
     lab = BasisLabel(2, 2, 0)
     vec = act_Z_on_basis(1, lab, params)
@@ -1287,7 +1351,7 @@ def test_assemble_matrix_y1_diagonal():
     mat = assemble_matrix(params, "Y1", 3)
     dense = mat.dense()
     assert np.abs(dense - np.diag(np.diag(dense))).max() == 0
-    for lab, i in mat.label_index().items():
+    for i, lab in enumerate(mat.labels):
         assert dense[i, i] == 1j * lab.m2
 
 

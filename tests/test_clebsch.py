@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3rep.clebsch import (cg_product, in_range, q, q_core, q_float,
-                            verify_recurrence_CG4, verify_symmetry)
+from sl3rep.clebsch import cg_product, in_range, q, q_core, q_float
 from sl3rep.scalars import RadicalScalar
 from sl3rep.wigner import EulerAngles, WignerIndex, wigner_D
+
+from cg_identities import recurrence_holds, symmetry_holds
 
 
 def reference_q(k, j, l, m):
@@ -130,12 +131,12 @@ def test_recurrence_exact():
     for l in range(1, 9):
         for j in range(-2, 3):
             for m in range(-l, l + 1):
-                assert verify_recurrence_CG4(l, m, j)
+                assert recurrence_holds(l, m, j)
 
 
 def test_symmetry_exact():
     for k, j, l, m in all_indices(6):
-        assert verify_symmetry(k, j, l, m)
+        assert symmetry_holds(k, j, l, m)
 
 
 def test_cg_product_pointwise():
@@ -201,7 +202,7 @@ def test_identities_hold_at_large_l(l):
     # was built from factorials
     for j in range(-2, 3):
         for m in (-l, -l + 3, -1, 0, 7, l - 2, l):
-            assert verify_recurrence_CG4(l, m, j), (l, m, j)
+            assert recurrence_holds(l, m, j), (l, m, j)
     for k, j in itertools.product(range(-2, 3), range(-2, 3)):
         for m in (-l + 2, 0, 5, l - 3):
-            assert verify_symmetry(k, j, l, m), (k, j, l, m)
+            assert symmetry_holds(k, j, l, m), (k, j, l, m)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from sl3rep.action import act_Z
 from sl3rep.scalars import LambdaForm, check_lambda
 from sl3rep.series import (BasisLabel, GroupElement, SeriesParams, basis,
-                           basis_function, character, extend_wigner, iwasawa,
-                           label_sign, label_valid, multiplicity, parity_check)
-from sl3rep.wigner import EulerAngles, WignerIndex
+                           character, extend_wigner, iwasawa, label_sign,
+                           label_valid, multiplicity)
+from sl3rep.wigner import EulerAngles, WignerIndex, wigner_D
 
 DELTAS = [(d1, d2, d3) for d1 in (0, 1) for d2 in (0, 1) for d3 in (0, 1)]
 
@@ -26,6 +26,11 @@ def test_params_validation():
         SeriesParams((0.1, 0.2, -0.25), (0, 0, 0))
     with pytest.raises(ValueError):
         SeriesParams((0, 0, 0), (0, 2, 0))
+    # a parity tuple of the wrong length: label_sign read past its end, or
+    # a fourth entry was ignored
+    for delta in [(0, 1), (1, 0, 1, 1)]:
+        with pytest.raises(ValueError, match="three entries"):
+            SeriesParams((0, 0, 0), delta)
     with pytest.raises(ValueError):  # a NaN sum passes no zero-sum check
         SeriesParams((math.nan, 0.0, 0.0), (0, 0, 0))
     assert SeriesParams((1, 2, -3), (0, 0, 0)).exact
@@ -146,6 +151,31 @@ def test_extension_is_left_n_a_equivariant():
     lhs = extend_wigner(lam, idx, GroupElement(n @ a @ g.g))
     rhs = character(lam, np.diag(a)) * extend_wigner(lam, idx, g)
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def basis_function(delta, label):
+    """The function on K of a basis label: v_{l,m1,m2} restricted to K."""
+    l, m1, m2 = label
+    sign = label_sign(delta, l)
+    return lambda angles: (wigner_D(WignerIndex(l, m1, m2), angles)
+                           + sign * wigner_D(WignerIndex(l, -m1, m2), angles))
+
+
+def parity_check(f, delta, rng, samples):
+    """Sample the two parity identities a principal-series restriction obeys."""
+    rng = np.random.default_rng(rng)
+    s1 = -1 if (delta[0] + delta[1]) % 2 else 1
+    s2 = -1 if (delta[1] + delta[2]) % 2 else 1
+    for _ in range(samples):
+        a = rng.uniform(0, 2 * math.pi)
+        b = rng.uniform(0, math.pi)
+        g = rng.uniform(0, 2 * math.pi)
+        v = f(EulerAngles(a, b, g))
+        if abs(v - s1 * f(EulerAngles(a + math.pi, b, g))) > 1e-9:
+            return False
+        if abs(v - s2 * f(EulerAngles(math.pi - a, math.pi - b, math.pi + g))) > 1e-9:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("delta", [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)])

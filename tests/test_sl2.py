@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from sl3rep.ktvector import KTypeVector
-from sl3rep.sl2 import (SL2Params, basis_vector, lower, raise_,
-                        sl2_composition_report, sl2_standard_basis_action,
-                        weight)
+from sl3rep.sl2 import (SL2Params, lower, raise_, sl2_composition_report,
+                        sl2_standard_basis_action, weight)
 
 
 def test_ladder_coefficients():
     p = SL2Params(Fraction(1, 3), eps=0)
-    v = basis_vector(4)
+    v = KTypeVector({4: 1})
     assert raise_(p, v).get(6) == 2 * Fraction(1, 3) + 1 + 4
     assert lower(p, v).get(2) == 2 * Fraction(1, 3) + 1 - 4
     assert weight(p, v).get(4) == 4j
@@ -21,8 +20,8 @@ def test_ladder_coefficients():
 def test_parity_enforced():
     p = SL2Params(0, eps=1)
     with pytest.raises(ValueError):
-        raise_(p, basis_vector(2))
-    raise_(p, basis_vector(3))  # allowed
+        raise_(p, KTypeVector({2: 1}))
+    raise_(p, KTypeVector({3: 1}))  # allowed
 
 
 def _small(v, tol=1e-12):
@@ -120,9 +119,10 @@ def test_discrete_sub_cases(k):
     rep = sl2_composition_report(p)
     assert not rep.irreducible
     assert rep.kind == "discrete-sub" and rep.k == k
-    assert rep.finite_weights == list(range(2 - k, k - 1, 2))
-    assert lower(p, basis_vector(k)).get(k - 2, 0) == 0
-    assert raise_(p, basis_vector(-k)).get(-k + 2, 0) == 0
+    # the quotient is the finite block of the k - 1 weights 2 - k, ..., k - 2
+    assert rep.quotient == f"({k - 1})-dimensional"
+    assert lower(p, KTypeVector({k: 1})).get(k - 2, 0) == 0
+    assert raise_(p, KTypeVector({-k: 1})).get(-k + 2, 0) == 0
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -132,8 +132,8 @@ def test_finite_sub_cases(k):
     assert not rep.irreducible
     assert rep.kind == "finite-sub" and rep.k == k
     # the finite block is outward-closed: raising its top weight gives zero
-    assert raise_(p, basis_vector(k - 2)).get(k, 0) == 0
-    assert lower(p, basis_vector(2 - k)).get(-k, 0) == 0
+    assert raise_(p, KTypeVector({k - 2: 1})).get(k, 0) == 0
+    assert lower(p, KTypeVector({2 - k: 1})).get(-k, 0) == 0
 
 
 def test_irreducible_cases():
