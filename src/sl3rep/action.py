@@ -12,24 +12,24 @@ q(n,j,l,m2), so it is evaluated in the factorized form
     pi(Z_n) D^l_{m1,m2} = sum_j q(n,j,l,m2) U_j D^l_{m1,m2},
 
 whose U_j amplitudes c_k q(k,j,l,m1) Lam^(k)_j(lam,l,m1) depend on
-(j, l, m1, lam) only.  Two bounded LRU caches of immutable tuples hold
-them: the U_j amplitudes of D^l_{m1,.}, and their fold into the
-symmetrized basis (the +-m1 components summed with their fold signs and
-re-folded to m1' >= 0), which is checked once per entry.  act_Z, act_U,
-act_Z_on_basis and assemble_matrix read every Lambda factor from these
-caches; assemble_matrix builds each block (l, l+j) of pi(Z_n) as the
-Kronecker product of the folded amplitudes in m1 and the couplings
-q(n,j,l,m2) in m2.  Both caches are keyed on the coefficient mode as well
-as on lam, because 11, Fraction(11) and 11+0j hash and compare alike but
-give exact and complex coefficients.
+(j, l, m1, lam) only.  Each is one integer term, affine in lam (`_u_term`),
+and their fold into the symmetrized basis (the +-m1 components summed with
+their fold signs and re-folded to m1' >= 0) is one lam-free integer fold
+per (delta, j, l, m1) (`_integer_fold`), checked once as an identity in
+lam; an exact folded amplitude is that fold evaluated at a rational lam.
+Bounded LRU caches of immutable tuples hold the folds and, per mode and
+lam, the U_j amplitudes and folded amplitudes that act_Z, act_U,
+act_Z_on_basis and assemble_matrix read; assemble_matrix builds each block
+(l, l+j) of pi(Z_n) as the Kronecker product of the folded amplitudes in
+m1 and the couplings q(n,j,l,m2) in m2.  The mode is part of the key, as
+11, Fraction(11) and 11+0j hash alike but give exact and complex values.
 
 Every entry point takes a lam, checked once per call (`_lam_key`), and the
-coefficient mode follows its type: `lambda_factor`, the one formula for
-Lambda, is evaluated at lam itself, times c_k q(k,j,l,m1) from one integer
-core (`_ckq_core`).  The coefficients are exact RadicalScalars at a
-rational triple, for invariant-subspace certificates, and complex at any
-other triple, c_k q and q(n,j,l,m2) read as floats, for matrix export and
-oracle comparison.
+coefficient mode follows its type: exact RadicalScalars at a rational
+triple, for invariant-subspace certificates, and complex at any other
+triple, c_k q and q(n,j,l,m2) read as floats and `lambda_factor` evaluated
+at lam itself, for matrix export and oracle comparison.  `_lambda_coeffs`
+writes the same Lambda factors as integer coefficients in lam1 and lam2.
 
 The factor i of the complexified generators is the RadicalScalar I, so
 every generator, its 3x3 matrix and its exact action live in the one scalar
@@ -176,6 +176,21 @@ def lambda_factor(k: int, j: int, l: int, m1: int, lam: Sequence):
     raise ValueError("k must be -2, 0, or 2")
 
 
+def _lambda_coeffs(k: int, j: int, l: int, m1: int) -> tuple[int, int, int]:
+    """(a0, a1, a2) with lambda_factor(k, j, l, m1, lam) = a0 + a1 lam1 + a2 lam2
+    on zero-sum triples (lam3 = -lam1 - lam2), k in (-2, 0, 2): its closed
+    forms in integers."""
+    if k == 0:
+        return j * l + j * (j + 1) // 2, 3, 3
+    return 1 - m1 if k < 0 else 1 + m1, 1, -1
+
+
+def _lam_ints(lam: Sequence) -> tuple[int, int, int]:
+    """(n1, n2, d) with a rational zero-sum lam = (n1, n2, -n1 - n2) / d, d > 0."""
+    d = lcm(lam[0].denominator, lam[1].denominator)
+    return int(lam[0] * d), int(lam[1] * d), d
+
+
 # Callers walk the labels K-type by K-type, so the working set of either
 # amplitude cache is a few (l, m1) rows; eviction only costs a recomputation.
 _AMPLITUDE_CACHE_SIZE = 1 << 14
@@ -279,15 +294,67 @@ def label_components(delta, l: int, m1: int) -> tuple:
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
-def _folded_amplitudes(delta, j: int, l: int, m1: int, mode: str, lam) -> tuple:
-    """U_j v_{l,m1,.} re-folded into the labels v_{l+j,m1',.}, m1' >= 0.
+def _integer_fold(delta, j: int, l: int, m1: int) -> tuple:
+    """U_j v_{l,m1,.} re-folded into the labels v_{l+j,t,.}, t >= 0, at every
+    lam: ((t, ((rad, p0, p1, p2, den), ...)), ...), the amplitude of t the
+    sum of (p0 + p1 lam1 + p2 lam2) / den * sqrt(rad) over its terms.
 
-    Returns ((m1', amplitude), ...) in the order the targets first appear
-    among the Wigner components, which fixes the order of reported
-    leakage.  Raises VerificationError if the
-    D_{-m1'} part does not match the fold sign of V_{l+j}, or if a target
-    is not a valid label; neither happens for a correct expansion.
+    The `_u_term`s of the +-m1 components times their fold weights, summed
+    over one lcm denominator; zero forms are left out, and the targets come
+    in the order they first appear, which fixes the order of reported
+    leakage.  VerificationError unless each D_{-t} part is the fold sign of
+    V_{l+j} times the D_t part, coefficient by coefficient (an identity in
+    lam), and each target is a valid label, as for a correct expansion.
     """
+    parts = [(src + k, w, term) for src, w in label_components(delta, l, m1)
+             for k in (-2, 0, 2) if (term := _u_term(k, j, l, src))]
+    den = lcm(*[term[5] for _, _, term in parts])
+    raw: dict[tuple[int, int], tuple] = {}
+    for target, w, (rad, _, p0, p1, p2, d) in parts:
+        f = w * (den // d)
+        a0, a1, a2 = raw.get((target, rad), (0, 0, 0))
+        raw[target, rad] = a0 + f * p0, a1 + f * p1, a2 + f * p2
+    sign = label_sign(delta, l + j)
+    found = {abs(t): [] for t, _ in raw}
+    for (t, rad), (a0, a1, a2) in raw.items():
+        if t and raw.get((-t, rad), (0, 0, 0)) != (sign * a0, sign * a1, sign * a2):
+            raise _fold_error(j, l, m1, abs(t))
+        if t >= 0 and (a0 or a1 or a2):
+            _check_target(delta, j, l, m1, t)
+            found[t].append((rad, a0, a1, a2, 2 * den if t == 0 else den))
+    return tuple((t, tuple(terms)) for t, terms in found.items() if terms)
+
+
+def _fold_value(terms: tuple, n1: int, n2: int, d: int) -> RadicalScalar:
+    """An `_integer_fold` amplitude at lam = (n1, n2, -n1 - n2) / d."""
+    return _canonical({rad: Fraction(v, den * d) for rad, p0, p1, p2, den in terms
+                       if (v := p0 * d + p1 * n1 + p2 * n2)})
+
+
+def _fold_error(j: int, l: int, m1: int, t: int) -> VerificationError:
+    """The D_{-t} part of U_j v_{l,m1,.} is not the fold sign times the D_t part."""
+    return VerificationError(f"fold inconsistency at D^{l + j}_{-t} acting "
+                             f"with U_{j} on v_({l},{m1},.)")
+
+
+def _check_target(delta, j: int, l: int, m1: int, t: int) -> None:
+    """VerificationError unless U_j v_{l,m1,.} may reach v_{l+j,t,.}."""
+    if not label_valid(delta, BasisLabel(l + j, t, 0)):
+        raise VerificationError(f"U_{j} on v_({l},{m1},.) reaches the invalid "
+                                f"label v_({l + j},{t},.) for parity {delta}")
+
+
+@lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
+def _folded_amplitudes(delta, j: int, l: int, m1: int, mode: str, lam) -> tuple:
+    """U_j v_{l,m1,.} re-folded into the labels v_{l+j,m1',.}, m1' >= 0, at
+    lam, as ((m1', amplitude), ...) with zero amplitudes left out: exact, the
+    `_integer_fold` evaluated at lam; numeric, the complex U_j amplitudes
+    summed and checked as `_integer_fold` sums and checks its forms, the
+    D_{-m1'} parts within rounding."""
+    if mode == "exact":
+        n1, n2, d = _lam_ints(lam)
+        return tuple((t, amp) for t, terms in _integer_fold(delta, j, l, m1)
+                     if (amp := _fold_value(terms, n1, n2, d)))
     raw = KTypeVector()
     order = []
     for src, w in label_components(delta, l, m1):
@@ -295,34 +362,17 @@ def _folded_amplitudes(delta, j: int, l: int, m1: int, mode: str, lam) -> tuple:
             raw.add_term(src + k, amp if w == 1 else amp * w)
             if abs(src + k) not in order:
                 order.append(abs(src + k))
-    lt = l + j
-    sign = label_sign(delta, lt)
+    sign = label_sign(delta, l + j)
     out = []
     for t in order:
-        c_pos = raw.get(t)
-        if t and not _coeffs_match(raw.get(-t), c_pos, sign):
-            raise VerificationError(
-                f"fold inconsistency at D^{lt}_{-t} acting with U_{j} "
-                f"on v_({l},{m1},.)")
-        if c_pos is None:
-            continue
-        if not label_valid(delta, BasisLabel(lt, t, 0)):
-            raise VerificationError(
-                f"U_{j} on v_({l},{m1},.) reaches the invalid label "
-                f"v_({lt},{t},.) for parity {delta}")
-        if t == 0:
-            c_pos = c_pos * _HALF
-        out.append((t, c_pos))
+        c_pos, c_neg = raw.get(t), raw.get(-t)
+        if t and not (c_neg is None if c_pos is None else c_neg is not None and
+                      abs(c_neg - sign * c_pos) <= 1e-9 * max(1.0, abs(c_pos))):
+            raise _fold_error(j, l, m1, t)
+        if c_pos is not None:
+            _check_target(delta, j, l, m1, t)
+            out.append((t, c_pos * _HALF if t == 0 else c_pos))
     return tuple(out)
-
-
-def _coeffs_match(c_neg, c_pos, sign: int) -> bool:
-    """c_neg == sign * c_pos, where None stands for a zero coefficient."""
-    if c_pos is None or c_neg is None:
-        return c_pos is c_neg
-    if isinstance(c_pos, complex):
-        return abs(c_neg - sign * c_pos) <= 1e-9 * max(1.0, abs(c_pos))
-    return (c_neg - c_pos * sign).is_zero()
 
 
 def act_Z_on_basis(n: int, label: BasisLabel, params: SeriesParams) -> KTypeVector:
@@ -491,21 +541,23 @@ def _int_terms(c: RadicalScalar) -> tuple:
                         for rad, x in c.terms.items()))
 
 
+def _u_term(k: int, j: int, l: int, m1: int) -> tuple | None:
+    """c_k q(k,j,l,m1) Lam^(k)_j(lam,l,m1) as the integer term (rad, 0, p0, p1,
+    p2, den) in lowest terms: c_k q from `_ckq_core` times Lam's coefficients;
+    None where q vanishes (Lam's lam1 and lam2 coefficients never do)."""
+    num, rad, den = _ckq_core(k, j, l, m1)
+    if not num:
+        return None
+    a0, a1, a2 = _lambda_coeffs(k, j, l, m1)
+    p0, p1, p2 = num * a0, num * a1, num * a2
+    g = gcd(p0, p1, p2, den)
+    return rad, 0, p0 // g, p1 // g, p2 // g, den // g
+
+
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _u_terms(j: int, l: int, m1: int) -> tuple:
-    """The U_j amplitudes of D^l_{m1,.} as ((k, terms), ...), each the one
-    term of c_k q (`_ckq_core`) times the integer coefficients of Lam."""
-    out = []
-    for k in (-2, 0, 2):
-        num, rad, den = _ckq_core(k, j, l, m1)
-        # Lam at these triples gives its integer coefficients, lam3 eliminated
-        a0, a1, a2 = (num * lambda_factor(k, j, l, m1, lam)
-                      for lam in ((0, 0, 0), (1, 0, -1), (0, 1, -1)))
-        p = (a0, a1 - a0, a2 - a0)
-        if any(p):
-            g = gcd(*p, den)
-            out.append((k, ((rad, 0, *(x // g for x in p), den // g),)))
-    return tuple(out)
+    """The U_j amplitudes of D^l_{m1,.} as ((k, (`_u_term`,)), ...)."""
+    return tuple((k, (term,)) for k in (-2, 0, 2) if (term := _u_term(k, j, l, m1)))
 
 
 def _scaled_terms(terms: tuple, r: RadicalScalar) -> tuple:

@@ -6,7 +6,11 @@ m2 alone.  Invariance is decided in exact arithmetic on the skeleton: by
 pi(Z_n) v_{l,m1,m2} = sum_j q(n,j,l,m2) U_j v_{l,m1,.}, the coefficient
 of v_{l+j,t,m2+n} is q(n,j,l,m2) times a folded amplitude A(j, l, m1 -> t)
 free of n and m2, and the skeleton is the directed graph on (l, m1) rows
-with an edge (l, m1) -> (l+j, t) wherever A != 0.  Leakage is the edges
+with an edge (l, m1) -> (l+j, t) wherever A != 0.  A is the lam-free
+integer fold of `action` at lam = (n1, n2, -n1 - n2) / d, so an edge is
+decided in integers: A = 0 iff p0 d + p1 n1 + p2 n2 = 0 for every term
+(rad, p0, p1, p2, den) of the fold, the radicals being linearly independent;
+a RadicalScalar is built only for a leaking amplitude.  Leakage is the edges
 into rows outside the span, under a nonzero q; connectivity is
 reachability along the edges; and each boundary transition that is no
 edge gets a certificate naming the exact factor that vanishes: a Lambda
@@ -26,7 +30,8 @@ from itertools import accumulate, product
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .action import _folded_amplitudes, act_U, label_components, lambda_factor
+from .action import (_fold_value, _folded_amplitudes, _integer_fold, _lam_ints,
+                     _lambda_coeffs, act_U, label_components)
 from .clebsch import q, q_core, q_float
 from .errors import VerificationError
 from .scalars import RadicalScalar, _canonical, check_lambda
@@ -80,14 +85,17 @@ def _boundary_reason(params: SeriesParams, l: int, m1: int, j: int,
     amplitude, the sum over components src in {m1, -m1} and k = target_m1
     - src of weight * c_k * q(k, j, l, src) * Lam^(k)(lam, l, src), is zero.
     If a term has both factors nonzero, the terms cancel between the folded
-    components; otherwise a Lambda factor or a q vanishes.
+    components; otherwise a Lambda factor or a q vanishes.  Each factor is
+    read as an integer: q's core numerator and Lambda's numerator over d.
     """
+    n1, n2, d = _lam_ints(params.lam)
     contributions = []
     for src, _w in label_components(params.delta, l, m1):
         k = target_m1 - src
         if k in (-2, 0, 2) and target_m1 <= l + j:
-            contributions.append((src, k, q(k, j, l, src),
-                                  lambda_factor(k, j, l, src, params.lam)))
+            a0, a1, a2 = _lambda_coeffs(k, j, l, src)
+            contributions.append((src, k, q_core(k, j, l, src)[0],
+                                  a0 * d + a1 * n1 + a2 * n2))
     if not contributions:
         return {"reason": "out-of-range", "detail": "no coupling path"}
     nonzero = [(src, k) for src, k, qk, lv in contributions if qk and lv]
@@ -116,14 +124,16 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
 
     The Y generators keep every row, so the Z generators decide.  Interior
     rows (l <= lmax - 2) are checked so no conclusion rests on window
-    truncation; one pass over them reads each row's exact folded U_j
-    amplitudes once per j: its skeleton edges.  An edge into a row outside
-    the span under a nonzero q(n,j,l,m2) is leakage, listed label by label
-    with coefficient q * amplitude; only the labels of a row with such an
-    edge are expanded.  A boundary transition is certified as "leakage" if
-    it is an edge and by `_boundary_reason` otherwise; connectivity is read
-    from the same edges.  The float recheck of an invariant span samples 60
-    labels over the whole interior, with couplings where a fold leaves it.
+    truncation; one pass over them reads each row's integer folds once per
+    j and keeps the targets nonzero at lam: its skeleton edges.  An edge into
+    a row outside the span under a nonzero q(n,j,l,m2) is leakage, listed
+    label by label with coefficient q * amplitude (Z_-n's q read from its
+    mirror); only the labels of a row with such an edge are expanded, and
+    its amplitude is built once.  A boundary transition is certified as
+    "leakage" if it is an edge and by `_boundary_reason` otherwise;
+    connectivity is read from the same edges.  The float recheck of an
+    invariant span samples 60 labels over the whole interior, with
+    couplings where a fold leaves it.
     """
     if lmax < 2:
         raise ValueError("lmax must be at least 2")
@@ -135,17 +145,23 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
     span = spec.rows(lmax)
     interior = [row for row in span if row.l <= lmax - 2]  # rows() walks l upward
     result.checked_labels = sum(2 * l + 1 for l, _ in interior)
-    delta, lam = tuple(params.delta), tuple(params.lam)
+    delta = tuple(params.delta)
+    n1, n2, d = _lam_ints(params.lam)
     edges: dict[Row, set[Row]] = {}
     for row in interior:
         l, m1 = row
-        folds = {j: dict(_folded_amplitudes(delta, j, l, m1, "exact", lam))
+        folds = {j: {t: terms for t, terms in _integer_fold(delta, j, l, m1)
+                     if any(p0 * d + p1 * n1 + p2 * n2 for _, p0, p1, p2, _ in terms)}
                  for j in range(-2, 3) if l + j >= 0}
         edges[row] = {Row(l + j, t) for j, fold in folds.items() for t in fold}
-        out = [(j, t, amp) for j, fold in folds.items() for t, amp in fold.items()
-               if not spec.predicate(Row(l + j, t))]
+        out = [(j, t, _fold_value(terms, n1, n2, d)) for j, fold in folds.items()
+               for t, terms in fold.items() if not spec.predicate(Row(l + j, t))]
         for m2, n, (j, t, amp) in product(range(-l, l + 1), range(-2, 3), out):
-            num, rad, den = q_core(n, j, l, m2)
+            # Z_-n reads q(n,j,l,m2) = (-1)^j q(-n,j,l,-m2), as `_couplings` does
+            flip = n < 0 or (n == 0 and m2 < 0)
+            num, rad, den = q_core(-n, j, l, -m2) if flip else q_core(n, j, l, m2)
+            if flip and j % 2:
+                num = -num
             if num:
                 result.invariant = False
                 result.leakage.append({

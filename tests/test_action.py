@@ -3,6 +3,7 @@ bracket fidelity, ladder compositions, and matrix assembly."""
 
 import collections
 import contextlib
+import hashlib
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sl3rep import VerificationError, action
@@ -505,14 +506,162 @@ def test_fold_inconsistency_is_a_verification_error(monkeypatch):
         return ((0, 2),) if m1 == 0 else ((m1, 1), (-m1, -action.label_sign(delta, l)))
 
     monkeypatch.setattr(action, "label_components", wrong_sign)
-    action._folded_amplitudes.cache_clear()
+    clear_fold_caches()
     params = SeriesParams((Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2)),
                           (0, 0, 0))
     try:
         with pytest.raises(VerificationError, match="fold inconsistency"):
             act_Z_on_basis(0, BasisLabel(4, 2, 0), params)
     finally:
-        action._folded_amplitudes.cache_clear()
+        clear_fold_caches()
+
+
+def clear_fold_caches():
+    """Empty the caches of both folds, so a patched fold input is read."""
+    action._integer_fold.cache_clear()
+    action._folded_amplitudes.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# The lam-free integer fold against the exact fold it replaced
+
+
+def reference_folded_amplitudes(delta, j, l, m1, lam):
+    """The exact fold as it was computed at one lam: the U_j amplitudes of the
+    +-m1 components at lam, summed with their fold weights as RadicalScalars,
+    each D_{-t} part checked by subtraction against the fold sign times the
+    D_t part, targets in the order they first appear at lam."""
+    raw = KTypeVector()
+    order = []
+    for src, w in label_components(delta, l, m1):
+        for k, amp in action._u_amplitudes.__wrapped__(j, l, src, "exact", lam):
+            raw.add_term(src + k, amp if w == 1 else amp * w)
+            if abs(src + k) not in order:
+                order.append(abs(src + k))
+    lt = l + j
+    sign = action.label_sign(delta, lt)
+    out = []
+    for t in order:
+        c_pos, c_neg = raw.get(t), raw.get(-t)
+        if t and ((c_pos is None or c_neg is None) and c_pos is not c_neg
+                  or c_pos is not None and c_neg is not None
+                  and not (c_neg - c_pos * sign).is_zero()):
+            raise VerificationError(f"fold inconsistency at D^{lt}_{-t} acting "
+                                    f"with U_{j} on v_({l},{m1},.)")
+        if c_pos is None:
+            continue
+        if not label_valid(delta, BasisLabel(lt, t, 0)):
+            raise VerificationError(f"U_{j} on v_({l},{m1},.) reaches the invalid "
+                                    f"label v_({lt},{t},.) for parity {delta}")
+        out.append((t, c_pos * Fraction(1, 2) if t == 0 else c_pos))
+    return tuple(out)
+
+
+@st.composite
+def fold_sources(draw):
+    """(delta, j, l, m1) with v_{l,m1,.} a valid label, l <= 30."""
+    delta = draw(st.sampled_from(DELTAS))
+    l = draw(st.integers(0, 30))
+    m1s = [m1 for m1 in range(l + 1) if label_valid(delta, BasisLabel(l, m1, 0))]
+    assume(m1s)
+    return delta, draw(st.integers(max(-2, -l), 2)), l, draw(st.sampled_from(m1s))
+
+
+@st.composite
+def rational_lambdas(draw):
+    """A rational zero-sum triple, often on a line where some Lambda vanishes
+    for every l: (a, -a, 0) and (t - 1, 1 - t, 0)."""
+    x = draw(st.fractions(min_value=-30, max_value=30, max_denominator=12))
+    kind = draw(st.sampled_from(["a", "t", "free"]))
+    if kind == "a":
+        return (x, -x, Fraction(0))
+    if kind == "t":
+        return (x - 1, 1 - x, Fraction(0))
+    y = draw(_small_fractions())
+    return (x, y, -x - y)
+
+
+@given(fold_sources(), rational_lambdas())
+@settings(max_examples=300, deadline=None)
+@example(((0, 0, 0), 0, 4, 0), (Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)))
+@example(((0, 0, 0), 2, 6, 2), (Fraction(2), Fraction(-2), Fraction(0)))
+@example(((1, 0, 1), -1, 5, 1), (Fraction(-1), Fraction(1), Fraction(0)))
+@example(((1, 0, 1), 1, 30, 1), (Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
+@example(((1, 0, 1), 0, 25, 23), (Fraction(11), Fraction(-11), Fraction(0)))
+def test_integer_fold_at_lambda_is_the_exact_fold(source, lam):
+    delta, j, l, m1 = source
+    want = reference_folded_amplitudes(delta, j, l, m1, lam)
+    got = action._folded_amplitudes.__wrapped__(delta, j, l, m1, "exact", lam)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert got == want and repr(got) == repr(want)
+    # the integer zero test of each target is the zero test of its value
+    n1, n2, d = action._lam_ints(lam)
+    values = dict(want)
+    for t, terms in action._integer_fold.__wrapped__(delta, j, l, m1):
+        zero = not any(p0 * d + p1 * n1 + p2 * n2 for _, p0, p1, p2, _ in terms)
+        assert zero == values.get(t, ZERO).is_zero()
+
+
+def test_integer_fold_is_checked_as_an_identity_in_lambda(monkeypatch):
+    # one -m1 component's coupling core with its sign flipped: the D_{-t}
+    # parts no longer mirror the D_t parts at any lam
+    delta, fold = (0, 0, 0), action._integer_fold.__wrapped__
+    assert fold(delta, 0, 4, 2)
+    real = action._ckq_core
+
+    def flipped(k, j, l, m1):
+        num, rad, den = real(k, j, l, m1)
+        return (-num if (k, j, l, m1) == (-2, 0, 4, -2) else num), rad, den
+
+    monkeypatch.setattr(action, "_ckq_core", flipped)
+    with pytest.raises(VerificationError, match=r"fold inconsistency at D\^4_-4 "
+                                                r"acting with U_0 on v_\(4,2,\.\)"):
+        fold(delta, 0, 4, 2)
+
+
+def test_integer_fold_rejects_a_term_at_an_invalid_label(monkeypatch):
+    # U_-2 on v_(4,4,.) reaches v_(2,t,.) for t <= 2 only; a term injected at
+    # k = +-2 on both components, consistently folded, reaches t = 6 > 2
+    delta, fold = (0, 0, 0), action._integer_fold.__wrapped__
+    assert [t for t, _ in fold(delta, -2, 4, 4)] == [2]
+    real = action._u_term
+
+    def injected(k, j, l, m1):
+        if (j, l, abs(m1)) == (-2, 4, 4) and k * m1 > 0:
+            return (1, 0, 1, 0, 0, 1)
+        return real(k, j, l, m1)
+
+    monkeypatch.setattr(action, "_u_term", injected)
+    with pytest.raises(VerificationError,
+                       match=r"U_-2 on v_\(4,4,\.\) reaches the invalid label v_\(2,6,\.\)"):
+        fold(delta, -2, 4, 4)
+
+
+def test_lambda_coeffs_are_lambda_factor_at_the_unit_forms():
+    for k, j, l in itertools.product((-2, 0, 2), range(-2, 3), range(13)):
+        for m1 in range(-l, l + 1):
+            want = lambda_factor(k, j, l, m1, UNITS).canonical()
+            got = action._lambda_coeffs(k, j, l, m1)
+            assert tuple(RadicalScalar.from_rational(a) for a in got) == want
+
+
+# sha256 of "label n target repr(coefficient)" lines over every coefficient
+# of act_Z_on_basis at lam = (1/3, 1/5, -8/15), l <= 8; taken when the exact
+# fold was computed per lam in RadicalScalars
+PINNED_ACTION_DIGEST = "600a6104b19ed2e1591669a9d3f2147dc4048627f731d1d89f5844f2f48e4ad1"
+
+
+def test_exact_action_on_the_basis_is_pinned():
+    lam = (Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15))
+    h = hashlib.sha256()
+    for delta in ((1, 0, 1), (0, 0, 0)):
+        params = SeriesParams(lam, delta)
+        for l in range(9):
+            for label in basis(params, l):
+                for n in range(-2, 3):
+                    for target, c in act_Z_on_basis(n, label, params).items():
+                        h.update(f"{tuple(label)} {n} {tuple(target)} {c!r}\n".encode())
+    assert h.hexdigest() == PINNED_ACTION_DIGEST
 
 
 def test_act_z_on_basis_rejects_invalid_label():

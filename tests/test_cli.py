@@ -128,6 +128,12 @@ PINNED_OUTPUTS = [
      "5a1992039076ed4f80d883435664adb7b8ddc0cb8084e17d6d3a5e9c19acdf36"),
     ("action --lambda 1/3,1/5 --delta 0,0,0 --gen Y2 --lmax 12 --format json",
      "bea110b6f26e7f9edf3ca74b398cd8281332ac88eed987411672bfe55bb1742d"),
+    # quarter-integral s on either side of the ladder; taken when the exact
+    # fold was computed per lam in RadicalScalars
+    ("compose --preset degenerate --s -7/4 --format json",
+     "017fb76f6ba8c4f385b76fe25b333ef5fe6794aef7a779be315fb6eb7dafac91"),
+    ("compose --preset degenerate --s 11/4 --format json",
+     "e86d662a8778c249f4e0510c867a049b0a5164864d2b3c27ddbb149e4e24b9e7"),
     ("wigner --l 2 --m1 1 --m2 -1 --alpha 0.3 --beta 1.1 --gamma 2.0",
      "a19a057f3d735fe1f5d20f8cc672dd29212307474ff8b09fd576d31e8aa3bc0d"),
 ]

@@ -453,15 +453,15 @@ def test_numeric_recheck_samples_a_sixtieth_stride_from_label_0(monkeypatch):
 def test_numeric_recheck_catches_a_skeleton_with_dropped_edges(monkeypatch):
     # an exact skeleton missing the downward edges of the m1 >= 23 span
     # reports that leaking span invariant; the float recheck must refuse it
-    real = structure._folded_amplitudes
+    real = structure._integer_fold
 
-    def drop_downward(delta, j, l, m1, mode, lam):
-        out = real(delta, j, l, m1, mode, lam)
-        if mode == "exact" and m1 >= 23:
-            out = tuple((t, amp) for t, amp in out if t >= 23)
+    def drop_downward(delta, j, l, m1):
+        out = real(delta, j, l, m1)
+        if m1 >= 23:
+            out = tuple((t, terms) for t, terms in out if t >= 23)
         return out
 
-    monkeypatch.setattr(structure, "_folded_amplitudes", drop_downward)
+    monkeypatch.setattr(structure, "_integer_fold", drop_downward)
     params = SeriesParams((Fraction(9), Fraction(-9), Fraction(0)), (1, 0, 1))
     spec = SubspaceSpec("m1 >= 23", params, lambda row: row.m1 >= 23)
     with pytest.raises(VerificationError,
@@ -474,13 +474,12 @@ def test_numeric_recheck_catches_dropped_edges_past_the_first_third(monkeypatch)
     # whose labels start past 3/5 of the interior's; an exact skeleton
     # missing those edges reports it invariant, and the float recheck must
     # refuse it from a sample in the top rows
-    real = structure._folded_amplitudes
+    real = structure._integer_fold
 
-    def drop_upward(delta, j, l, m1, mode, lam):
-        out = real(delta, j, l, m1, mode, lam)
-        return () if mode == "exact" and l + j > 12 else out
+    def drop_upward(delta, j, l, m1):
+        return () if l + j > 12 else real(delta, j, l, m1)
 
-    monkeypatch.setattr(structure, "_folded_amplitudes", drop_upward)
+    monkeypatch.setattr(structure, "_integer_fold", drop_upward)
     params = SeriesParams((Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)), (0, 0, 0))
     spec = SubspaceSpec("l <= 12", params, lambda row: row.l <= 12)
     with pytest.raises(VerificationError,
@@ -594,6 +593,26 @@ def test_times_core_is_the_general_product_with_q(amp, idx):
         got, want = structure._times_core(amp, num, rad, den), amp * q(n, j, l, m2)
         assert got == want and repr(got) == repr(want)
         assert got.terms == RadicalScalar(got.terms).terms
+
+
+def test_leakage_cores_of_z_minus_n_are_read_from_the_mirror(monkeypatch):
+    # the leakage listing reads q_core only at n > 0, or n = 0 with m2 >= 0,
+    # and each coefficient it lists, Z_-n's included, is the folded amplitude
+    # times q(n, j, l, m2) read directly
+    spec = SubspaceSpec("m1 >= 23", SeriesParams(
+        (Fraction(9), Fraction(-9), Fraction(0)), (1, 0, 1)), lambda row: row.m1 >= 23)
+    want = verify_invariant(spec, 25).leakage
+    assert len(want) > 100 and len({entry["generator"] for entry in want}) == 5
+    reads = []
+    monkeypatch.setattr(structure, "_boundary_reason", lambda *args: {})
+    monkeypatch.setattr(structure, "q_core", lambda *idx: reads.append(idx) or q_core(*idx))
+    assert verify_invariant(spec, 25).leakage == want
+    assert reads and all(n > 0 or (n == 0 and m2 >= 0) for n, _, _, m2 in reads)
+    for entry in want:
+        (l, m1, m2), (lt, t, _) = entry["label"], entry["target"]
+        n, j = int(entry["generator"][1:]), lt - l
+        amp = dict(action._folded_amplitudes((1, 0, 1), j, l, m1, "exact", spec.params.lam))[t]
+        assert entry["coefficient"] == repr(amp * q(n, j, l, m2))
 
 
 # sha256 of repr(vars(result)) of the certify workload's leaking controls,
