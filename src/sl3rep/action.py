@@ -38,13 +38,15 @@ the integer terms of the bracket verifier below as LambdaForms.
 
 The bracket verifier checks [pi(A), pi(B)] = pi([A, B]) through the same
 factorization in integers alone, never expanding a composition.  The defect
-on D^l_{m1,m2} is one sum of the U products U_js D^l_{m1,.} (js = (), (j,)
-or (j, j'); integer vectors of degree <= 2 in lam), each weighted by the
-integer monomials of a lam-free, m1-free sum W_js(l, m2; s) of coupling and
-Y-step products, tabled per (pair, l, m2) from the integer steps of each tag
-on m2 (a coupling's `q_core`, a Y step's `_int_terms`), tabled per (tag, l,
-m2).  Each sum's denominator, the lcm of its products' denominators, is
-fixed before the sum starts, so nothing is rescaled; no LambdaForm is read.
+on D^l_{m1,m2} is one flat sum of the U products U_js D^l_{m1,.} (js = (),
+(j,) or (j, j'); integer vectors of degree <= 2 in lam), each weighted by
+an integer of a lam-free, m1-free table W_js(l, m2; s) of coupling and
+Y-step products, tabled per (pair, l, m2) from the integer steps of each
+tag on m2 (a coupling's `q_core`, a Y step's `_int_terms`).  Each sum's
+denominator is fixed before it starts; no LambdaForm is read.  A standard
+pair is decided by the convenient pairs of its generators' (Y, Z)
+coordinates: that rests on the runtime check that each tag's coordinates
+reassemble its matrix, and on a tier-1 test of the 3x3 bracket identity.
 
 numpy is imported inside the functions that build float arrays (matrix
 assembly, `ActionMatrix.dense`, `generator_matrix_numeric`), so the exact
@@ -595,21 +597,17 @@ class _DegreeTwoSum:
         self.entries: dict[tuple, list[int]] = {}
         self.den = den
 
-    def _factor(self, d: int) -> int:
-        f, r = divmod(self.den, d)
-        if r:
-            raise ValueError(f"denominator {d} does not divide the sum's {self.den}")
-        return f
-
     def add(self, target, a: tuple, b: tuple, sign: int) -> None:
         """Add sign * a * b at the keys (target, rad, im)."""
         entries = self.entries
         for ra, ia, a0, a1, a2, da in a:
             for rb, ib, b0, b1, b2, db in b:
                 g = gcd(ra, rb)
-                f = sign * g * self._factor(da * db)
-                if ia & ib:  # i * i = -1
-                    f = -f
+                f, r = divmod(self.den, da * db)
+                if r:
+                    raise ValueError(f"denominator {da * db} does not divide "
+                                     f"the sum's {self.den}")
+                f *= -sign * g if ia & ib else sign * g  # i * i = -1
                 key = (target, ra // g * (rb // g), ia ^ ib)
                 e = entries.setdefault(key, [0] * 6)
                 fa0, fa1, fa2 = f * a0, f * a1, f * a2
@@ -620,39 +618,12 @@ class _DegreeTwoSum:
                 e[4] += fa1 * b2 + fa2 * b1
                 e[5] += fa2 * b2
 
-    def add_scaled(self, w: tuple, amps: tuple, at: tuple) -> None:
-        """Add w = (rad, im, num) times the amplitudes (den, ((K, rad, im, coeffs),
-        ...)) of `_u_product` at the keys (L, m1 + K, m2, rad, im), at = (L, m1, m2)."""
-        entries = self.entries
-        rw, iw, num = w
-        den, polys = amps
-        L, m1, m2 = at
-        fw = num * self._factor(den)
-        for K, rad, im, (c0, c1, c2, c3, c4, c5) in polys:
-            g = gcd(rad, rw)
-            f = -fw * g if im and iw else fw * g
-            e = entries.setdefault((L, m1 + K, m2, rad // g * (rw // g), im ^ iw),
-                                   [0] * 6)
-            e[0] += f * c0
-            e[1] += f * c1
-            e[2] += f * c2
-            e[3] += f * c3
-            e[4] += f * c4
-            e[5] += f * c5
-
-    def is_zero(self) -> bool:
-        return not any(any(e) for e in self.entries.values())
-
-
-@lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite
-def _generator_bracket(tag_a: str, tag_b: str) -> Matrix:
-    return matrix_bracket(GENERATOR_MATRICES[tag_a], GENERATOR_MATRICES[tag_b])
-
 
 @lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite
 def _bracket_coords_flat(tag_a: str, tag_b: str) -> tuple:
     """The coordinates of [A, B] as sorted ((tag, coefficient), ...)."""
-    return tuple(sorted(decompose_matrix(_generator_bracket(tag_a, tag_b)).items()))
+    return tuple(sorted(decompose_matrix(matrix_bracket(
+        GENERATOR_MATRICES[tag_a], GENERATOR_MATRICES[tag_b])).items()))
 
 
 # The defect [pi(A), pi(B)] - pi([A, B]) factors through q (x) U.  pi(Y_i)
@@ -687,21 +658,36 @@ def _summed(products: list) -> _DegreeTwoSum:
     return acc
 
 
+@lru_cache(maxsize=None)  # keyed by the bracket coordinates of a pair: few
+def _coord_terms(coords: tuple) -> tuple:
+    """The `_int_terms` of each coordinate of `_bracket_coords_flat`."""
+    return tuple((t, _int_terms(c)) for t, c in coords)
+
+
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _defect_weights(tag_a: str, tag_b: str, coords: tuple, l: int, m2: int) -> tuple:
     """The W_js(l, m2; s) of [pi(A), pi(B)] - sum_t c_t pi(T) on D^l_{.,m2}
-    as nonzero monomials ((js, s, (rad, im, num)), ...), with (t, c_t) the
-    `coords` as _bracket_coords_flat gives them (part of the key, so a table
-    is never reused for other coordinates)."""
+    as nonzero monomials ((js, s, (rad, im, num)), ...), each an integer
+    over the lcm of the products' denominators, with (t, c_t) the `coords`
+    as _bracket_coords_flat gives them (part of the key, so a table is
+    never reused for other coordinates)."""
     products = [((js1 + js2, s), c2, c1, sign)
                 for first, second, sign in ((tag_b, tag_a, 1), (tag_a, tag_b, -1))
                 for js1, lt, t, c1 in _m2_steps(first, l, m2)
                 for js2, _, s, c2 in _m2_steps(second, lt, t)]
-    products += [((js, s), ct, _int_terms(c), -1)
-                 for t, c in coords for js, _, s, ct in _m2_steps(t, l, m2)]
+    products += [((js, s), ct, c, -1) for t, c in _coord_terms(coords)
+                 for js, _, s, ct in _m2_steps(t, l, m2)]
+    den = lcm(*{ta[5] * tb[5] for _, a, b, _ in products for ta in a for tb in b})
+    w: dict[tuple, int] = {}
+    for (js, s), a, b, sign in products:  # lam-free: p1 = p2 = 0
+        for ra, ia, na, _, _, da in a:
+            for rb, ib, nb, _, _, db in b:
+                g = gcd(ra, rb)
+                key = (js, s, ra // g * (rb // g), ia ^ ib)
+                f = -sign * g if ia & ib else sign * g  # i * i = -1
+                w[key] = w.get(key, 0) + f * na * nb * (den // (da * db))
     # the whole defect on D^l_{m1,m2} is over den > 0: the zero test drops it
-    return tuple((js, s, (rad, im, e[0]))
-                 for ((js, s), rad, im), e in _summed(products).entries.items() if e[0])
+    return tuple((js, s, (rad, im, x)) for (js, s, rad, im), x in w.items() if x)
 
 
 # the identity as _u_terms gives amplitudes: the integer terms of 1 at k = 0
@@ -711,78 +697,84 @@ _UNIT_TERMS = ((0, ((1, 0, 1, 0, 0, 1),)),)
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _u_product(js: tuple, l: int, m1: int) -> tuple:
     """U_js D^l_{m1,.}, the U_j of js applied in order, as (den, ((K, rad,
-    im, coefficients), ...)): the integer coefficients of 1, lam1, lam2,
+    im, c0, ..., c5), ...)): the integer coefficients c of 1, lam1, lam2,
     lam1^2, lam1 lam2, lam2^2 over den of each part D^{l+sum(js)}_{m1+K,.},
     zero parts left out."""
     acc = _summed([(k + kp, outer, inner, 1)
                    for k, inner in (_u_terms(js[0], l, m1) if js else _UNIT_TERMS)
                    for kp, outer in (_u_terms(js[1], l + js[0], m1 + k)
                                      if len(js) == 2 else _UNIT_TERMS)])
-    return acc.den, tuple((K, rad, im, tuple(e))
+    return acc.den, tuple((K, rad, im, *e)
                           for (K, rad, im), e in acc.entries.items() if any(e))
+
+
+def _defect_sum(terms: list) -> dict:
+    """The sum of the weighted U products (w, (den, parts), j, s), w = (rad,
+    im, num), as {(j, K, s, rad, im): [c0, ..., c5]}, each coefficient over
+    the lcm of the products' dens: one flat loop over every weight and part."""
+    den = lcm(*{amps[0] for _, amps, _, _ in terms})
+    acc: dict[tuple, list[int]] = {}
+    for (rw, iw, num), (d, parts), j, s in terms:
+        fw = num * (den // d)
+        for K, rad, im, c0, c1, c2, c3, c4, c5 in parts:
+            g = gcd(rad, rw)
+            f = -fw * g if im and iw else fw * g
+            key = (j, K, s, rad // g * (rw // g), im ^ iw)
+            e = acc.get(key)
+            if e is None:
+                acc[key] = [f * c0, f * c1, f * c2, f * c3, f * c4, f * c5]
+            else:
+                e[0] += f * c0
+                e[1] += f * c1
+                e[2] += f * c2
+                e[3] += f * c3
+                e[4] += f * c4
+                e[5] += f * c5
+    return acc
 
 
 def _bracket_defect_zero(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     """Whether [pi(A), pi(B)] - pi([A, B]) vanishes on D_idx, for (Y, Z)
-    tags in either order: the one sum of the U products weighted by
-    _defect_weights."""
+    tags in either order: the U products weighted by _defect_weights, their
+    `_defect_sum` zero in every coefficient."""
     l, m1, m2 = idx
-    terms = [(w, _u_product(js, l, m1), (l + sum(js), m1, s)) for js, s, w in
+    terms = [(w, _u_product(js, l, m1), sum(js), s) for js, s, w in
              _defect_weights(tag_a, tag_b, _bracket_coords_flat(tag_a, tag_b), l, m2)]
-    acc = _DegreeTwoSum(lcm(*{amps[0] for _, amps, _ in terms}))
-    for term in terms:
-        acc.add_scaled(*term)
-    return acc.is_zero()
+    return not any(any(e) for e in _defect_sum(terms).values())
 
 
 _pair_defect_zero = lru_cache(maxsize=200_000)(_bracket_defect_zero)
 
 
 @lru_cache(maxsize=None)  # keyed by a pair of generator tags: finite
-def _bilinear_bracket_verified(tag_a: str, tag_b: str) -> tuple:
-    """Verify [A, B] = sum A_c B_d [C_c, C_d] exactly on 3x3 matrices.
-
-    Returns the convenient-basis pairs (c, d) with a nonzero coefficient;
-    once this matrix-level identity is certified, the operator-level
-    bracket defect of (A, B) is the same bilinear combination of the
-    convenient-pair defects, because the action of a standard generator is
-    defined as exactly that linear combination.
-    """
-    total = [[ZERO] * 3 for _ in range(3)]
-    pairs = []
-    for c, wa in standard_basis_coords(tag_a):
-        for d, wb in standard_basis_coords(tag_b):
-            w = wa * wb
-            if c == d or not w:  # [C, C] = 0
-                continue
-            pairs.append((c, d))
-            for i, row in enumerate(_generator_bracket(c, d)):
-                for j, x in enumerate(row):
-                    if x:
-                        total[i][j] += x * w
-    if total != [list(row) for row in _generator_bracket(tag_a, tag_b)]:
-        raise AssertionError(f"bilinear bracket mismatch for {tag_a}, {tag_b}")
-    return tuple(sorted({tuple(sorted(p)) for p in pairs}))
+def _convenient_pairs(tag_a: str, tag_b: str) -> tuple:
+    """The sorted pairs (c, d), c != d, of the (Y, Z) coordinates of A and
+    of B.  pi(A) = sum_c A_c pi(C_c), so the defect of (A, B) is sum A_c B_d
+    times the defect of (C_c, C_d) once [A, B] = sum A_c B_d [C_c, C_d]: by
+    bilinearity, as each tag's coordinates reassemble its matrix, which
+    `standard_basis_coords` checks at runtime (the 3x3 identity for every
+    ordered pair of the 16 tags is a tier-1 test)."""
+    return tuple(sorted({tuple(sorted((c, d))) for c, _ in standard_basis_coords(tag_a)
+                         for d, _ in standard_basis_coords(tag_b) if c != d}))
 
 
 def bracket_check(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     """Exact check of [pi(A), pi(B)] = pi([A, B]) on one Wigner index.
 
-    The bilinear expansion of [A, B] in the (Y, Z) basis is verified on 3x3
-    matrices, and each convenient pair in it (for (Y, Z) tags, the pair
-    itself) is checked in the factored form q (x) U (`_bracket_defect_zero`).
-    A standard generator acts as its fixed (Y, Z) combination, so a
-    standard-pair defect vanishes if the certified ones do; a False verdict
-    says only that some convenient-pair defect is nonzero.  Raises
-    ValueError for a tag that is no generator and for an index outside
-    |m1|, |m2| <= l.
+    Each convenient pair that makes up the defect of (A, B) (for (Y, Z)
+    tags, the pair itself; `_convenient_pairs`) is checked in the factored
+    form q (x) U (`_bracket_defect_zero`).  A standard generator acts as its
+    (Y, Z) combination, which `standard_basis_coords` checks to reassemble
+    its matrix, so by bilinearity a standard-pair defect vanishes if the
+    convenient ones do; a False verdict says only that some convenient-pair
+    defect is nonzero.  Raises ValueError for a tag that is no generator and
+    for an index outside |m1|, |m2| <= l.
     """
     for tag in (tag_a, tag_b):
         if tag not in GENERATOR_MATRICES:
             raise ValueError(f"unknown generator tag {tag!r}")
     idx = WignerIndex(*idx).validate()
-    return all(_pair_defect_zero(c, d, idx)
-               for c, d in _bilinear_bracket_verified(tag_a, tag_b))
+    return all(_pair_defect_zero(c, d, idx) for c, d in _convenient_pairs(tag_a, tag_b))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -480,10 +481,13 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+# the parser of `main`, built on first use: parsing leaves it unchanged
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_values(
+        args = _parser().parse_args(_attach_negative_values(
             sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0

@@ -998,7 +998,7 @@ def reference_bracket_defect(tag_a: str, tag_b: str, idx: WignerIndex) -> bool:
     for t, c in action._bracket_coords_flat(tag_a, tag_b):
         terms = action._int_terms(c)
         products += [(target, p, terms, -1) for target, p in action._apply_flat(t, idx)]
-    return action._summed(products).is_zero()
+    return not any(any(e) for e in action._summed(products).entries.values())
 
 
 @given(wigner_indices(5), st.sampled_from(CONVENIENT_BASIS),
@@ -1066,11 +1066,40 @@ def reference_products_sum(products: list) -> dict:
     return {key: x for key, x in out.items() if x}
 
 
+def weighted(w: tuple, a: tuple) -> tuple:
+    """The integer terms of a times the lam-free weight w = (rad, im, num),
+    sqrt(rw) sqrt(ra) left unreduced for `reference_products_sum`."""
+    rw, iw, num = w
+    return tuple((rw * ra, iw ^ ia, *[-num * x if iw & ia else num * x for x in p], da)
+                 for ra, ia, *p, da in a)
+
+
+def flat_u_product(products: list) -> tuple:
+    """The (K, a, b, 1) products as `_u_product` stores a U product: (den,
+    ((K, rad, im, c0, ..., c5), ...)), zero parts left out."""
+    acc = action._summed(products)
+    return acc.den, tuple((K, rad, im, *e) for (K, rad, im), e in acc.entries.items()
+                          if any(e))
+
+
+@st.composite
+def weighted_u_products(draw):
+    """A term (w, U product, j, s) of `_defect_sum` with the products that
+    make up its U product, as (K, a, b, 1)."""
+    w = (draw(st.sampled_from(SQUAREFREE)), draw(st.integers(0, 1)),
+         draw(st.integers(-40, 40)))
+    products = draw(st.lists(st.tuples(st.integers(-4, 4), integer_terms(),
+                                       integer_terms(), st.just(1)), max_size=3))
+    return w, products, draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+
+
 @given(st.lists(st.tuples(st.tuples(st.integers(-2, 2)), integer_terms(),
                           integer_terms(), st.sampled_from((1, -1))), max_size=6),
-       st.integers(1, 6), st.integers(2, 7))
+       st.integers(1, 6), st.integers(2, 7),
+       st.lists(weighted_u_products(), max_size=6), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_fixed_denominator_sum_is_the_fraction_sum(products, multiple, off):
+def test_fixed_denominator_sum_is_the_fraction_sum(products, multiple, off,
+                                                   weighted_terms, cancel):
     # every term denominator divides 12, so each product's divides 144 and
     # so den; a term over a denominator that does not divide den raises
     den = 144 * multiple
@@ -1082,8 +1111,22 @@ def test_fixed_denominator_sum_is_the_fraction_sum(products, multiple, off):
     bad = den * off
     with pytest.raises(ValueError):
         acc.add((0,), ((1, 0, 1, 0, 0, bad),), ((1, 0, 1, 0, 0, 1),), 1)
-    with pytest.raises(ValueError):
-        acc.add_scaled((1, 0, 1), (bad, ((0, 1, 0, (1, 0, 0, 0, 0, 0)),)), (0, 0, 0))
+    # the flat sum of the (Z, Z) defect: weights times U products over the
+    # lcm of the U products' dens, key by key, against the Fraction sum of
+    # every weight times every product; with cancel, each term again with
+    # its weight negated, so the whole sum is zero
+    if cancel:
+        weighted_terms += [((rw, iw, -num), *rest) for (rw, iw, num), *rest in weighted_terms]
+    terms = [(w, flat_u_product(prods), j, s) for w, prods, j, s in weighted_terms]
+    flat = action._defect_sum(terms)
+    flat_den = math.lcm(*{u[0] for _, u, _, _ in terms})
+    got = {((j, K, s), slot, rad, im): Fraction(v, flat_den)
+           for (j, K, s, rad, im), e in flat.items() for slot, v in enumerate(e) if v}
+    want = reference_products_sum([((j, K, s), weighted(w, a), b, 1)
+                                   for w, prods, j, s in weighted_terms
+                                   for K, a, b, _ in prods])
+    assert got == want
+    assert not want or not cancel
 
 
 # every cache that holds exact action data of the bracket verifier; _u_terms
@@ -1241,27 +1284,49 @@ def reference_defect_weights(tag_a: str, tag_b: str, l: int, m2: int) -> dict:
     return w
 
 
+def six_coefficient_defect_weights(tag_a: str, tag_b: str, coords: tuple, l: int,
+                                   m2: int) -> tuple:
+    """The defect weights as a degree-2 sum gives them: the products of the
+    m2 steps summed by `_summed` with all six coefficients of 1, lam1, lam2,
+    lam1^2, lam1 lam2, lam2^2; every entry but that of 1 must vanish."""
+    products = [((js1 + js2, s), c2, c1, sign)
+                for first, second, sign in ((tag_b, tag_a, 1), (tag_a, tag_b, -1))
+                for js1, lt, t, c1 in action._m2_steps(first, l, m2)
+                for js2, _, s, c2 in action._m2_steps(second, lt, t)]
+    products += [((js, s), ct, action._int_terms(c), -1)
+                 for t, c in coords for js, _, s, ct in action._m2_steps(t, l, m2)]
+    entries = action._summed(products).entries
+    assert not any(any(e[1:]) for e in entries.values()), (tag_a, tag_b, l, m2)
+    return tuple((js, s, (rad, im, e[0])) for ((js, s), rad, im), e in entries.items() if e[0])
+
+
 def test_integer_defect_weights_are_the_radical_ones_over_one_denominator():
     # every integer table is the RadicalScalar one, monomial by monomial
     # (radicand, i-power), times one positive rational: the dropped
-    # denominator; a sign or a term gone wrong breaks the single ratio
+    # denominator; a sign or a term gone wrong breaks the single ratio.  Up
+    # to l = 12, each lam-free table is, term for term and in order, the
+    # six-coefficient table over the same denominator
     tables = nonempty = 0
     for a, b in CONVENIENT_PAIRS:
         coords = action._bracket_coords_flat(a, b)
-        for l in range(9):
+        for l in range(13):
             for m2 in range(-l, l + 1):
+                table = action._defect_weights(a, b, coords, l, m2)
+                assert table == six_coefficient_defect_weights(a, b, coords, l, m2), \
+                    (a, b, l, m2)
+                tables += 1
+                nonempty += bool(table)
+                if l > 8:
+                    continue
                 want = {(js, s, abs(rad), int(rad < 0)): x
                         for (js, s), w in reference_defect_weights(a, b, l, m2).items()
                         for rad, x in w.terms.items()}
-                table = action._defect_weights(a, b, coords, l, m2)
                 got = {(js, s, rad, im): num for js, s, (rad, im, num) in table}
                 assert len(got) == len(table) and got.keys() == want.keys(), \
                     (a, b, l, m2)
                 ratios = {want[key] / got[key] for key in got}
                 assert len(ratios) <= 1 and all(r > 0 for r in ratios), (a, b, l, m2)
-                tables += 1
-                nonempty += bool(table)
-    assert tables == 28 * 81 and nonempty > 0
+    assert tables == 28 * 169 and nonempty > 0
 
 
 # every RadicalScalar method that computes or builds a value
@@ -1373,6 +1438,56 @@ def test_bracket_check_negative_controls_per_pair_class(pair, kind, l):
 def test_bracket_check_rejects_bad_input(args):
     with pytest.raises(ValueError):
         bracket_check(*args)
+
+
+def test_bracket_is_bilinear_in_the_convenient_coordinates():
+    # the 3x3 identity under every standard-pair verdict: [A, B] = sum A_c
+    # B_d [C_c, C_d] exactly for every ordered pair of the 16 tags, each
+    # pair c != d listed by _convenient_pairs and [C, C] = 0
+    for a, b in itertools.product(GENERATOR_MATRICES, repeat=2):
+        pairs = action._convenient_pairs(a, b)
+        total = [[ZERO] * 3 for _ in range(3)]
+        for c, x in standard_basis_coords(a):
+            for d, y in standard_basis_coords(b):
+                br = matrix_bracket(GENERATOR_MATRICES[c], GENERATOR_MATRICES[d])
+                assert c != d and tuple(sorted((c, d))) in pairs or \
+                    all(not z for row in br for z in row), (a, b, c, d)
+                for i, row in enumerate(br):
+                    for j, z in enumerate(row):
+                        total[i][j] += x * y * z
+        assert tuple(map(tuple, total)) == matrix_bracket(
+            GENERATOR_MATRICES[a], GENERATOR_MATRICES[b]), (a, b)
+
+
+@pytest.mark.parametrize("tag", STANDARD_BASIS)
+def test_a_wrong_standard_coordinate_raises(tag, monkeypatch):
+    # one coordinate of a standard tag off by 1: its coordinates no longer
+    # reassemble its matrix, so its coordinates and every bracket_check of
+    # a standard pair with it raise; none returns a verdict
+    exact = action.decompose_matrix
+
+    def skewed(m):
+        coords = exact(m)
+        if m == GENERATOR_MATRICES[tag]:
+            first = min(coords)
+            coords[first] = coords[first] + ONE
+        return coords
+
+    other = next(t for t in STANDARD_BASIS if t != tag)
+    monkeypatch.setattr(action, "decompose_matrix", skewed)
+    action.standard_basis_coords.cache_clear()
+    action._convenient_pairs.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=f"change of basis failed for {tag}"):
+            standard_basis_coords(tag)
+        for pair in ((tag, other), (other, tag)):
+            with pytest.raises(AssertionError, match=f"failed for {tag}"):
+                bracket_check(*pair, WignerIndex(1, 0, 0))
+    finally:
+        monkeypatch.undo()
+        action.standard_basis_coords.cache_clear()
+        action._convenient_pairs.cache_clear()
+    assert bracket_check(tag, other, WignerIndex(1, 0, 0))
 
 
 def test_bracket_check_reads_no_composed_action(fresh_bracket_caches, monkeypatch):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import sl3rep
-from sl3rep import VerificationError, action, structure
+from sl3rep import VerificationError, action, cli, structure
 from sl3rep.cli import _csv_text, _fmt_complex, _parse_scalar, main
 from sl3rep.series import BasisLabel, SeriesParams, basis
 
@@ -146,6 +146,19 @@ def test_cli_output_bytes_are_pinned(command, digest):
                           capture_output=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_main_reuses_its_parser_without_leaking_options(capsys):
+    # two calls in one process: the --lmax of the first must not carry over
+    # to the second, and each writes its pinned bytes
+    pins = dict(PINNED_OUTPUTS)
+    for command in ("compose --preset k3 --lmax 8 --format json",
+                    "compose --preset k3 --format json"):
+        assert main(command.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == pins[command], command
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_action_csv():
