@@ -9,7 +9,8 @@ Modules:
 * clebsch  -- exact coupling coefficients for tensoring with the 5-dim rep
 * sl2      -- the SL(2,R) ladder calculus and composition-series reports
 * series   -- principal-series parameters, labels, Iwasawa factorization
-* action   -- the five-term Lie-algebra action, operators U/P/W, matrices
+* kernel   -- the five-term expansion, its fold and the generator matrices
+* action   -- the kernel re-exported, operators P/W, brackets, matrices
 * structure-- invariant-subspace certificates and composition reports
 * errors   -- VerificationError, a failed check of the engine's results
 * oracle   -- independent quadrature / finite-difference verification

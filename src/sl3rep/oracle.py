@@ -17,10 +17,11 @@ central-difference plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .kernel import act_Z, generator_matrix_numeric
 from .series import GroupElement, character, extend_wigner, iwasawa
 from .wigner import EulerAngles, WignerIndex, little_d_matrix, wigner_D_matrix
 
@@ -28,8 +29,7 @@ from .wigner import EulerAngles, WignerIndex, little_d_matrix, wigner_D_matrix
 # Quadrature on SO(3)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Nodes exact for products of Wigner functions up to the design degree."""
 
     design_degree: int
@@ -200,8 +200,6 @@ def verify_theorem_main(lam, lmax: int, samples: int = 5,
     differences below the CLI's 1e-6 tolerance for |Re|, |Im| <= 1; where it
     does not (large lam), `sl3rep verify` reruns at h / 2 and exits 2.
     """
-    from .action import act_Z, generator_matrix_numeric
-
     rng = np.random.default_rng(seed)
     lam = tuple(complex(v) for v in lam)
     indices = [WignerIndex(l, m1, m2)
@@ -278,8 +276,6 @@ def _coord_operator(tag: str, F, point, m2: int, h: float) -> complex:
 def coordinate_diffops_check(lam, idx: WignerIndex, point,
                              h: float = 1e-4) -> dict:
     """Compare every table row against the group-side finite difference."""
-    from .action import generator_matrix_numeric
-
     lam = tuple(complex(v) for v in lam)
     idx = WignerIndex(*idx)
 

@@ -15,7 +15,6 @@ labels and parameters here, never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -25,15 +24,14 @@ from .wigner import EulerAngles, WignerIndex, euler_from_matrix, wigner_D
 Delta = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class SeriesParams:
-    lam: tuple
-    delta: Delta
+class SeriesParams(NamedTuple("SeriesParams", [("lam", tuple), ("delta", Delta)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_lambda(self.lam)
-        if len(self.delta) != 3 or not all(d in (0, 1) for d in self.delta):
+    def __new__(cls, lam: tuple, delta: Delta):
+        check_lambda(lam)
+        if len(delta) != 3 or not all(d in (0, 1) for d in delta):
             raise ValueError("parities must be three entries, each 0 or 1")
+        return super().__new__(cls, lam, delta)
 
     @property
     def exact(self) -> bool:

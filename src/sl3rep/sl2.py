@@ -9,23 +9,21 @@ rank-two structure reports use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .ktvector import KTypeVector
 
 Nu = Union[int, Fraction, float, complex]
 
 
-@dataclass(frozen=True)
-class SL2Params:
-    nu: Nu
-    eps: int = 0
+class SL2Params(NamedTuple("SL2Params", [("nu", Nu), ("eps", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.eps not in (0, 1):
+    def __new__(cls, nu: Nu, eps: int = 0):
+        if eps not in (0, 1):
             raise ValueError("parity must be 0 or 1")
+        return super().__new__(cls, nu, eps)
 
     @property
     def exact(self) -> bool:
@@ -80,8 +78,7 @@ def sl2_standard_basis_action(params: SL2Params, generator: str,
         -0.5 if generator == "E" else 0.5)
 
 
-@dataclass
-class SL2Report:
+class SL2Report(NamedTuple):
     params: SL2Params
     irreducible: bool
     kind: str  # "irreducible" | "finite-sub" | "discrete-sub"

@@ -24,16 +24,15 @@ composition length as input metadata when echoing known chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .action import (_fold_value, _folded_amplitudes, _integer_fold, _lam_ints,
-                     _lambda_coeffs, act_U, label_components)
 from .clebsch import q, q_core, q_float
 from .errors import VerificationError
+from .kernel import (_fold_value, _folded_amplitudes, _integer_fold, _lam_ints,
+                     _lambda_coeffs, act_U, label_components)
 from .scalars import RadicalScalar, _canonical, check_lambda
 from .series import BasisLabel, SeriesParams, label_valid, multiplicity
 from .wigner import WignerIndex
@@ -53,8 +52,7 @@ def _rows(params: SeriesParams, l: int, keep: Callable[[Row], bool]) -> list[Row
             if label_valid(params.delta, BasisLabel(l, m1, 0)) and keep(Row(l, m1))]
 
 
-@dataclass(frozen=True)
-class SubspaceSpec:
+class SubspaceSpec(NamedTuple):
     """The span inside V_{lam,delta} of the valid rows `predicate` admits;
     `predicate` is called with one `Row`."""
 
@@ -68,13 +66,27 @@ class SubspaceSpec:
                 for row in _rows(self.params, l, self.predicate)]
 
 
-@dataclass
-class InvarianceResult:
-    invariant: bool
-    certificates: list[dict] = field(default_factory=list)
-    leakage: list[dict] = field(default_factory=list)
-    connected: bool | None = None
-    checked_labels: int = 0
+class _Record:
+    """Equality and repr from the attributes, in the order __init__ sets them;
+    unhashable, as a mutable record should be."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class InvarianceResult(_Record):
+    def __init__(self, invariant: bool, certificates: list[dict] | None = None,
+                 leakage: list[dict] | None = None, connected: bool | None = None,
+                 checked_labels: int = 0):
+        self.invariant = invariant
+        self.certificates = [] if certificates is None else certificates
+        self.leakage = [] if leakage is None else leakage
+        self.connected = connected
+        self.checked_labels = checked_labels
 
 
 def _boundary_reason(params: SeriesParams, l: int, m1: int, j: int,
@@ -232,14 +244,16 @@ def _connected(nodes: set[tuple], edges: dict) -> bool:
     return len(seen) == len(nodes)
 
 
-@dataclass
-class StructureReport:
-    title: str
-    chain: list[dict]
-    multiplicities: dict[int, list[int]]
-    certificates: list[dict]
-    notes: list[str] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+class StructureReport(_Record):
+    def __init__(self, title: str, chain: list[dict],
+                 multiplicities: dict[int, list[int]], certificates: list[dict],
+                 notes: list[str] | None = None, metadata: dict | None = None):
+        self.title = title
+        self.chain = chain
+        self.multiplicities = multiplicities
+        self.certificates = certificates
+        self.notes = [] if notes is None else notes
+        self.metadata = {} if metadata is None else metadata
 
     def to_json(self) -> dict:
         return {

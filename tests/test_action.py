@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sl3rep import VerificationError, action
+from sl3rep import VerificationError, action, kernel
 from sl3rep.action import (C_FACTORS, CONVENIENT_BASIS, GENERATOR_MATRICES,
                            STANDARD_BASIS, Y_TAGS, Z_TAGS, act_U, act_W,
                            act_Z, act_Z_on_basis, assemble_matrix,
@@ -291,8 +291,8 @@ def test_mirrored_couplings_make_no_coupling_call(mode, monkeypatch):
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(action, "q", counted("q", q))
-    monkeypatch.setattr(action, "q_float", counted("q_float", action.q_float))
+    monkeypatch.setattr(kernel, "q", counted("q", q))
+    monkeypatch.setattr(kernel, "q_float", counted("q_float", kernel.q_float))
     action._couplings.cache_clear()
     indices = [(n, l, m2) for n in (-2, -1, 0) for l in range(7)
                for m2 in range(-l, l + 1) if n or m2 < 0]
@@ -505,7 +505,7 @@ def test_fold_inconsistency_is_a_verification_error(monkeypatch):
     def wrong_sign(delta, l, m1):
         return ((0, 2),) if m1 == 0 else ((m1, 1), (-m1, -action.label_sign(delta, l)))
 
-    monkeypatch.setattr(action, "label_components", wrong_sign)
+    monkeypatch.setattr(kernel, "label_components", wrong_sign)
     clear_fold_caches()
     params = SeriesParams((Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2)),
                           (0, 0, 0))
@@ -613,7 +613,7 @@ def test_integer_fold_is_checked_as_an_identity_in_lambda(monkeypatch):
         num, rad, den = real(k, j, l, m1)
         return (-num if (k, j, l, m1) == (-2, 0, 4, -2) else num), rad, den
 
-    monkeypatch.setattr(action, "_ckq_core", flipped)
+    monkeypatch.setattr(kernel, "_ckq_core", flipped)
     with pytest.raises(VerificationError, match=r"fold inconsistency at D\^4_-4 "
                                                 r"acting with U_0 on v_\(4,2,\.\)"):
         fold(delta, 0, 4, 2)
@@ -631,7 +631,7 @@ def test_integer_fold_rejects_a_term_at_an_invalid_label(monkeypatch):
             return (1, 0, 1, 0, 0, 1)
         return real(k, j, l, m1)
 
-    monkeypatch.setattr(action, "_u_term", injected)
+    monkeypatch.setattr(kernel, "_u_term", injected)
     with pytest.raises(VerificationError,
                        match=r"U_-2 on v_\(4,4,\.\) reaches the invalid label v_\(2,6,\.\)"):
         fold(delta, -2, 4, 4)
@@ -1478,10 +1478,10 @@ def test_a_wrong_standard_coordinate_raises(tag, monkeypatch):
     action.standard_basis_coords.cache_clear()
     action._convenient_pairs.cache_clear()
     try:
-        with pytest.raises(AssertionError, match=f"change of basis failed for {tag}"):
+        with pytest.raises(VerificationError, match=f"change of basis failed for {tag}"):
             standard_basis_coords(tag)
         for pair in ((tag, other), (other, tag)):
-            with pytest.raises(AssertionError, match=f"failed for {tag}"):
+            with pytest.raises(VerificationError, match=f"failed for {tag}"):
                 bracket_check(*pair, WignerIndex(1, 0, 0))
     finally:
         monkeypatch.undo()

@@ -467,6 +467,43 @@ def test_imports_stay_clear_of_scipy():
     assert loaded == "[]"
 
 
+@pytest.mark.parametrize("module, absent", [
+    ("sl3rep.structure", ("sl3rep.action", "dataclasses", "numpy")),
+    ("sl3rep.action", ("dataclasses", "numpy")),
+])
+def test_exact_modules_import_only_what_they_run(module, absent):
+    # certification executes the five-term kernel alone, and neither exact
+    # path needs numpy or dataclasses (whose import of inspect costs more
+    # than compiling the kernel); the modules loaded before the import are
+    # set aside
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            f"import {module}\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=SUBPROCESS_ENV)
+    loaded = json.loads(proc.stdout)
+    assert module in loaded and not set(absent) & set(loaded), loaded
+
+
+@pytest.mark.parametrize("imports", ["sl3rep.oracle", "sl3rep.oracle, sl3rep.structure"])
+def test_oracle_runs_load_no_further_sl3rep_module(imports):
+    # the finite-difference oracles read the kernel at their own import, so
+    # a timed run compiles no sl3rep module, whatever was imported with them
+    code = f"""
+import json, sys
+import {imports}
+from sl3rep.oracle import coordinate_diffops_check, verify_theorem_main
+before = set(sys.modules)
+verify_theorem_main((0.1, 0.2j, -0.1 - 0.2j), 1, samples=1)
+coordinate_diffops_check((0.1, 0.2, -0.3), (1, 0, 0), (0.1, 0.2, 0.3, 1.1, 0.9))
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith("sl3rep"))))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=SUBPROCESS_ENV)
+    assert json.loads(proc.stdout) == []
+
+
 def test_exact_engine_runs_without_numpy():
     # numpy serves only the float side, imported inside the functions that
     # call it; a None in sys.modules makes any import of it fail
@@ -704,12 +741,14 @@ def test_unresolved_step_exits_2(suite, capsys):
 
 
 def test_wrong_expansion_still_exits_1(monkeypatch, capsys):
+    from sl3rep import oracle
+
     exact = action.act_Z
 
     def off_by_one_percent(n, idx, lam=None):
         return exact(n, idx, lam).scaled(1.01)
 
-    monkeypatch.setattr(action, "act_Z", off_by_one_percent)
+    monkeypatch.setattr(oracle, "act_Z", off_by_one_percent)
     assert main(FD_AT_LARGE_LAMBDA["theorem-main"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["half_step_deviation"] > doc["max_deviation"] / 3
