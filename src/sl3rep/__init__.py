@@ -10,7 +10,7 @@ Modules:
 * sl2      -- the SL(2,R) ladder calculus and composition-series reports
 * series   -- principal-series parameters, labels, Iwasawa factorization
 * kernel   -- the five-term expansion, its fold and the generator matrices
-* action   -- the kernel re-exported, operators P/W, brackets, matrices
+* action   -- pi(Z_n) on one basis vector, operators P/W, brackets, matrices
 * structure-- invariant-subspace certificates and composition reports
 * errors   -- VerificationError, a failed check of the engine's results
 * oracle   -- independent quadrature / finite-difference verification
@@ -26,7 +26,7 @@ from .wigner import EulerAngles, WignerIndex, little_d, wigner_D
 __all__ = [
     "BasisLabel", "EulerAngles", "LambdaForm", "RadicalScalar",
     "SeriesParams", "VerificationError", "WignerIndex", "basis", "little_d",
-    "multiplicity", "q",
+    "multiplicity", "q", "wigner_D",
 ]
 
 __version__ = "0.1.0"

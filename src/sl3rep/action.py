@@ -1,10 +1,11 @@
 """The Lie algebra action built on the five-term kernel of `kernel`.
 
-This module re-exports the kernel (pi(Z_n) = sum_j q(n,j,l,m2) U_j, its
-fold into the v basis, the generator matrices) and builds on it the W
-operators, the standard-basis coordinates, the symbolic reference
-(`_apply_poly_cached`, the bracket verifier's integer terms read as
-LambdaForms), the bracket verifier and matrix assembly.
+The kernel (pi(Z_n) = sum_j q(n,j,l,m2) U_j, its folds into the v basis,
+the generator matrices) lives in `kernel`.  On it this module builds
+pi(Z_n) on one basis vector (`act_Z_on_basis`), the W operators, the
+standard-basis coordinates, the symbolic reference (`_apply_poly_cached`,
+the bracket verifier's integer terms read as LambdaForms), the bracket
+verifier and matrix assembly.
 
 The bracket verifier checks [pi(A), pi(B)] = pi([A, B]) through the same
 factorization in integers alone, never expanding a composition.  The defect
@@ -12,7 +13,7 @@ on D^l_{m1,m2} is one flat sum of the U products U_js D^l_{m1,.} (js = (),
 (j,) or (j, j'); integer vectors of degree <= 2 in lam), each weighted by
 an integer of a lam-free, m1-free table W_js(l, m2; s) of coupling and
 Y-step products, tabled per (pair, l, m2) from the integer steps of each
-tag on m2 (a coupling's `q_core`, a Y step's `_int_terms`).  Each sum's
+tag on m2 (a coupling's `_coupling_core`, a Y step's `_int_terms`).  Each sum's
 denominator is fixed before it starts; no LambdaForm is read.  A standard
 pair is decided by the convenient pairs of its generators' (Y, Z)
 coordinates: that rests on the runtime check that each tag's coordinates
@@ -32,17 +33,14 @@ from functools import lru_cache
 from math import gcd, lcm, sqrt
 from typing import NamedTuple, Sequence
 
-from .clebsch import q_core
 from .errors import VerificationError
-# what this module reads of the kernel, then what it only re-exports
 from .kernel import (_AMPLITUDE_CACHE_SIZE, _HALF, GENERATOR_MATRICES, Matrix,
-                     _couplings, _folded_amplitudes, _lam_key, _m, _u_terms, act_Z)
-from .kernel import (C_FACTORS, _ckq_core, _integer_fold, _lam_ints,  # noqa: F401
-                     _lambda_coeffs, _u_amplitudes, _u_term, act_U, act_Z_on_basis,
-                     generator_matrix_numeric, label_components, lambda_factor)
+                     _coupling_core, _couplings, _folded_amplitudes, _lam_key, _m,
+                     _u_terms, act_Z)
+from .kernel import act_U  # noqa: F401  (unread here: bench/spans.py wraps action.act_U)
 from .ktvector import KTypeVector
 from .scalars import I, ONE, ZERO, LambdaForm, RadicalScalar
-from .series import BasisLabel, SeriesParams, basis, label_sign  # noqa: F401
+from .series import BasisLabel, SeriesParams, basis, label_valid
 from .wigner import WignerIndex, ladder_coeff_sq, y_steps
 
 # ---------------------------------------------------------------------------
@@ -325,7 +323,7 @@ def _m2_steps(tag: str, l: int, m: int) -> tuple:
     if tag in Y_TAGS:
         return tuple(((), l, t, _int_terms(c)) for t, c in _y_row(Y_TAGS[tag], l, m))
     n = Z_TAGS[tag]
-    cores = ((j, q_core(n, j, l, m)) for j in range(-2, 3))
+    cores = ((j, _coupling_core(n, j, l, m)) for j in range(-2, 3))
     return tuple(((j,), l + j, m + n, ((rad, 0, num, 0, 0, den),))
                  for j, (num, rad, den) in cores if num)
 
@@ -563,6 +561,26 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron(a, b) + 0.0 of two matrices, by broadcasting: the same products."""
     (p, r), (s, t) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * s, r * t) + 0.0
+
+
+def act_Z_on_basis(n: int, label: BasisLabel, params: SeriesParams) -> KTypeVector:
+    """pi(Z_n) on v_{l,m1,m2} at params.lam, re-folded into the m1 >= 0 labels.
+
+    Computed as sum_j q(n,j,l,m2) (U_j v_{l,m1,.}) with the folded U_j
+    amplitudes read from a bounded cache keyed on (delta, j, l, m1), the
+    mode and lam.  The fold is checked once per cache entry, which checks
+    every call: q(n,j,l,m2) is a common nonzero factor of each j.
+    """
+    if not label_valid(params.delta, label):
+        raise ValueError(f"label {label} invalid for parity {params.delta}")
+    l, m1, m2 = label
+    delta = tuple(params.delta)
+    mode, key = _lam_key(params.lam)
+    out = KTypeVector()
+    for j, qn in _couplings(n, l, m2, mode):
+        for t, amp in _folded_amplitudes(delta, j, l, m1, mode, key):
+            out.terms[BasisLabel(l + j, t, m2 + n)] = amp * qn
+    return out
 
 
 def assemble_matrix(params: SeriesParams, generator: str,

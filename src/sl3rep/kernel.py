@@ -15,11 +15,13 @@ whose U_j amplitudes c_k q(k,j,l,m1) Lam^(k)_j(lam,l,m1) depend on
 and their fold into the symmetrized basis (the +-m1 components summed with
 their fold signs and re-folded to m1' >= 0) is one lam-free integer fold
 per (delta, j, l, m1) (`_integer_fold`), checked once as an identity in
-lam; an exact folded amplitude is that fold evaluated at a rational lam.
-Bounded LRU caches of immutable tuples hold the folds and, per mode and
-lam, the U_j amplitudes and folded amplitudes that act_Z, act_U and
-act_Z_on_basis read.  The mode is part of the key, as 11, Fraction(11)
-and 11+0j hash alike but give exact and complex values.
+lam; an exact U_j or folded amplitude is its term or that fold evaluated
+at a rational lam (`_fold_value`).  The couplings q(n,j,l,m2) of Z_-n are
+read from the mirror of Z_n's (`_coupling_core`).  Bounded LRU caches of
+immutable tuples hold the folds and, per mode and lam, the U_j amplitudes
+and folded amplitudes that act_Z, act_U and `action.act_Z_on_basis` read.
+The mode is part of the key, as 11, Fraction(11) and 11+0j hash alike but
+give exact and complex values.
 
 Every entry point takes a lam, checked once per call (`_lam_key`), and the
 coefficient mode follows its type: exact RadicalScalars at a rational
@@ -29,8 +31,8 @@ at lam itself, for matrix export and oracle comparison.  `_lambda_coeffs`
 writes the same Lambda factors as integer coefficients in lam1 and lam2.
 
 The generators' exact 3x3 matrices hold i as the RadicalScalar I.  This
-module is all that certification and the oracles execute of the action;
-`action` builds its consumers on it and re-exports it.
+module is all that certification and the oracles execute of the action.
+Its names live here alone; `action` builds its consumers on them.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ from functools import lru_cache
 from math import gcd, lcm, sqrt
 from typing import Sequence
 
-from .clebsch import q, q_core, q_float
+from .clebsch import q_core
 from .errors import VerificationError
-from .ktvector import KTypeVector, coeff_is_zero
-from .scalars import I, ONE, RadicalScalar, _canonical, check_lambda
-from .series import BasisLabel, SeriesParams, label_sign, label_valid
+from .ktvector import KTypeVector
+from .scalars import I, RadicalScalar, _canonical, check_lambda
+from .series import BasisLabel, label_sign, label_valid
 from .wigner import WignerIndex
 
 # ---------------------------------------------------------------------------
@@ -91,8 +93,6 @@ def generator_matrix_numeric(tag: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lambda factors and the main expansion
 
-C_FACTORS = {-2: ONE, 0: _SQ23, 2: ONE}
-
 
 def lambda_factor(k: int, j: int, l: int, m1: int, lam: Sequence):
     """Lam^(k)_j(lam, l, m1) in the ring of lam's components (unchecked): a
@@ -137,8 +137,8 @@ def _lam_key(lam: Sequence) -> tuple[str, tuple]:
 
 
 def _ckq_core(k: int, j: int, l: int, m1: int) -> tuple[int, int, int]:
-    """(num, rad, den) with C_FACTORS[k] * q(k, j, l, m1) = num sqrt(rad) / den,
-    rad squarefree and gcd(num, den) = 1: the one place where c_0 =
+    """(num, rad, den) with c_k q(k, j, l, m1) = num sqrt(rad) / den, rad
+    squarefree and gcd(num, den) = 1, c_{+-2} = 1: the one place where c_0 =
     sqrt(6)/3 folds 6 into the radicand, over one gcd."""
     num, rad, den = q_core(k, j, l, m1)
     if k or not num:
@@ -172,32 +172,40 @@ def _u_amplitudes(j: int, l: int, m1: int, mode: str, lam) -> tuple:
     """U_j D^l_{m1,.} as ((k, c_k q(k,j,l,m1) Lam^(k)_j(lam,l,m1)), ...).
 
     Each amplitude goes to D^{l+j}_{m1+k,.}; zero amplitudes are left out.
-    c_k q is num / den * sqrt(rad) of `_ckq_core`, as a float in numeric
-    mode (bitwise complex(C_FACTORS[k] * q)) and exact otherwise.
+    Exact, the integer term of `_u_terms` at lam (`_fold_value`); numeric,
+    `lambda_factor` at lam times c_k q = num / den * sqrt(rad) of
+    `_ckq_core` as a float, bitwise complex(c_k q).
     """
-    out = []
-    for k in (-2, 0, 2):
-        num, rad, den = _ckq_core(k, j, l, m1)
-        if num:
-            ckq = (complex(num / den * sqrt(rad)) if mode == "numeric"
-                   else _canonical({rad: Fraction(num, den)}))
-            c = lambda_factor(k, j, l, m1, lam) * ckq
-            if not coeff_is_zero(c):
-                out.append((k, c))
-    return tuple(out)
+    if mode == "exact":
+        n1, n2, d = _lam_ints(lam)
+        return tuple((k, amp) for k, ((rad, _, p0, p1, p2, den),) in _u_terms(j, l, m1)
+                     if (amp := _fold_value(((rad, p0, p1, p2, den),), n1, n2, d)))
+    cores = ((k, _ckq_core(k, j, l, m1)) for k in (-2, 0, 2))
+    return tuple((k, c) for k, (num, rad, den) in cores if num and
+                 (c := lambda_factor(k, j, l, m1, lam) * complex(num / den * sqrt(rad))))
+
+
+def _coupling_core(n: int, j: int, l: int, m2: int) -> tuple[int, int, int]:
+    """The `q_core` of q(n, j, l, m2); for n < 0, and n = 0 with m2 < 0, read
+    from the mirror q(n,j,l,m2) = (-1)^j q(-n,j,l,-m2), so Z_-n computes no
+    core that Z_n does not."""
+    if n < 0 or (n == 0 and m2 < 0):
+        num, rad, den = q_core(-n, j, l, -m2)
+        return -num if j % 2 else num, rad, den
+    return q_core(n, j, l, m2)
 
 
 @lru_cache(maxsize=_AMPLITUDE_CACHE_SIZE)
 def _couplings(n: int, l: int, m2: int, mode: str) -> tuple:
-    """The nonzero q(n, j, l, m2) as (j, q) pairs, q_float in numeric mode;
-    for n < 0, and n = 0 with m2 < 0, negated exactly from the cached mirror
-    q(n,j,l,m2) = (-1)^j q(-n,j,l,-m2), so Z_-n reuses the couplings of Z_n."""
+    """The nonzero q(n, j, l, m2) as (j, q) pairs from `_coupling_core`: as
+    q builds them in exact mode, and as q_float, num / den * sqrt(rad), in
+    numeric mode."""
     if n not in (-2, -1, 0, 1, 2):
         raise ValueError("n must be in -2..2")
-    if n < 0 or (n == 0 and m2 < 0):
-        return tuple((j, -x if j % 2 else x) for j, x in _couplings(-n, l, -m2, mode))
-    coupling = q_float if mode == "numeric" else q
-    return tuple((j, x) for j in range(-2, 3) if (x := coupling(n, j, l, m2)))
+    cores = ((j, _coupling_core(n, j, l, m2)) for j in range(-2, 3))
+    return tuple((j, num / den * sqrt(rad) if mode == "numeric"
+                  else _canonical({rad: Fraction(num, den)}))
+                 for j, (num, rad, den) in cores if num)
 
 
 def act_Z(n: int, idx: WignerIndex, lam: Sequence) -> KTypeVector:
@@ -234,7 +242,7 @@ def act_U(j: int, idx: WignerIndex, lam: Sequence) -> KTypeVector:
 
 
 # ---------------------------------------------------------------------------
-# Action on the symmetrized principal-series basis
+# Folds into the symmetrized principal-series basis
 
 
 def label_components(delta, l: int, m1: int) -> tuple:
@@ -325,22 +333,3 @@ def _folded_amplitudes(delta, j: int, l: int, m1: int, mode: str, lam) -> tuple:
             out.append((t, c_pos * _HALF if t == 0 else c_pos))
     return tuple(out)
 
-
-def act_Z_on_basis(n: int, label: BasisLabel, params: SeriesParams) -> KTypeVector:
-    """pi(Z_n) on v_{l,m1,m2} at params.lam, re-folded into the m1 >= 0 labels.
-
-    Computed as sum_j q(n,j,l,m2) (U_j v_{l,m1,.}) with the folded U_j
-    amplitudes read from a bounded cache keyed on (delta, j, l, m1), the
-    mode and lam.  The fold is checked once per cache entry, which checks
-    every call: q(n,j,l,m2) is a common nonzero factor of each j.
-    """
-    if not label_valid(params.delta, label):
-        raise ValueError(f"label {label} invalid for parity {params.delta}")
-    l, m1, m2 = label
-    delta = tuple(params.delta)
-    mode, key = _lam_key(params.lam)
-    out = KTypeVector()
-    for j, qn in _couplings(n, l, m2, mode):
-        for t, amp in _folded_amplitudes(delta, j, l, m1, mode, key):
-            out.terms[BasisLabel(l + j, t, m2 + n)] = amp * qn
-    return out

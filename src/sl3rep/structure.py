@@ -27,12 +27,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .clebsch import q, q_core, q_float
 from .errors import VerificationError
-from .kernel import (_fold_value, _folded_amplitudes, _integer_fold, _lam_ints,
-                     _lambda_coeffs, act_U, label_components)
+from .kernel import (_coupling_core, _fold_value, _folded_amplitudes, _integer_fold,
+                     _lam_ints, _lambda_coeffs, act_U, label_components)
 from .scalars import RadicalScalar, _canonical, check_lambda
 from .series import BasisLabel, SeriesParams, label_valid, multiplicity
 from .wigner import WignerIndex
@@ -66,27 +67,17 @@ class SubspaceSpec(NamedTuple):
                 for row in _rows(self.params, l, self.predicate)]
 
 
-class _Record:
-    """Equality and repr from the attributes, in the order __init__ sets them;
-    unhashable, as a mutable record should be."""
+# Records: ==, repr, vars() in __init__'s order; unhashable; copy and pickle skip __init__.
+class InvarianceResult(SimpleNamespace):
+    __reduce__ = object.__reduce__
 
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-
-class InvarianceResult(_Record):
     def __init__(self, invariant: bool, certificates: list[dict] | None = None,
                  leakage: list[dict] | None = None, connected: bool | None = None,
                  checked_labels: int = 0):
-        self.invariant = invariant
-        self.certificates = [] if certificates is None else certificates
-        self.leakage = [] if leakage is None else leakage
-        self.connected = connected
-        self.checked_labels = checked_labels
+        super().__init__(invariant=invariant,
+                         certificates=[] if certificates is None else certificates,
+                         leakage=[] if leakage is None else leakage,
+                         connected=connected, checked_labels=checked_labels)
 
 
 def _boundary_reason(params: SeriesParams, l: int, m1: int, j: int,
@@ -169,11 +160,7 @@ def verify_invariant(spec: SubspaceSpec, lmax: int) -> InvarianceResult:
         out = [(j, t, _fold_value(terms, n1, n2, d)) for j, fold in folds.items()
                for t, terms in fold.items() if not spec.predicate(Row(l + j, t))]
         for m2, n, (j, t, amp) in product(range(-l, l + 1), range(-2, 3), out):
-            # Z_-n reads q(n,j,l,m2) = (-1)^j q(-n,j,l,-m2), as `_couplings` does
-            flip = n < 0 or (n == 0 and m2 < 0)
-            num, rad, den = q_core(-n, j, l, -m2) if flip else q_core(n, j, l, m2)
-            if flip and j % 2:
-                num = -num
+            num, rad, den = _coupling_core(n, j, l, m2)
             if num:
                 result.invariant = False
                 result.leakage.append({
@@ -244,16 +231,16 @@ def _connected(nodes: set[tuple], edges: dict) -> bool:
     return len(seen) == len(nodes)
 
 
-class StructureReport(_Record):
+class StructureReport(SimpleNamespace):
+    __reduce__ = object.__reduce__
+
     def __init__(self, title: str, chain: list[dict],
                  multiplicities: dict[int, list[int]], certificates: list[dict],
                  notes: list[str] | None = None, metadata: dict | None = None):
-        self.title = title
-        self.chain = chain
-        self.multiplicities = multiplicities
-        self.certificates = certificates
-        self.notes = [] if notes is None else notes
-        self.metadata = {} if metadata is None else metadata
+        super().__init__(title=title, chain=chain, multiplicities=multiplicities,
+                         certificates=certificates,
+                         notes=[] if notes is None else notes,
+                         metadata={} if metadata is None else metadata)
 
     def to_json(self) -> dict:
         return {

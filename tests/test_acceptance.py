@@ -10,9 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sl3rep.action import (STANDARD_BASIS, act_U, act_W, act_Z,
-                           bracket_check, project_P, pwqu_exceptional)
+from sl3rep.action import (STANDARD_BASIS, act_W, bracket_check, project_P,
+                           pwqu_exceptional)
 from sl3rep.clebsch import cg_product, q
+from sl3rep.kernel import act_U, act_Z
 from sl3rep.ktvector import KTypeVector
 from sl3rep.oracle import (coordinate_diffops_check, orthogonality_report,
                            sl2_ladder_check, sl2_maass_check,

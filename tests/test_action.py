@@ -15,19 +15,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sl3rep import VerificationError, action, kernel
-from sl3rep.action import (C_FACTORS, CONVENIENT_BASIS, GENERATOR_MATRICES,
-                           STANDARD_BASIS, Y_TAGS, Z_TAGS, act_U, act_W,
-                           act_Z, act_Z_on_basis, assemble_matrix,
+from sl3rep.action import (CONVENIENT_BASIS, STANDARD_BASIS, Y_TAGS, Z_TAGS,
+                           act_W, act_Z_on_basis, assemble_matrix,
                            bracket_check, compose_poly, decompose_matrix,
-                           decompose_standard_basis, generator_matrix_numeric,
-                           label_components, lambda_factor, matrix_bracket,
+                           decompose_standard_basis, matrix_bracket,
                            project_P, pwqu_exceptional, reassemble,
                            standard_basis_coords)
-from sl3rep.clebsch import q
+from sl3rep.clebsch import q, q_core
+from sl3rep.kernel import (GENERATOR_MATRICES, act_U, act_Z, generator_matrix_numeric,
+                           label_components, lambda_factor)
 from sl3rep.ktvector import KTypeVector
 from sl3rep.scalars import ONE, ZERO, LambdaForm, RadicalScalar
-from sl3rep.series import BasisLabel, SeriesParams, basis, label_valid
+from sl3rep.series import BasisLabel, SeriesParams, basis, label_sign, label_valid
 from sl3rep.wigner import WignerIndex, right_derivative_Y, y_steps
+
+from cg_identities import C_FACTORS
 
 ALL_TAGS = CONVENIENT_BASIS + STANDARD_BASIS
 
@@ -165,8 +167,8 @@ def test_amplitude_cache_key_includes_mode():
     label = BasisLabel(23, 23, 0)
     for first, second, kind in ((exact, numeric, complex),
                                 (numeric, exact, RadicalScalar)):
-        action._u_amplitudes.cache_clear()
-        action._folded_amplitudes.cache_clear()
+        kernel._u_amplitudes.cache_clear()
+        kernel._folded_amplitudes.cache_clear()
         act_Z(1, idx, first)
         act_Z_on_basis(1, label, SeriesParams(first, (1, 0, 1)))
         for vec in (act_Z(1, idx, second),
@@ -273,37 +275,32 @@ def test_float_couplings_are_bitwise_the_floats_of_q():
     for n, l in itertools.product(range(-2, 3), range(41)):
         for m2 in range(-l, l + 1):
             exact = [(j, q(n, j, l, m2)) for j in range(-2, 3) if q(n, j, l, m2)]
-            got = action._couplings(n, l, m2, "exact")
+            got = kernel._couplings(n, l, m2, "exact")
             assert list(got) == exact, (n, l, m2)
             assert [(j, repr(x)) for j, x in got] == [(j, repr(x)) for j, x in exact]
             want = [(j, float(x).hex()) for j, x in exact]
-            got = [(j, x.hex()) for j, x in action._couplings(n, l, m2, "numeric")]
+            got = [(j, x.hex()) for j, x in kernel._couplings(n, l, m2, "numeric")]
             assert got == want, (n, l, m2)
 
 
 @pytest.mark.parametrize("mode", ["exact", "numeric"])
 def test_mirrored_couplings_make_no_coupling_call(mode, monkeypatch):
-    calls = collections.Counter()
-
-    def counted(name, f):
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapper
-
-    monkeypatch.setattr(kernel, "q", counted("q", q))
-    monkeypatch.setattr(kernel, "q_float", counted("q_float", kernel.q_float))
-    action._couplings.cache_clear()
+    # once the couplings of Z_n are read, reading those of Z_-n computes no
+    # new core: every q_core they ask for, Z_n's couplings asked for first
+    cores = []
+    monkeypatch.setattr(kernel, "q_core", lambda *idx: cores.append(idx) or q_core(*idx))
+    kernel._couplings.cache_clear()
     indices = [(n, l, m2) for n in (-2, -1, 0) for l in range(7)
                for m2 in range(-l, l + 1) if n or m2 < 0]
     for n, l, m2 in indices:
-        action._couplings(-n, l, -m2, mode)
-    assert calls
-    calls.clear()
+        kernel._couplings(-n, l, -m2, mode)
+    read = set(cores)
+    assert read
+    cores.clear()
     for n, l, m2 in indices:
-        got = action._couplings(n, l, m2, mode)
+        got = kernel._couplings(n, l, m2, mode)
         assert [j for j, _ in got] == [j for j in range(-2, 3) if q(n, j, l, m2)]
-    assert not calls
+    assert cores and set(cores) <= read
 
 
 def complex_parameters():
@@ -321,7 +318,7 @@ def test_numeric_amplitudes_are_bitwise_the_exact_ones_converted(index, lam):
     # the numeric U_j amplitudes take c_k q as a float from the integers of
     # q; each must be the complex of the exact c_k q times Lambda, to the bit
     l, m1 = index
-    mode, key = action._lam_key(lam)
+    mode, key = kernel._lam_key(lam)
     assert mode == "numeric"
     for j in range(-2, 3):
         want = []
@@ -330,7 +327,7 @@ def test_numeric_amplitudes_are_bitwise_the_exact_ones_converted(index, lam):
                 c = lambda_factor(k, j, l, m1, key) * complex(C_FACTORS[k] * q(k, j, l, m1))
                 if c != 0:
                     want.append((k, c))
-        got = action._u_amplitudes.__wrapped__(j, l, m1, mode, key)
+        got = kernel._u_amplitudes.__wrapped__(j, l, m1, mode, key)
         assert got == tuple(want)
         assert [(z.real.hex(), z.imag.hex()) for _, z in got] == \
             [(z.real.hex(), z.imag.hex()) for _, z in want]
@@ -362,7 +359,7 @@ def test_u_terms_are_the_integer_terms_of_the_symbolic_amplitudes():
                 form = lambda_factor(k, j, l, m1, UNITS) * (C_FACTORS[k] * q(k, j, l, m1))
                 if form:
                     want.append((k, reference_int_terms(form)))
-            assert action._u_terms.__wrapped__(j, l, m1) == tuple(want), (j, l, m1)
+            assert kernel._u_terms.__wrapped__(j, l, m1) == tuple(want), (j, l, m1)
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -377,7 +374,7 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 @settings(max_examples=300, deadline=None)
 def test_ckq_core_is_c_k_q(k, j, index):
     l, m = index
-    num, rad, den = action._ckq_core(k, j, l, m)
+    num, rad, den = kernel._ckq_core(k, j, l, m)
     exact = C_FACTORS[k] * q(k, j, l, m)
     assert den > 0 and math.gcd(num, den) == 1
     assert not any(rad % (p * p) == 0 for p in SMALL_PRIMES)
@@ -500,15 +497,18 @@ def test_fold_consistency_and_unfolding(delta, data, lam):
         assert diff.is_zero()
 
 
-def test_fold_inconsistency_is_a_verification_error(monkeypatch):
-    # a -m1 component carrying the wrong fold sign cannot fold consistently
+@pytest.mark.parametrize("lam", [(Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2)),
+                                 (0.3 + 0.1j, -0.2, -0.1 - 0.1j)], ids=["rational", "complex"])
+def test_fold_inconsistency_is_a_verification_error(lam, monkeypatch):
+    # a -m1 component carrying the wrong fold sign cannot fold consistently:
+    # the integer fold's identity in lam fails at a rational lam, and the
+    # float fold's check of the D_{-t} parts within rounding at a complex one
     def wrong_sign(delta, l, m1):
-        return ((0, 2),) if m1 == 0 else ((m1, 1), (-m1, -action.label_sign(delta, l)))
+        return ((0, 2),) if m1 == 0 else ((m1, 1), (-m1, -label_sign(delta, l)))
 
     monkeypatch.setattr(kernel, "label_components", wrong_sign)
     clear_fold_caches()
-    params = SeriesParams((Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2)),
-                          (0, 0, 0))
+    params = SeriesParams(lam, (0, 0, 0))
     try:
         with pytest.raises(VerificationError, match="fold inconsistency"):
             act_Z_on_basis(0, BasisLabel(4, 2, 0), params)
@@ -518,8 +518,8 @@ def test_fold_inconsistency_is_a_verification_error(monkeypatch):
 
 def clear_fold_caches():
     """Empty the caches of both folds, so a patched fold input is read."""
-    action._integer_fold.cache_clear()
-    action._folded_amplitudes.cache_clear()
+    kernel._integer_fold.cache_clear()
+    kernel._folded_amplitudes.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -527,19 +527,24 @@ def clear_fold_caches():
 
 
 def reference_folded_amplitudes(delta, j, l, m1, lam):
-    """The exact fold as it was computed at one lam: the U_j amplitudes of the
-    +-m1 components at lam, summed with their fold weights as RadicalScalars,
-    each D_{-t} part checked by subtraction against the fold sign times the
-    D_t part, targets in the order they first appear at lam."""
+    """The exact fold as it was computed at one lam: the nonzero U_j amplitudes
+    Lam^(k)_j c_k q(k, j, l, src) of the +-m1 components at lam, built from
+    C_FACTORS and q apart from the kernel's integer terms, summed with their
+    fold weights as RadicalScalars, each D_{-t} part checked by subtraction
+    against the fold sign times the D_t part, targets in the order they first
+    appear at lam."""
     raw = KTypeVector()
     order = []
     for src, w in label_components(delta, l, m1):
-        for k, amp in action._u_amplitudes.__wrapped__(j, l, src, "exact", lam):
+        for k in (-2, 0, 2):
+            amp = lambda_factor(k, j, l, src, lam) * (C_FACTORS[k] * q(k, j, l, src))
+            if amp.is_zero():
+                continue
             raw.add_term(src + k, amp if w == 1 else amp * w)
             if abs(src + k) not in order:
                 order.append(abs(src + k))
     lt = l + j
-    sign = action.label_sign(delta, lt)
+    sign = label_sign(delta, lt)
     out = []
     for t in order:
         c_pos, c_neg = raw.get(t), raw.get(-t)
@@ -591,13 +596,13 @@ def rational_lambdas(draw):
 def test_integer_fold_at_lambda_is_the_exact_fold(source, lam):
     delta, j, l, m1 = source
     want = reference_folded_amplitudes(delta, j, l, m1, lam)
-    got = action._folded_amplitudes.__wrapped__(delta, j, l, m1, "exact", lam)
+    got = kernel._folded_amplitudes.__wrapped__(delta, j, l, m1, "exact", lam)
     assert [t for t, _ in got] == [t for t, _ in want]
     assert got == want and repr(got) == repr(want)
     # the integer zero test of each target is the zero test of its value
-    n1, n2, d = action._lam_ints(lam)
+    n1, n2, d = kernel._lam_ints(lam)
     values = dict(want)
-    for t, terms in action._integer_fold.__wrapped__(delta, j, l, m1):
+    for t, terms in kernel._integer_fold.__wrapped__(delta, j, l, m1):
         zero = not any(p0 * d + p1 * n1 + p2 * n2 for _, p0, p1, p2, _ in terms)
         assert zero == values.get(t, ZERO).is_zero()
 
@@ -605,9 +610,9 @@ def test_integer_fold_at_lambda_is_the_exact_fold(source, lam):
 def test_integer_fold_is_checked_as_an_identity_in_lambda(monkeypatch):
     # one -m1 component's coupling core with its sign flipped: the D_{-t}
     # parts no longer mirror the D_t parts at any lam
-    delta, fold = (0, 0, 0), action._integer_fold.__wrapped__
+    delta, fold = (0, 0, 0), kernel._integer_fold.__wrapped__
     assert fold(delta, 0, 4, 2)
-    real = action._ckq_core
+    real = kernel._ckq_core
 
     def flipped(k, j, l, m1):
         num, rad, den = real(k, j, l, m1)
@@ -622,9 +627,9 @@ def test_integer_fold_is_checked_as_an_identity_in_lambda(monkeypatch):
 def test_integer_fold_rejects_a_term_at_an_invalid_label(monkeypatch):
     # U_-2 on v_(4,4,.) reaches v_(2,t,.) for t <= 2 only; a term injected at
     # k = +-2 on both components, consistently folded, reaches t = 6 > 2
-    delta, fold = (0, 0, 0), action._integer_fold.__wrapped__
+    delta, fold = (0, 0, 0), kernel._integer_fold.__wrapped__
     assert [t for t, _ in fold(delta, -2, 4, 4)] == [2]
-    real = action._u_term
+    real = kernel._u_term
 
     def injected(k, j, l, m1):
         if (j, l, abs(m1)) == (-2, 4, 4) and k * m1 > 0:
@@ -641,7 +646,7 @@ def test_lambda_coeffs_are_lambda_factor_at_the_unit_forms():
     for k, j, l in itertools.product((-2, 0, 2), range(-2, 3), range(13)):
         for m1 in range(-l, l + 1):
             want = lambda_factor(k, j, l, m1, UNITS).canonical()
-            got = action._lambda_coeffs(k, j, l, m1)
+            got = kernel._lambda_coeffs(k, j, l, m1)
             assert tuple(RadicalScalar.from_rational(a) for a in got) == want
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sl3rep.action import generator_matrix_numeric
+from sl3rep.kernel import generator_matrix_numeric
 from sl3rep.clebsch import q_float
 from sl3rep.oracle import (GRAM_BLOCK_MAX_ENTRIES, QuadratureRule, _fd_plan,
                            _gram_blocks, _node_values, _node_weights,
@@ -90,7 +90,7 @@ def test_triple_product_matches_coupling():
 
 def test_fd_derivative_along_k_matches_exact():
     # the derivative along Y1 of the extension is i*m2 times the value
-    from sl3rep.action import generator_matrix_numeric
+    from sl3rep.kernel import generator_matrix_numeric
 
     lam = (0.2 + 0.3j, -0.1, -0.1 - 0.3j)
     idx = WignerIndex(2, 1, -1)
@@ -153,7 +153,7 @@ def test_expm_refuses_non_finite(x):
 
 
 def test_fd_step_validation():
-    from sl3rep.action import generator_matrix_numeric
+    from sl3rep.kernel import generator_matrix_numeric
 
     g = sample_group_point(np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_theorem_main_small():
 def test_theorem_main_detects_wrong_lambda():
     # the oracle is sensitive: evaluating the expansion at a shifted
     # parameter while differentiating at the true one must fail
-    from sl3rep.action import act_Z
+    from sl3rep.kernel import act_Z
 
     lam_true = (0.3, 0.2, -0.5)
     lam_wrong = (0.8, -0.3, -0.5)
@@ -196,7 +196,7 @@ def reference_fd_many(lam, indices, x, g, h):
 def reference_theorem_main(lam, lmax, samples, seed, h):
     """(max_deviation, worst) of `verify_theorem_main`, every value read
     index by index through `extend_wigner` and `reference_fd_many`."""
-    from sl3rep.action import act_Z
+    from sl3rep.kernel import act_Z
 
     rng = np.random.default_rng(seed)
     indices = [WignerIndex(l, m1, m2) for l in range(lmax + 1)

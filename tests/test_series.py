@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3rep.action import act_Z
+from sl3rep.kernel import act_Z
 from sl3rep.scalars import LambdaForm, check_lambda
 from sl3rep.series import (BasisLabel, GroupElement, SeriesParams, basis,
                            character, extend_wigner, iwasawa, label_sign,

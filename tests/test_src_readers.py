@@ -6,6 +6,9 @@ somewhere in `src/` outside its own body, or in `bench/*.py` (the frozen
 copy under `bench/baseline/` aside; the tracer's string targets count), or
 in README in backticks, which is how README lists the public API.  A
 definition that only the tests read belongs in `tests/`.
+
+Likewise a name imported with `from .x import name` is read by the module
+that imports it, so each name has one home and the tests read it there.
 """
 
 import ast
@@ -60,3 +63,27 @@ def test_every_src_definition_has_a_reader():
               if (name := qual.split(".")[-1]) not in in_bench | in_readme
               and in_src[name] == named(node)[name]]
     assert not unread, f"read only by tests: {', '.join(unread)}"
+
+
+def test_every_src_import_is_read_by_its_module():
+    # read: named in the module's code (not its import) or listed in its
+    # __all__; exempt: a name that bench/spans.py wraps on that module, or
+    # that README names as `module.name`
+    spans = load_spans()
+    exempt = {(mod, attr.split(".")[0]) for mod, attr, *_ in spans["SPANS"]}
+    exempt |= set(spans["CACHE_COUNTS"])
+    exempt |= set(re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`",
+                             (ROOT / "README.md").read_text()))
+    unread = []
+    for path in sorted((ROOT / "src" / "sl3rep").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        unread += [f"{path.stem}: {alias.asname or alias.name}"
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                   for alias in node.names
+                   if (alias.asname or alias.name) not in read
+                   and (path.stem, alias.asname or alias.name) not in exempt]
+    assert not unread, f"imported but not read: {', '.join(unread)}"

@@ -1,7 +1,10 @@
 """Tests for invariant-subspace certification and the structure reports."""
 
 import cmath
+import copy
 import hashlib
+import pickle
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -9,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sl3rep import VerificationError, action, structure
-from sl3rep.action import (C_FACTORS, act_U, act_Z_on_basis, label_components,
-                           lambda_factor)
+from sl3rep import VerificationError, action, kernel, structure
+from sl3rep.action import act_Z_on_basis
 from sl3rep.clebsch import in_range, q, q_core
+from sl3rep.kernel import act_U, label_components, lambda_factor
 from sl3rep.scalars import ONE, ZERO, LambdaForm, RadicalScalar, check_lambda
 from sl3rep.series import (BasisLabel, SeriesParams, basis, label_valid,
                            multiplicity)
@@ -21,6 +24,8 @@ from sl3rep.structure import (InvarianceResult, Row, SubspaceSpec,
                               k3_chain_report, k23_subspace_report,
                               verify_invariant)
 from sl3rep.wigner import WignerIndex
+
+from cg_identities import C_FACTORS
 
 
 def test_whole_module_is_invariant():
@@ -32,6 +37,19 @@ def test_whole_module_is_invariant():
     assert res.connected
     assert not res.leakage
     assert res.checked_labels == sum(len(basis(params, l)) for l in range(7))
+
+
+def test_records_copy_and_pickle_by_their_attributes():
+    # copy and pickle rebuild a record from its attributes, never by calling
+    # __init__ without its arguments (the benchmark's self-test deep-copies
+    # reports); the twin is equal, with the same repr and attribute order
+    leaking = SubspaceSpec("m1 = 0", SeriesParams(
+        (Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)), (0, 0, 0)), lambda row: row.m1 == 0)
+    for record in (verify_invariant(leaking, 4), even_k_report(2, 6)):
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record
+            assert repr(twin) == repr(record) and list(vars(twin)) == list(vars(record))
 
 
 def test_generic_parameter_has_no_proper_invariant_span():
@@ -392,20 +410,28 @@ def test_any_row_span_matches_per_label_reference(span, lam):
 
 
 def test_verify_invariant_reads_only_the_skeleton_at_exact_lambda(monkeypatch):
-    # no act_Z_on_basis call (the numeric recheck reads the float couplings
-    # and folded amplitudes), and _boundary_reason only for transitions
-    # with no edge
+    # no act_Z_on_basis or act_Z call, through whichever sl3rep module holds
+    # them (the numeric recheck reads the float couplings and folded
+    # amplitudes), and _boundary_reason only for transitions with no edge
     real_reason = structure._boundary_reason
     reasons, act_calls = [], []
 
     def recording_reason(params, l, m1, j, target_m1):
-        fold = action._folded_amplitudes(tuple(params.delta), j, l, m1, "exact",
+        fold = kernel._folded_amplitudes(tuple(params.delta), j, l, m1, "exact",
                                          tuple(params.lam))
         assert target_m1 not in dict(fold)
         reasons.append((l, m1, j, target_m1))
         return real_reason(params, l, m1, j, target_m1)
 
-    monkeypatch.setattr(action, "act_Z_on_basis", lambda *a, **k: act_calls.append(a))
+    for real in (action.act_Z_on_basis, kernel.act_Z):
+        def recording(*args, _real=real):
+            act_calls.append(args)
+            return _real(*args)
+
+        for mod in [m for name, m in sys.modules.items()
+                    if name.startswith("sl3rep") and m is not None]:
+            for attr in [a for a, val in vars(mod).items() if val is real]:
+                monkeypatch.setattr(mod, attr, recording)
     monkeypatch.setattr(structure, "_boundary_reason", recording_reason)
     params = SeriesParams((Fraction(-1), Fraction(1), Fraction(0)), (1, 0, 1))
     spec = SubspaceSpec("V1_odd", params, lambda row: row.m1 == 1 and row.l % 2)
@@ -500,7 +526,7 @@ def reference_numeric_recheck(spec, rows):
     labels = [BasisLabel(l, m1, m2) for l, m1 in rows for m2 in range(-l, l + 1)]
     for l, m1, m2 in labels[::max(1, len(labels) // 60)][:60]:
         for n in range(-2, 3):
-            for j, qn in action._couplings(n, l, m2, "numeric"):
+            for j, qn in kernel._couplings(n, l, m2, "numeric"):
                 for t, amp in structure._folded_amplitudes(delta, j, l, m1, "numeric", lam):
                     if abs(amp * qn) > 1e-10 and not spec.predicate(Row(l + j, t)):
                         raise VerificationError(
@@ -596,22 +622,24 @@ def test_times_core_is_the_general_product_with_q(amp, idx):
 
 
 def test_leakage_cores_of_z_minus_n_are_read_from_the_mirror(monkeypatch):
-    # the leakage listing reads q_core only at n > 0, or n = 0 with m2 >= 0,
-    # and each coefficient it lists, Z_-n's included, is the folded amplitude
-    # times q(n, j, l, m2) read directly
+    # the leakage listing computes the cores of Z_n only, n > 0 or n = 0 with
+    # m2 >= 0: reading those of Z_-n computes no new core, in the kernel or
+    # here; and each coefficient it lists, Z_-n's included, is the folded
+    # amplitude times q(n, j, l, m2) read directly
     spec = SubspaceSpec("m1 >= 23", SeriesParams(
         (Fraction(9), Fraction(-9), Fraction(0)), (1, 0, 1)), lambda row: row.m1 >= 23)
     want = verify_invariant(spec, 25).leakage
     assert len(want) > 100 and len({entry["generator"] for entry in want}) == 5
     reads = []
     monkeypatch.setattr(structure, "_boundary_reason", lambda *args: {})
-    monkeypatch.setattr(structure, "q_core", lambda *idx: reads.append(idx) or q_core(*idx))
+    for mod in (kernel, structure):
+        monkeypatch.setattr(mod, "q_core", lambda *idx: reads.append(idx) or q_core(*idx))
     assert verify_invariant(spec, 25).leakage == want
     assert reads and all(n > 0 or (n == 0 and m2 >= 0) for n, _, _, m2 in reads)
     for entry in want:
         (l, m1, m2), (lt, t, _) = entry["label"], entry["target"]
         n, j = int(entry["generator"][1:]), lt - l
-        amp = dict(action._folded_amplitudes((1, 0, 1), j, l, m1, "exact", spec.params.lam))[t]
+        amp = dict(kernel._folded_amplitudes((1, 0, 1), j, l, m1, "exact", spec.params.lam))[t]
         assert entry["coefficient"] == repr(amp * q(n, j, l, m2))
 
 

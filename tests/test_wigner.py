@@ -187,7 +187,7 @@ def test_euler_rejects_non_orthogonal():
 
 def _fd_right(i, idx, ang, h=1e-6):
     """Reference right derivative along the Y_i one-parameter subgroup."""
-    from sl3rep.action import generator_matrix_numeric
+    from sl3rep.kernel import generator_matrix_numeric
     from sl3rep.oracle import expm
 
     x = generator_matrix_numeric(f"Y{i}").real
@@ -198,7 +198,7 @@ def _fd_right(i, idx, ang, h=1e-6):
 
 
 def _fd_left(i, idx, ang, h=1e-6):
-    from sl3rep.action import generator_matrix_numeric
+    from sl3rep.kernel import generator_matrix_numeric
     from sl3rep.oracle import expm
 
     x = generator_matrix_numeric(f"Y{i}").real
